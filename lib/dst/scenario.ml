@@ -92,13 +92,16 @@ let image_of_target = function
 (* Schedule every plan entry on the machine's engine.  An entry only
    "applies" when its target has a live process at fire time (kills on
    a mid-restart service miss, exactly like the paper's crash script);
-   the returned counters are reduced into the report. *)
+   the returned counters are reduced into the report.  Plans are
+   applied after boot, so an entry due before "now" (mutants clamp
+   shifted entries to 0; repro files are outside input) fires at once. *)
 let apply_plan t plan =
   let applied = ref 0 and expected_spans = ref 0 in
+  let engine = t.System.engine in
   List.iter
     (fun (e : Fault_plan.entry) ->
       ignore
-        (Engine.schedule_at t.System.engine ~at:e.at (fun () ->
+        (Engine.schedule_at engine ~at:(max e.at (Engine.now engine)) (fun () ->
              match e.action with
              | Fault_plan.Kill -> (
                  match System.kill_service_once t ~target:e.target with

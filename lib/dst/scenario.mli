@@ -102,9 +102,10 @@ val make :
     test scenarios) don't have to spell out every field. *)
 
 val apply_plan : Resilix_system.System.t -> Fault_plan.t -> int ref * int ref
-(** Schedule every plan entry on the machine's engine.  Returns the
-    [(applied, expected_spans)] counters, live until the engine has
-    run past the last entry. *)
+(** Schedule every plan entry on the machine's engine; an entry due
+    before the engine's current time fires at the current time instead
+    of raising.  Returns the [(applied, expected_spans)] counters, live
+    until the engine has run past the last entry. *)
 
 val endpoints_consistent : Resilix_system.System.t -> string list -> bool
 (** The DST endpoint-consistency probe: for each named service, the

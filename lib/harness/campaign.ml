@@ -117,9 +117,3 @@ let values r =
   match r.failures with
   | [] -> List.map (function Ok v -> v | Error e -> raise e) r.outcomes
   | fs -> raise (Partial fs)
-
-(* Deprecated entry points, kept as one-line shims over [run]. *)
-let run_collect ?jobs ?on_progress trials = (run ?jobs ?on_progress trials).outcomes
-
-let run_named ?jobs ?on_progress trials =
-  List.map2 (fun t r -> (t.Trial.name, r)) trials (values (run ?jobs ?on_progress trials))

@@ -88,13 +88,3 @@ val values : 'a run_result -> 'a list
 (** The successful results, input order — or {!Partial} with the full
     failure list if any trial failed.  [values (run trials)] is the
     historical [Campaign.run]. *)
-
-val run_collect :
-  ?jobs:int -> ?on_progress:(progress -> unit) -> 'a Trial.t list -> ('a, exn) result list
-[@@ocaml.deprecated "use (Campaign.run ...).outcomes"]
-(** @deprecated [(run trials).outcomes]. *)
-
-val run_named :
-  ?jobs:int -> ?on_progress:(progress -> unit) -> 'a Trial.t list -> (string * 'a) list
-[@@ocaml.deprecated "use Campaign.values (Campaign.run ...) and pair with trial names"]
-(** @deprecated [values (run trials)] paired with each trial's name. *)

@@ -11,7 +11,7 @@ val read : seed:int -> off:int -> len:int -> bytes
 
 val fnv_digest : seed:int -> size:int -> string
 (** Streaming FNV-1a hex digest of the whole file (fast; used by the
-    benchmark harness). *)
+    experiments' integrity checks). *)
 
 val md5_digest : seed:int -> size:int -> string
 (** Streaming MD5 hex digest of the whole file (used by the wget

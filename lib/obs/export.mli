@@ -1,8 +1,8 @@
 (** JSONL export of metrics and spans.
 
     Each function renders one JSON object per line — the format
-    consumed by [--metrics-out] on the bench and the CLI.  Line
-    shapes ("type" discriminates):
+    written by the CLI's [--metrics-out].  Line shapes ("type"
+    discriminates):
 
     - [{"type":"meta","label":L,"at_us":T}]
     - [{"type":"counter","label":L,"name":N,"value":V}]

@@ -74,24 +74,6 @@ let message e = Event.message e.payload
 
 let query t ~pred = List.filter pred (events t)
 
-let matches ~subsystem ~contains e =
-  String.equal e.subsystem subsystem
-  &&
-  let msg = message e in
-  let sub_len = String.length contains and msg_len = String.length msg in
-  (* Allocation-free substring scan: compare char by char instead of
-     carving a fresh [String.sub] per position, so [query]/[count]
-     over a large ring do no per-position allocation. *)
-  let rec same i j = j >= sub_len || (msg.[i + j] = contains.[j] && same i (j + 1)) in
-  let rec scan i = i + sub_len <= msg_len && (same i 0 || scan (i + 1)) in
-  sub_len = 0 || scan 0
-
-let find t ~subsystem ~contains =
-  List.find_opt (matches ~subsystem ~contains) (events t)
-
-let count t ~subsystem ~contains =
-  List.length (List.filter (matches ~subsystem ~contains) (events t))
-
 (* A throwaway event used to blank vacated slots, so cleared events
    become collectable without giving up the ring's allocation. *)
 let blank : event =

@@ -4,10 +4,8 @@
     events: the kernel, servers, drivers and experiments emit either a
     typed payload ({!emit_event}) or a free-form message ({!emit},
     which wraps it in [Event.Log]).  Tests assert on the recorded
-    history — structurally via {!query}, or by substring via the
-    legacy {!find}/{!count} helpers, which match against the rendered
-    {!message}.  [echo] mirrors events to stderr for interactive
-    runs. *)
+    history structurally via {!query}.  [echo] mirrors events to
+    stderr for interactive runs. *)
 
 (** Re-exported so existing [Trace.Info] / [e.Trace.time] code keeps
     working; a trace event {e is} an observability event. *)
@@ -56,16 +54,8 @@ val message : event -> string
     {!Resilix_obs.Event.message}). *)
 
 val query : t -> pred:(event -> bool) -> event list
-(** Retained events satisfying [pred], oldest first.  The structural
-    replacement for substring matching:
+(** Retained events satisfying [pred], oldest first:
     [query t ~pred:(fun e -> match e.payload with Defect d -> ... )]. *)
-
-val find : t -> subsystem:string -> contains:string -> event option
-(** First retained event from [subsystem] whose rendered message
-    contains [contains] as a substring. *)
-
-val count : t -> subsystem:string -> contains:string -> int
-(** Number of retained matching events. *)
 
 val clear : t -> unit
 (** Drop all retained events.  The ring keeps its allocation (like

@@ -312,6 +312,20 @@ let test_explore_crash_is_a_finding () =
       Alcotest.(check int) "plan recovered from the seed" 4 (List.length o.Explore.o_plan))
     r.Explore.failures
 
+(* Plans are applied after boot, and mutated or loaded plans can hold
+   entries due before "now" (mutants clamp shifted entries to 0): such
+   an entry must fire at once, not raise out of the scenario. *)
+let test_apply_plan_early_entry () =
+  let module System = Resilix_system.System in
+  let t = System.boot () in
+  System.start_services t [ System.spec_rtl8139 () ];
+  System.run ~until:(Resilix_sim.Time.msec 100) t;
+  let applied, expected_spans =
+    Scenario.apply_plan t [ { Fault_plan.at = 0; target = "eth.rtl8139"; action = Fault_plan.Kill } ]
+  in
+  System.run ~until:(Resilix_sim.Time.msec 200) t;
+  Alcotest.(check (pair int int)) "the early kill applied" (1, 1) (!applied, !expected_spans)
+
 let test_replay_reproduces () =
   let result = Explore.run ~jobs:1 toy ~seed:11 ~runs:12 () in
   match result.Explore.failures with
@@ -587,6 +601,7 @@ let tests =
     Alcotest.test_case "explore finds, jobs-invariant" `Quick
       test_explore_finds_and_is_jobs_invariant;
     Alcotest.test_case "explore treats crashes as findings" `Quick test_explore_crash_is_a_finding;
+    Alcotest.test_case "apply plan: early entry fires at once" `Quick test_apply_plan_early_entry;
     Alcotest.test_case "replay reproduces" `Quick test_replay_reproduces;
     Alcotest.test_case "replay rejects unknown scenario" `Quick test_replay_unknown_scenario;
     Alcotest.test_case "shrink minimizes the plan" `Quick test_shrink_minimizes_plan;

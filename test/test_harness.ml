@@ -14,6 +14,11 @@ module E = Resilix_experiments
 
 let mb = 1024 * 1024
 
+let contains ~sub s =
+  let n = String.length sub and l = String.length s in
+  let rec go i = i + n <= l && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
 (* ------------------------------------------------------------------ *)
 (* Same seed, same machine                                             *)
 (* ------------------------------------------------------------------ *)
@@ -121,14 +126,10 @@ let test_campaign_collects_every_failure () =
           let summary = Campaign.failures_summary failures in
           List.iter
             (fun needle ->
-              let found =
-                let n = String.length needle and l = String.length summary in
-                let rec go i = i + n <= l && (String.sub summary i n = needle || go (i + 1)) in
-                go 0
-              in
               Alcotest.(check bool)
                 (Printf.sprintf "summary mentions %S" needle)
-                true found)
+                true
+                (contains ~sub:needle summary))
             [ "2 trial(s) failed"; "t2"; "t5"; "two"; "five" ])
     [ 1; 4 ];
   (* The run_result record is the non-raising face of the same
@@ -216,12 +217,13 @@ let collect_obs run =
 let test_fig7_jobs_invariant () =
   (* The acceptance criterion for the progress observer: enabling it
      must leave the stdout/JSONL path byte-identical for every job
-     count — the observer only ever sees the stderr-side sink. *)
+     count — the observer only ever sees the stderr-side sink.  8 MB
+     outlasts the 1-s kill interval, so the sweep includes a recovery. *)
   let sweep jobs =
     collect_obs (fun sink ->
         E.Fig7.run ~jobs
           ~on_progress:(fun (_ : Campaign.progress) -> ())
-          ~size:(2 * mb) ~intervals:[ 1 ] ~seed:42 ~obs:sink ())
+          ~size:(8 * mb) ~intervals:[ 1 ] ~seed:42 ~obs:sink ())
   in
   let rows1, obs1 = sweep 1 and rows2, obs2 = sweep 2 and rows4, obs4 = sweep 4 in
   Alcotest.(check int) "baseline + one interval" 2 (List.length rows1);
@@ -229,6 +231,8 @@ let test_fig7_jobs_invariant () =
   Alcotest.(check bool) "fig7 rows identical for jobs=1 and jobs=4" true (rows1 = rows4);
   Alcotest.(check string) "fig7 observability byte-identical (jobs=2)" obs1 obs2;
   Alcotest.(check string) "fig7 observability byte-identical (jobs=4)" obs1 obs4;
+  Alcotest.(check bool) "two-domain sweep emits MTTR reports" true
+    (contains ~sub:{|"type":"mttr"|} obs2);
   Alcotest.(check bool) "sweep passes its own integrity check" true (E.Fig7.ok rows1)
 
 let test_sec72_jobs_invariant () =
