@@ -53,7 +53,7 @@ let send_all sock data =
     if off >= total then Ok ()
     else begin
       let len = min buf_size (total - off) in
-      Memory.write (Api.memory ()) ~addr:buf_addr (Bytes.sub data off len);
+      Memory.blit_in (Api.memory ()) ~addr:buf_addr ~src:data ~src_off:off ~len;
       match
         with_grant ~len ~access:Sysif.Read_only (fun grant ->
             match rpc (Message.In_send { sock; grant; len }) with

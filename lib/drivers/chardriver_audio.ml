@@ -89,7 +89,7 @@ let program () =
         let take = min (Bytes.length chunk) (room land lnot 3) in
         if take = 0 then continue := false
         else begin
-          Memory.write mem ~addr:stage_buf (Bytes.sub chunk 0 take);
+          Memory.blit_in mem ~addr:stage_buf ~src:chunk ~src_off:0 ~len:take;
           ignore (exec "feed" ~r1:stage_buf ~r2:((take + 3) / 4));
           spooled := !spooled - take;
           if take = Bytes.length chunk then ignore (Queue.pop spool)

@@ -96,7 +96,7 @@ let program () =
         let remaining = Bytes.length job.data - job.off in
         let take = min room remaining in
         if take > 0 then begin
-          Memory.write mem ~addr:stage_buf (Bytes.sub job.data job.off take);
+          Memory.blit_in mem ~addr:stage_buf ~src:job.data ~src_off:job.off ~len:take;
           ignore (exec "feed" ~r1:stage_buf ~r2:take);
           job.off <- job.off + take
         end;

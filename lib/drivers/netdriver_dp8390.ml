@@ -169,7 +169,7 @@ let program () =
     | Some (src, grant, maxlen), false ->
         let frame = Queue.pop stash in
         let len = min (Bytes.length frame) maxlen in
-        Memory.write mem ~addr:rx_buf (Bytes.sub frame 0 len);
+        Memory.blit_in mem ~addr:rx_buf ~src:frame ~src_off:0 ~len;
         (match Api.safecopy_to ~owner:src ~grant ~grant_off:0 ~local_addr:rx_buf ~len with
         | Ok () ->
             rx_slot := None;

@@ -1,30 +1,37 @@
 module Fnv = Resilix_checksum.Fnv
 module Md5 = Resilix_checksum.Md5
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let word ~seed ~index =
+let[@inline] word ~seed ~index =
   mix (Int64.add (Int64.of_int seed) (Int64.mul 0x9E3779B97F4A7C15L (Int64.of_int (index + 1))))
 
-(* Byte [i] of the file is byte [i mod 8] of word [i / 8]. *)
+(* Byte [i] of the file is byte [i mod 8] of word [i / 8]: whole words
+   are stored little-endian in one write; only a partial word at either
+   end goes byte by byte. *)
 let read ~seed ~off ~len =
   if off < 0 || len < 0 then invalid_arg "Filegen.read";
   let out = Bytes.create len in
-  let pos = ref 0 in
-  while !pos < len do
-    let abs = off + !pos in
-    let index = abs / 8 and inner = abs mod 8 in
-    let w = word ~seed ~index in
-    let take = min (8 - inner) (len - !pos) in
+  let partial ~pos ~abs ~take =
+    let w = word ~seed ~index:(abs / 8) and inner = abs mod 8 in
     for j = 0 to take - 1 do
-      Bytes.set out (!pos + j)
-        (Char.chr (Int64.to_int (Int64.shift_right_logical w (8 * (inner + j))) land 0xFF))
-    done;
-    pos := !pos + take
+      Bytes.unsafe_set out (pos + j)
+        (Char.unsafe_chr (Int64.to_int (Int64.shift_right_logical w (8 * (inner + j))) land 0xFF))
+    done
+  in
+  let head = min len ((8 - (off mod 8)) mod 8) in
+  if head > 0 then partial ~pos:0 ~abs:off ~take:head;
+  let pos = ref head in
+  let index = ref ((off + head) / 8) in
+  while !pos + 8 <= len do
+    Bytes.set_int64_le out !pos (word ~seed ~index:!index);
+    pos := !pos + 8;
+    incr index
   done;
+  if !pos < len then partial ~pos:!pos ~abs:(off + !pos) ~take:(len - !pos);
   out
 
 let fold ~seed ~size ~init ~f =

@@ -487,7 +487,7 @@ let handle_packet t (frame : Wire.frame) =
                 | Some (sip, sport, payload) -> (
                     let len = min (Bytes.length payload) maxlen in
                     let mem = Api.memory () in
-                    Memory.write mem ~addr:app_buf (Bytes.sub payload 0 len);
+                    Memory.blit_in mem ~addr:app_buf ~src:payload ~src_off:0 ~len;
                     match
                       Api.safecopy_to ~owner:app ~grant ~grant_off:0 ~local_addr:app_buf ~len
                     with
@@ -650,7 +650,8 @@ let handle_request t ~src body =
     end
   | Message.In_send { sock; grant; len } -> begin
       match sock_of t sock with
-      | S_tcp_conn conn when conn.pending_send = None && len >= 0 ->
+      | S_tcp_conn _ when len < 0 -> reply src (Message.In_io_reply { result = Error Errno.E_inval })
+      | S_tcp_conn conn when conn.pending_send = None ->
           conn.pending_send <- Some { app = src; grant; total = len; progress = 0 };
           continue_send t conn
       | S_tcp_conn _ -> reply src (Message.In_io_reply { result = Error Errno.E_busy })
@@ -658,6 +659,7 @@ let handle_request t ~src body =
     end
   | Message.In_recv { sock; grant; len } -> begin
       match sock_of t sock with
+      | S_tcp_conn _ when len < 0 -> reply src (Message.In_io_reply { result = Error Errno.E_inval })
       | S_tcp_conn conn when conn.pending_recv = None ->
           conn.pending_recv <- Some { app = src; grant; total = len; progress = 0 };
           continue_recv t conn
@@ -683,12 +685,14 @@ let handle_request t ~src body =
     end
   | Message.In_recvfrom { sock; grant; len } -> begin
       match sock_of t sock with
+      | S_udp _ when len < 0 ->
+          reply src (Message.In_recvfrom_reply { result = Error Errno.E_inval })
       | S_udp u -> begin
           match Queue.take_opt u.u_rxq with
           | Some (sip, sport, payload) -> begin
               let n = min (Bytes.length payload) len in
               let mem = Api.memory () in
-              Memory.write mem ~addr:app_buf (Bytes.sub payload 0 n);
+              Memory.blit_in mem ~addr:app_buf ~src:payload ~src_off:0 ~len:n;
               match Api.safecopy_to ~owner:src ~grant ~grant_off:0 ~local_addr:app_buf ~len:n with
               | Ok () -> reply src (Message.In_recvfrom_reply { result = Ok (n, sip, sport) })
               | Error _ -> ()

@@ -36,14 +36,39 @@ type callbacks = {
 
 type state = Listen | Syn_sent | Syn_received | Established | Done
 
+(* A byte queue: the live bytes sit at [store.(base) .. base + len - 1].
+   Consuming only advances [base].  An append that does not fit moves
+   the live bytes to the front only once the consumed prefix is at
+   least as long as they are, so a compaction moves no more bytes than
+   were consumed since the previous one; otherwise the store doubles. *)
+type queue = { mutable store : Bytes.t; mutable base : int; mutable len : int }
+
+let queue_create () = { store = Bytes.create 4096; base = 0; len = 0 }
+
+let queue_push q data ~off ~len =
+  let cap = Bytes.length q.store in
+  if q.base + q.len + len > cap then begin
+    if q.base >= q.len && q.len + len <= cap then Bytes.blit q.store q.base q.store 0 q.len
+    else begin
+      let fresh = Bytes.create (max (2 * cap) (q.len + len)) in
+      Bytes.blit q.store q.base fresh 0 q.len;
+      q.store <- fresh
+    end;
+    q.base <- 0
+  end;
+  Bytes.blit data off q.store (q.base + q.len) len;
+  q.len <- q.len + len
+
+let queue_drop q n =
+  q.len <- q.len - n;
+  q.base <- (if q.len = 0 then 0 else q.base + n)
+
 type t = {
   cfg : config;
   cb : callbacks;
   mutable state : state;
   (* --- send side --- *)
-  mutable tx_store : Bytes.t;  (* bytes [snd_una, tx_end) live at tx_store[tx_base..] *)
-  mutable tx_base : int;  (* index of snd_una within tx_store *)
-  mutable tx_len : int;  (* bytes buffered = tx_end - snd_una *)
+  tx : queue;  (* stream bytes [data_start, tx_end) *)
   mutable snd_una : int;  (* oldest unacknowledged stream offset *)
   mutable snd_nxt : int;  (* next offset to transmit *)
   mutable fin_offset : int option;  (* our FIN's stream offset, once decided *)
@@ -64,7 +89,7 @@ type t = {
   mutable peer_isn_known : bool;
   mutable peer_isn : int;
   mutable rcv_nxt : int;  (* next expected peer stream offset *)
-  rx_buf : Buffer.t;  (* in-order data awaiting the application *)
+  rx : queue;  (* in-order data awaiting the application *)
   ooo : (int, bytes) Hashtbl.t;  (* out-of-order segments by peer offset *)
   mutable peer_fin_offset : int option;
   mutable peer_fin_delivered : bool;
@@ -88,9 +113,7 @@ let create cfg cb state =
     cfg;
     cb;
     state;
-    tx_store = Bytes.create 4096;
-    tx_base = 0;
-    tx_len = 0;
+    tx = queue_create ();
     snd_una = 1;
     snd_nxt = 1;
     fin_offset = None;
@@ -110,14 +133,14 @@ let create cfg cb state =
     peer_isn_known = false;
     peer_isn = 0;
     rcv_nxt = 1;
-    rx_buf = Buffer.create 4096;
+    rx = queue_create ();
     ooo = Hashtbl.create 16;
     peer_fin_offset = None;
     peer_fin_delivered = false;
   }
 
-let rx_available t = Buffer.length t.rx_buf
-let tx_space t = t.cfg.tx_buffer - t.tx_len
+let rx_available t = t.rx.len
+let tx_space t = t.cfg.tx_buffer - t.tx.len
 let is_established t = t.state = Established
 let retransmissions t = t.retransmissions
 
@@ -127,7 +150,7 @@ let peer_closed t =
 let is_closed t = t.state = Done
 
 (* Our advertised window: free receive-buffer space. *)
-let advertised_window t = max 0 (t.cfg.rx_window - Buffer.length t.rx_buf)
+let advertised_window t = max 0 (t.cfg.rx_window - t.rx.len)
 
 let wire_seq t offset = mask32 (t.cfg.isn + offset)
 let wire_ack t = mask32 (t.peer_isn + t.rcv_nxt)
@@ -161,35 +184,13 @@ let cancel_timer t =
 (* --- send buffer management --- *)
 
 (* Application data starts at stream offset 1 (offset 0 is the SYN);
-   the buffer holds [data_start, data_start + tx_len). *)
+   the queue holds [data_start, data_start + tx.len). *)
 let data_start t = max t.snd_una 1
 
-let tx_end t = data_start t + t.tx_len
+let tx_end t = data_start t + t.tx.len
 
-let tx_append t data ~off ~len =
-  (* Compact / grow the store as needed. *)
-  let need = t.tx_base + t.tx_len + len in
-  if need > Bytes.length t.tx_store then begin
-    let required = t.tx_len + len in
-    if t.tx_base > 0 && required <= Bytes.length t.tx_store then begin
-      Bytes.blit t.tx_store t.tx_base t.tx_store 0 t.tx_len;
-      t.tx_base <- 0
-    end
-    else begin
-      let ncap = max (2 * Bytes.length t.tx_store) required in
-      let fresh = Bytes.create ncap in
-      Bytes.blit t.tx_store t.tx_base fresh 0 t.tx_len;
-      t.tx_store <- fresh;
-      t.tx_base <- 0
-    end
-  end;
-  Bytes.blit data off t.tx_store (t.tx_base + t.tx_len) len;
-  t.tx_len <- t.tx_len + len
-
-(* Bytes of the stream range [offset, offset+len) from the store. *)
-let tx_slice t ~offset ~len =
-  let start = t.tx_base + (offset - data_start t) in
-  Bytes.sub t.tx_store start len
+(* Bytes of the stream range [offset, offset+len) from the queue. *)
+let tx_slice t ~offset ~len = Bytes.sub t.tx.store (t.tx.base + (offset - data_start t)) len
 
 let flight t = t.snd_nxt - t.snd_una
 
@@ -250,21 +251,19 @@ let send t ~now data ~off ~len =
   else begin
     let accept = min len (tx_space t) in
     if accept > 0 then begin
-      tx_append t data ~off ~len:accept;
+      queue_push t.tx data ~off ~len:accept;
       pump t ~now
     end;
     accept
   end
 
 let recv t ~max =
-  let have = Buffer.length t.rx_buf in
-  let take = min max have in
-  if take = 0 then Bytes.empty
+  let take = min max t.rx.len in
+  if take <= 0 then Bytes.empty
   else begin
-    let all = Buffer.to_bytes t.rx_buf in
-    Buffer.clear t.rx_buf;
-    if take < have then Buffer.add_subbytes t.rx_buf all take (have - take);
-    Bytes.sub all 0 take
+    let data = Bytes.sub t.rx.store t.rx.base take in
+    queue_drop t.rx take;
+    data
   end
 
 let close t ~now =
@@ -341,10 +340,7 @@ let process_ack t ~now ack_offset window =
        0 and the FIN occupy no buffer space). *)
     let data_acked = min (tx_end t) ack_offset in
     let drop = max 0 (data_acked - data_start t) in
-    if drop > 0 then begin
-      t.tx_base <- t.tx_base + drop;
-      t.tx_len <- t.tx_len - drop
-    end;
+    if drop > 0 then queue_drop t.tx drop;
     t.snd_una <- ack_offset;
     if t.snd_nxt < t.snd_una then t.snd_nxt <- t.snd_una;
     t.dup_acks <- 0;
@@ -378,7 +374,7 @@ let deliver_in_order t =
     match Hashtbl.find_opt t.ooo t.rcv_nxt with
     | Some data ->
         Hashtbl.remove t.ooo t.rcv_nxt;
-        Buffer.add_bytes t.rx_buf data;
+        queue_push t.rx data ~off:0 ~len:(Bytes.length data);
         t.rcv_nxt <- t.rcv_nxt + Bytes.length data
     | None -> progressing := false
   done
@@ -407,7 +403,7 @@ let process_payload t ~seg_offset payload =
       let room = advertised_window t in
       let take = min fresh room in
       if take > 0 then begin
-        Buffer.add_subbytes t.rx_buf payload skip take;
+        queue_push t.rx payload ~off:skip ~len:take;
         t.rcv_nxt <- t.rcv_nxt + take;
         deliver_in_order t;
         t.cb.notify Ev_rx_ready

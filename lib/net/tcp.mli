@@ -64,7 +64,8 @@ val send : t -> now:int -> bytes -> off:int -> len:int -> int
     (bounded by free send-buffer space; 0 when full). *)
 
 val recv : t -> max:int -> bytes
-(** Pull up to [max] bytes of in-order received data. *)
+(** Pull up to [max] bytes of in-order received data (none when
+    [max <= 0]). *)
 
 val close : t -> now:int -> unit
 (** No more application data; FIN once the send buffer drains. *)

@@ -28,24 +28,15 @@ let ip_to_string v =
 
 (* --- low-level byte helpers --- *)
 
-let put_u16 buf v =
-  Buffer.add_char buf (Char.chr ((v lsr 8) land 0xFF));
-  Buffer.add_char buf (Char.chr (v land 0xFF))
+let set_u16 b i v = Bytes.set_uint16_be b i (v land 0xFFFF)
+let set_u32 b i v = Bytes.set_int32_be b i (Int32.of_int v)
 
-let put_u32 buf v =
-  Buffer.add_char buf (Char.chr ((v lsr 24) land 0xFF));
-  Buffer.add_char buf (Char.chr ((v lsr 16) land 0xFF));
-  Buffer.add_char buf (Char.chr ((v lsr 8) land 0xFF));
-  Buffer.add_char buf (Char.chr (v land 0xFF))
+let set_u48 b i v =
+  set_u16 b i (v lsr 32);
+  set_u32 b (i + 2) v
 
-let put_u48 buf v =
-  Buffer.add_char buf (Char.chr ((v lsr 40) land 0xFF));
-  Buffer.add_char buf (Char.chr ((v lsr 32) land 0xFF));
-  put_u32 buf (v land 0xFFFF_FFFF)
-
-let get_u8 b i = Char.code (Bytes.get b i)
-let get_u16 b i = (get_u8 b i lsl 8) lor get_u8 b (i + 1)
-let get_u32 b i = (get_u16 b i lsl 16) lor get_u16 b (i + 2)
+let get_u16 b i = Bytes.get_uint16_be b i
+let get_u32 b i = Int32.to_int (Bytes.get_int32_be b i) land 0xFFFF_FFFF
 let get_u48 b i = (get_u16 b i lsl 32) lor get_u32 b (i + 2)
 
 let flags_byte seg =
@@ -67,125 +58,95 @@ let proto_udp = 17
    TCP (proto 6), from 23:
      src_port(2) dst_port(2) seq(4) ack(4) flags(1) window(4) len(2) crc(4) payload
    UDP (proto 17), from 23:
-     src_port(2) dst_port(2) len(2) crc(4) payload *)
+     src_port(2) dst_port(2) len(2) crc(4) payload
+   The CRC covers the transport header (from 23 up to the CRC field)
+   and the payload. *)
+
+let transport_off = 23
+let tcp_hdr_len = 19
+let udp_hdr_len = 6
+
+(* CRC of the transport header at [transport_off] and the payload that
+   follows the CRC field, computed in place in the frame. *)
+let frame_crc b ~hdr_len ~len =
+  let c = Crc32.update Crc32.start b ~off:transport_off ~len:hdr_len in
+  Crc32.finish (Crc32.update c b ~off:(transport_off + hdr_len + 4) ~len)
 
 let encode frame =
-  let buf = Buffer.create 64 in
-  put_u48 buf frame.dst_mac;
-  put_u48 buf frame.src_mac;
-  put_u16 buf 0x0800;
-  put_u32 buf frame.packet.src_ip;
-  put_u32 buf frame.packet.dst_ip;
+  let proto, hdr_len, payload =
+    match frame.packet.body with
+    | Tcp seg -> (proto_tcp, tcp_hdr_len, seg.payload)
+    | Udp dgram -> (proto_udp, udp_hdr_len, dgram.payload)
+  in
+  let len = Bytes.length payload in
+  let b = Bytes.create (transport_off + hdr_len + 4 + len) in
+  set_u48 b 0 frame.dst_mac;
+  set_u48 b 6 frame.src_mac;
+  set_u16 b 12 0x0800;
+  set_u32 b 14 frame.packet.src_ip;
+  set_u32 b 18 frame.packet.dst_ip;
+  Bytes.set_uint8 b 22 proto;
   (match frame.packet.body with
   | Tcp seg ->
-      Buffer.add_char buf (Char.chr proto_tcp);
-      let hdr = Buffer.create 32 in
-      put_u16 hdr seg.src_port;
-      put_u16 hdr seg.dst_port;
-      put_u32 hdr (seg.seq land 0xFFFF_FFFF);
-      put_u32 hdr (seg.ack_no land 0xFFFF_FFFF);
-      Buffer.add_char hdr (Char.chr (flags_byte seg));
-      put_u32 hdr seg.window;
-      put_u16 hdr (Bytes.length seg.payload);
-      let hdr = Buffer.contents hdr in
-      let crc = Crc32.finish (Crc32.update_string (Crc32.update_string Crc32.start hdr) (Bytes.to_string seg.payload)) in
-      Buffer.add_string buf hdr;
-      put_u32 buf crc;
-      Buffer.add_bytes buf seg.payload
+      set_u16 b 23 seg.src_port;
+      set_u16 b 25 seg.dst_port;
+      set_u32 b 27 seg.seq;
+      set_u32 b 31 seg.ack_no;
+      Bytes.set_uint8 b 35 (flags_byte seg);
+      set_u32 b 36 seg.window;
+      set_u16 b 40 len
   | Udp dgram ->
-      Buffer.add_char buf (Char.chr proto_udp);
-      let hdr = Buffer.create 8 in
-      put_u16 hdr dgram.src_port;
-      put_u16 hdr dgram.dst_port;
-      put_u16 hdr (Bytes.length dgram.payload);
-      let hdr = Buffer.contents hdr in
-      let crc = Crc32.finish (Crc32.update_string (Crc32.update_string Crc32.start hdr) (Bytes.to_string dgram.payload)) in
-      Buffer.add_string buf hdr;
-      put_u32 buf crc;
-      Buffer.add_bytes buf dgram.payload);
-  Buffer.to_bytes buf
+      set_u16 b 23 dgram.src_port;
+      set_u16 b 25 dgram.dst_port;
+      set_u16 b 27 len);
+  Bytes.blit payload 0 b (transport_off + hdr_len + 4) len;
+  set_u32 b (transport_off + hdr_len) (frame_crc b ~hdr_len ~len);
+  b
+
+(* The payload length and CRC fields of a transport header of
+   [hdr_len] bytes, and the checked payload; [Error] on truncation or
+   a checksum mismatch. *)
+let checked_payload b ~name ~hdr_len =
+  if Bytes.length b < transport_off + hdr_len + 4 then Error (name ^ " header truncated")
+  else begin
+    let len = get_u16 b (transport_off + hdr_len - 2) in
+    let payload_off = transport_off + hdr_len + 4 in
+    if Bytes.length b < payload_off + len then Error (name ^ " payload truncated")
+    else if frame_crc b ~hdr_len ~len <> get_u32 b (transport_off + hdr_len) then
+      Error (name ^ " checksum mismatch")
+    else Ok (Bytes.sub b payload_off len)
+  end
 
 let decode b =
-  try
-    if Bytes.length b < 23 then Error "frame too short"
-    else if get_u16 b 12 <> 0x0800 then Error "bad ethertype"
-    else begin
-      let dst_mac = get_u48 b 0 and src_mac = get_u48 b 6 in
-      let src_ip = get_u32 b 14 and dst_ip = get_u32 b 18 in
-      let proto = get_u8 b 22 in
-      if proto = proto_tcp then begin
-        if Bytes.length b < 23 + 19 + 4 then Error "tcp header truncated"
-        else begin
-          let src_port = get_u16 b 23 and dst_port = get_u16 b 25 in
-          let seq = get_u32 b 27 and ack_no = get_u32 b 31 in
-          let flags = get_u8 b 35 in
-          let window = get_u32 b 36 in
-          let len = get_u16 b 40 in
-          let crc = get_u32 b 42 in
-          if Bytes.length b < 46 + len then Error "tcp payload truncated"
-          else begin
-            let payload = Bytes.sub b 46 len in
-            let hdr = Bytes.to_string (Bytes.sub b 23 19) in
-            let computed =
-              Crc32.finish
-                (Crc32.update_string (Crc32.update_string Crc32.start hdr)
-                   (Bytes.to_string payload))
-            in
-            if computed <> crc then Error "tcp checksum mismatch"
-            else
-              Ok
-                {
-                  dst_mac;
-                  src_mac;
-                  packet =
-                    {
-                      src_ip;
-                      dst_ip;
-                      body =
-                        Tcp
-                          {
-                            src_port;
-                            dst_port;
-                            seq;
-                            ack_no;
-                            syn = flags land 1 <> 0;
-                            ack = flags land 2 <> 0;
-                            fin = flags land 4 <> 0;
-                            rst = flags land 8 <> 0;
-                            window;
-                            payload;
-                          };
-                    };
-                }
-          end
-        end
-      end
-      else if proto = proto_udp then begin
-        if Bytes.length b < 23 + 6 + 4 then Error "udp header truncated"
-        else begin
-          let src_port = get_u16 b 23 and dst_port = get_u16 b 25 in
-          let len = get_u16 b 27 in
-          let crc = get_u32 b 29 in
-          if Bytes.length b < 33 + len then Error "udp payload truncated"
-          else begin
-            let payload = Bytes.sub b 33 len in
-            let hdr = Bytes.to_string (Bytes.sub b 23 6) in
-            let computed =
-              Crc32.finish
-                (Crc32.update_string (Crc32.update_string Crc32.start hdr)
-                   (Bytes.to_string payload))
-            in
-            if computed <> crc then Error "udp checksum mismatch"
-            else
-              Ok
-                {
-                  dst_mac;
-                  src_mac;
-                  packet = { src_ip; dst_ip; body = Udp { src_port; dst_port; payload } };
-                }
-          end
-        end
-      end
-      else Error "unknown protocol"
-    end
-  with Invalid_argument _ -> Error "malformed frame"
+  if Bytes.length b < transport_off then Error "frame too short"
+  else if get_u16 b 12 <> 0x0800 then Error "bad ethertype"
+  else begin
+    let dst_mac = get_u48 b 0 and src_mac = get_u48 b 6 in
+    let src_ip = get_u32 b 14 and dst_ip = get_u32 b 18 in
+    let proto = Bytes.get_uint8 b 22 in
+    let packet body = Ok { dst_mac; src_mac; packet = { src_ip; dst_ip; body } } in
+    if proto = proto_tcp then
+      match checked_payload b ~name:"tcp" ~hdr_len:tcp_hdr_len with
+      | Error _ as e -> e
+      | Ok payload ->
+          let flags = Bytes.get_uint8 b 35 in
+          packet
+            (Tcp
+               {
+                 src_port = get_u16 b 23;
+                 dst_port = get_u16 b 25;
+                 seq = get_u32 b 27;
+                 ack_no = get_u32 b 31;
+                 syn = flags land 1 <> 0;
+                 ack = flags land 2 <> 0;
+                 fin = flags land 4 <> 0;
+                 rst = flags land 8 <> 0;
+                 window = get_u32 b 36;
+                 payload;
+               })
+    else if proto = proto_udp then
+      match checked_payload b ~name:"udp" ~hdr_len:udp_hdr_len with
+      | Error _ as e -> e
+      | Ok payload -> packet (Udp { src_port = get_u16 b 23; dst_port = get_u16 b 25; payload })
+    else Error "unknown protocol"
+  end

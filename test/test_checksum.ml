@@ -106,6 +106,43 @@ let prop_streaming_fnv =
       in
       h = Fnv.string body)
 
+(* Oracle: the plain bytewise table-driven CRC-32. *)
+let reference_crc_table =
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        if !c land 1 <> 0 then c := 0xEDB88320 lxor (!c lsr 1) else c := !c lsr 1
+      done;
+      !c)
+
+let reference_crc_update crc b ~off ~len =
+  let c = ref crc in
+  for i = off to off + len - 1 do
+    c := reference_crc_table.((!c lxor Char.code (Bytes.get b i)) land 0xFF) lxor (!c lsr 8)
+  done;
+  !c
+
+(* A buffer, a slice of it at any (often unaligned) offset, and a
+   running CRC to continue from. *)
+let crc_slice =
+  QCheck.Gen.(
+    let* body = string_size (int_bound 300) in
+    let n = String.length body in
+    let* off = int_bound n in
+    let* len = oneof [ int_bound (min 7 (n - off)); int_bound (n - off) ] in
+    let* crc = oneof [ return Crc32.start; map (fun v -> v land 0xFFFFFFFF) int ] in
+    return (body, off, len, crc))
+
+let prop_crc_matches_reference =
+  QCheck.Test.make ~name:"crc32 update = bytewise reference" ~count:500
+    (QCheck.make
+       ~print:(fun (body, off, len, crc) ->
+         Printf.sprintf "%S off=%d len=%d crc=%x" body off len crc)
+       crc_slice)
+    (fun (body, off, len, crc) ->
+      let b = Bytes.of_string body in
+      Crc32.update crc b ~off ~len = reference_crc_update crc b ~off ~len)
+
 let prop_md5_injective_smoke =
   QCheck.Test.make ~name:"md5 distinguishes distinct short strings" ~count:200
     QCheck.(pair (string_of_size (QCheck.Gen.int_bound 40)) (string_of_size (QCheck.Gen.int_bound 40)))
@@ -127,6 +164,7 @@ let tests =
       QCheck_alcotest.to_alcotest prop_streaming_md5;
       QCheck_alcotest.to_alcotest prop_streaming_sha1;
       QCheck_alcotest.to_alcotest prop_streaming_crc;
+      QCheck_alcotest.to_alcotest prop_crc_matches_reference;
       QCheck_alcotest.to_alcotest prop_streaming_fnv;
       QCheck_alcotest.to_alcotest prop_md5_injective_smoke;
     ]

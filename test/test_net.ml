@@ -6,6 +6,8 @@ module Engine = Resilix_sim.Engine
 module Rng = Resilix_sim.Rng
 module Wire = Resilix_net.Wire
 module Tcp = Resilix_net.Tcp
+module Filegen = Resilix_net.Filegen
+module Crc32 = Resilix_checksum.Crc32
 
 (* --- wire codec --- *)
 
@@ -68,6 +70,177 @@ let prop_wire_roundtrip =
           Bytes.to_string s.Wire.payload = payload
       | _ -> false)
 
+(* Oracle: a straightforward Buffer-based encoder of the same layout. *)
+let reference_encode (frame : Wire.frame) =
+  let put_u16 buf v =
+    Buffer.add_char buf (Char.chr ((v lsr 8) land 0xFF));
+    Buffer.add_char buf (Char.chr (v land 0xFF))
+  in
+  let put_u32 buf v =
+    put_u16 buf ((v lsr 16) land 0xFFFF);
+    put_u16 buf (v land 0xFFFF)
+  in
+  let put_u48 buf v =
+    put_u16 buf ((v lsr 32) land 0xFFFF);
+    put_u32 buf (v land 0xFFFF_FFFF)
+  in
+  let buf = Buffer.create 64 in
+  put_u48 buf frame.dst_mac;
+  put_u48 buf frame.src_mac;
+  put_u16 buf 0x0800;
+  put_u32 buf frame.packet.src_ip;
+  put_u32 buf frame.packet.dst_ip;
+  let proto, hdr, payload =
+    let hdr = Buffer.create 32 in
+    match frame.packet.body with
+    | Wire.Tcp seg ->
+        put_u16 hdr seg.src_port;
+        put_u16 hdr seg.dst_port;
+        put_u32 hdr (seg.seq land 0xFFFF_FFFF);
+        put_u32 hdr (seg.ack_no land 0xFFFF_FFFF);
+        Buffer.add_char hdr
+          (Char.chr
+             ((if seg.syn then 1 else 0)
+             lor (if seg.ack then 2 else 0)
+             lor (if seg.fin then 4 else 0)
+             lor if seg.rst then 8 else 0));
+        put_u32 hdr seg.window;
+        put_u16 hdr (Bytes.length seg.payload);
+        (6, Buffer.contents hdr, seg.payload)
+    | Wire.Udp dgram ->
+        put_u16 hdr dgram.src_port;
+        put_u16 hdr dgram.dst_port;
+        put_u16 hdr (Bytes.length dgram.payload);
+        (17, Buffer.contents hdr, dgram.payload)
+  in
+  Buffer.add_char buf (Char.chr proto);
+  Buffer.add_string buf hdr;
+  put_u32 buf
+    (Crc32.finish
+       (Crc32.update_string (Crc32.update_string Crc32.start hdr) (Bytes.to_string payload)));
+  Buffer.add_bytes buf payload;
+  Buffer.to_bytes buf
+
+(* Random frames: 48-bit MACs, 32-bit addresses, sequence numbers
+   clustered around the 2^32 wrap (and some not yet reduced mod 2^32),
+   every flag combination, payloads up to the MSS. *)
+let gen_frame =
+  QCheck.Gen.(
+    let bits n = map (fun v -> v land ((1 lsl n) - 1)) int in
+    let seq =
+      oneof [ bits 32; map (fun d -> 0xFFFF_FFFF - d) (int_bound 3000); bits 40 ]
+    in
+    let payload = map Bytes.of_string (string_size (oneof [ int_bound 16; int_bound 1460 ])) in
+    let* dst_mac = bits 48 and* src_mac = bits 48 in
+    let* src_ip = bits 32 and* dst_ip = bits 32 in
+    let* src_port = bits 16 and* dst_port = bits 16 in
+    let* body =
+      oneof
+        [
+          (let* seq = seq and* ack_no = seq and* flags = int_bound 15 and* window = bits 32 in
+           let* payload = payload in
+           return
+             (Wire.Tcp
+                {
+                  Wire.src_port;
+                  dst_port;
+                  seq;
+                  ack_no;
+                  syn = flags land 1 <> 0;
+                  ack = flags land 2 <> 0;
+                  fin = flags land 4 <> 0;
+                  rst = flags land 8 <> 0;
+                  window;
+                  payload;
+                }));
+          map (fun payload -> Wire.Udp { Wire.src_port; dst_port; payload }) payload;
+        ]
+    in
+    return { Wire.dst_mac; src_mac; packet = { Wire.src_ip; dst_ip; body } })
+
+let arb_frame =
+  QCheck.make gen_frame ~print:(fun f ->
+      Printf.sprintf "%S" (Bytes.to_string (reference_encode f)))
+
+let prop_encode_matches_reference =
+  QCheck.Test.make ~name:"wire encode = reference encoder" ~count:500 arb_frame (fun f ->
+      Bytes.equal (Wire.encode f) (reference_encode f))
+
+(* --- decode fuzzing: typed errors, never an exception --- *)
+
+let decode_total b =
+  match Wire.decode b with
+  | r -> r
+  | exception e -> QCheck.Test.fail_reportf "decode raised %s" (Printexc.to_string e)
+
+let prop_decode_random_bytes =
+  QCheck.Test.make ~name:"wire decode rejects random bytes" ~count:500
+    QCheck.(
+      triple (string_of_size (Gen.int_bound 120)) bool (make Gen.(oneofl [ 6; 17; 0; 255 ])))
+    (fun (s, plausible, proto) ->
+      let b = Bytes.of_string s in
+      (* Half the inputs get a valid ethertype and protocol byte, so
+         they reach the transport parsers. *)
+      if plausible && Bytes.length b > 22 then begin
+        Bytes.set_uint16_be b 12 0x0800;
+        Bytes.set_uint8 b 22 proto
+      end;
+      Result.is_error (decode_total b))
+
+let prop_decode_truncated =
+  QCheck.Test.make ~name:"wire decode rejects truncated frames" ~count:300
+    QCheck.(pair arb_frame (make Gen.nat))
+    (fun (f, cut) ->
+      let b = Wire.encode f in
+      let keep = cut mod Bytes.length b in
+      Result.is_error (decode_total (Bytes.sub b 0 keep)))
+
+(* A one-byte change anywhere in the transport header, CRC field or
+   payload is reported as a checksum mismatch, except a length field
+   grown past the frame, which is reported as truncation.  Changes in
+   the link and IP header never raise. *)
+let prop_decode_flipped =
+  QCheck.Test.make ~name:"wire decode catches single-byte flips" ~count:500
+    QCheck.(triple arb_frame (make Gen.nat) (make Gen.(int_range 1 255)))
+    (fun (f, pos, x) ->
+      let b = Wire.encode f in
+      let pos = pos mod Bytes.length b in
+      Bytes.set_uint8 b pos (Bytes.get_uint8 b pos lxor x);
+      let name, len_field, payload =
+        match f.Wire.packet.body with
+        | Wire.Tcp seg -> ("tcp", 40, seg.Wire.payload)
+        | Wire.Udp dgram -> ("udp", 27, dgram.Wire.payload)
+      in
+      let expected =
+        if Bytes.get_uint16_be b len_field > Bytes.length payload then "payload truncated"
+        else "checksum mismatch"
+      in
+      match decode_total b with
+      | _ when pos < 23 -> true
+      | Error e -> e = name ^ " " ^ expected
+      | Ok _ -> false)
+
+(* Oracle: the file content computed one byte at a time. *)
+let reference_filegen_read ~seed ~off ~len =
+  let mix z =
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+    Int64.logxor z (Int64.shift_right_logical z 31)
+  in
+  Bytes.init len (fun i ->
+      let abs = off + i in
+      let w =
+        mix
+          (Int64.add (Int64.of_int seed) (Int64.mul 0x9E3779B97F4A7C15L (Int64.of_int ((abs / 8) + 1))))
+      in
+      Char.chr (Int64.to_int (Int64.shift_right_logical w (8 * (abs mod 8))) land 0xFF))
+
+let prop_filegen_matches_reference =
+  QCheck.Test.make ~name:"filegen read = bytewise reference" ~count:500
+    QCheck.(triple small_int (int_bound 100_000) (make Gen.(oneof [ int_bound 9; int_bound 200 ])))
+    (fun (seed, off, len) ->
+      Bytes.equal (Filegen.read ~seed ~off ~len) (reference_filegen_read ~seed ~off ~len))
+
 (* --- TCP over a simulated pipe --- *)
 
 (* Wire two TCP engines together through the engine with latency,
@@ -78,7 +251,7 @@ type pipe_end = {
   mutable events : Tcp.event list;
 }
 
-let make_pair ?(latency = 500) ?(drop_prob = 0.) ?(seed = 7) engine =
+let make_pair ?(latency = 500) ?(drop_prob = 0.) ?(seed = 7) ?tx_buffer ?rx_window engine =
   let rng = Rng.create ~seed in
   let a = { conn = None; timer = None; events = [] } in
   let b = { conn = None; timer = None; events = [] } in
@@ -110,8 +283,15 @@ let make_pair ?(latency = 500) ?(drop_prob = 0.) ?(seed = 7) engine =
       notify = (fun ev -> this.events <- ev :: this.events);
     }
   in
-  let cfg_a = Tcp.default_config ~local_port:1000 ~remote_port:2000 ~isn:111 in
-  let cfg_b = Tcp.default_config ~local_port:2000 ~remote_port:1000 ~isn:999_222 in
+  let sized cfg =
+    {
+      cfg with
+      Tcp.tx_buffer = Option.value tx_buffer ~default:cfg.Tcp.tx_buffer;
+      rx_window = Option.value rx_window ~default:cfg.Tcp.rx_window;
+    }
+  in
+  let cfg_a = sized (Tcp.default_config ~local_port:1000 ~remote_port:2000 ~isn:111) in
+  let cfg_b = sized (Tcp.default_config ~local_port:2000 ~remote_port:1000 ~isn:999_222) in
   b.conn <- Some (Tcp.create_passive cfg_b ~now:0 (callbacks b a));
   a.conn <- Some (Tcp.create_active cfg_a ~now:0 (callbacks a b));
   (a, b)
@@ -123,14 +303,29 @@ let test_handshake () =
   Alcotest.(check bool) "A established" true (Tcp.is_established (Option.get a.conn));
   Alcotest.(check bool) "B established" true (Tcp.is_established (Option.get b.conn))
 
-(* Pump [total] bytes from A to B through app-level send/recv loops. *)
-let transfer engine a b ~total ~chunk =
+(* Pump [total] bytes from A to B through app-level send/recv loops.
+   The feeder offers [chunks] bytes per call and the drainer asks for
+   [maxes] bytes per call, each list taken in turn and repeated.  Every
+   receive must return exactly what was asked for, capped by
+   [Tcp.rx_available], and the bytes read plus those still readable
+   must never shrink. *)
+let transfer ?(maxes = [ 65536 ]) engine a b ~total ~chunks =
   let sent = ref 0 and received = Buffer.create total in
   let conn_a = Option.get a.conn and conn_b = Option.get b.conn in
   let src_byte i = Char.chr (((i * 131) + (i / 251)) land 0xFF) in
+  let cycle l =
+    let rest = ref [] in
+    fun () ->
+      if !rest = [] then rest := l;
+      let x = List.hd !rest in
+      rest := List.tl !rest;
+      x
+  in
+  let next_chunk = cycle chunks and next_max = cycle maxes in
+  let delivered = ref 0 in
   let rec feeder () =
     if !sent < total && not (Tcp.is_closed conn_a) then begin
-      let want = min chunk (total - !sent) in
+      let want = min (next_chunk ()) (total - !sent) in
       let data = Bytes.init want (fun i -> src_byte (!sent + i)) in
       let accepted = Tcp.send conn_a ~now:(Engine.now engine) data ~off:0 ~len:want in
       sent := !sent + accepted;
@@ -139,7 +334,13 @@ let transfer engine a b ~total ~chunk =
     end
   in
   let rec drainer () =
-    let data = Tcp.recv conn_b ~max:65536 in
+    let available = Tcp.rx_available conn_b and max = next_max () in
+    if Buffer.length received + available < !delivered then failwith "delivered bytes shrank";
+    delivered := Buffer.length received + available;
+    let data = Tcp.recv conn_b ~max in
+    if Bytes.length data <> Stdlib.max 0 (min max available) then failwith "recv length";
+    if Tcp.rx_available conn_b <> available - Bytes.length data then
+      failwith "rx_available after recv";
     Buffer.add_bytes received data;
     if not (Tcp.peer_closed conn_b && Tcp.rx_available conn_b = 0) then
       ignore (Engine.schedule engine ~after:2_000 drainer)
@@ -154,14 +355,14 @@ let transfer engine a b ~total ~chunk =
 let test_bulk_transfer_clean () =
   let engine = Engine.create () in
   let a, b = make_pair engine in
-  let got, expected = transfer engine a b ~total:200_000 ~chunk:8192 in
+  let got, expected = transfer engine a b ~total:200_000 ~chunks:[ 8192 ] in
   Alcotest.(check int) "all bytes arrive" (String.length expected) (String.length got);
   Alcotest.(check bool) "content identical" true (String.equal got expected)
 
 let test_bulk_transfer_lossy () =
   let engine = Engine.create () in
   let a, b = make_pair ~drop_prob:0.05 ~seed:21 engine in
-  let got, expected = transfer engine a b ~total:120_000 ~chunk:4096 in
+  let got, expected = transfer engine a b ~total:120_000 ~chunks:[ 4096 ] in
   Alcotest.(check int) "all bytes arrive despite 5% loss" (String.length expected)
     (String.length got);
   Alcotest.(check bool) "content identical" true (String.equal got expected);
@@ -212,7 +413,7 @@ let test_transfer_across_blackout () =
   (* Blackout between t=1s and t=1.5s. *)
   ignore (Engine.schedule engine ~after:1_000_000 (fun () -> dropping := true));
   ignore (Engine.schedule engine ~after:1_500_000 (fun () -> dropping := false));
-  let got, expected = transfer engine a b ~total:400_000 ~chunk:8192 in
+  let got, expected = transfer engine a b ~total:400_000 ~chunks:[ 8192 ] in
   Alcotest.(check int) "all bytes arrive across the blackout" (String.length expected)
     (String.length got);
   Alcotest.(check bool) "content identical" true (String.equal got expected)
@@ -234,14 +435,34 @@ let test_clean_close () =
   Alcotest.(check bool) "A fully closed" true (Tcp.is_closed conn_a);
   Alcotest.(check bool) "B saw peer close" true (Tcp.peer_closed conn_b)
 
+(* Random loss, send and receive queue sizes, send chunk sizes (some
+   larger than the whole send queue) and receive sizes (some 0 or
+   negative, some larger than anything buffered). *)
 let prop_lossy_transfer_delivers_exactly =
-  QCheck.Test.make ~name:"tcp delivers the exact stream under random loss" ~count:15
-    QCheck.(pair (int_range 1 40_000) (int_range 0 15))
-    (fun (total, loss_pct) ->
+  let gen =
+    QCheck.Gen.(
+      let* total = int_range 1 40_000 and* loss_pct = int_range 0 15 in
+      let* buffer = oneofl [ 4096; 16_384; 262_144 ] and* window = oneofl [ 4096; 16_384; 262_144 ] in
+      let* chunks = list_size (int_range 0 4) (oneof [ int_range 0 100; int_range 1 300_000 ]) in
+      let* maxes =
+        list_size (int_range 0 6) (oneof [ int_range (-3) 0; int_range 1 2000; int_range 1 1_000_000 ])
+      in
+      (* One positive size of each kind keeps both loops moving. *)
+      return (total, loss_pct, buffer, window, chunks @ [ 3000 ], maxes @ [ 1500 ]))
+  in
+  QCheck.Test.make ~name:"tcp delivers the exact stream under random loss" ~count:40
+    (QCheck.make gen ~print:(fun (total, loss, buffer, window, chunks, maxes) ->
+         let ints l = String.concat "," (List.map string_of_int l) in
+         Printf.sprintf "total=%d loss=%d%% tx_buffer=%d rx_window=%d chunks=[%s] maxes=[%s]" total
+           loss buffer window (ints chunks) (ints maxes)))
+    (fun (total, loss_pct, tx_buffer, rx_window, chunks, maxes) ->
       let engine = Engine.create () in
-      let a, b = make_pair ~drop_prob:(float_of_int loss_pct /. 100.) ~seed:(total + loss_pct) engine in
-      let got, expected = transfer engine a b ~total ~chunk:3000 in
-      String.equal got expected)
+      let a, b =
+        make_pair ~drop_prob:(float_of_int loss_pct /. 100.) ~seed:(total + loss_pct) ~tx_buffer
+          ~rx_window engine
+      in
+      let got, expected = transfer ~maxes engine a b ~total ~chunks in
+      Tcp.rx_available (Option.get b.conn) = 0 && String.equal got expected)
 
 let tests =
   [
@@ -249,6 +470,11 @@ let tests =
     Alcotest.test_case "wire udp roundtrip" `Quick test_udp_roundtrip;
     Alcotest.test_case "wire corruption detected" `Quick test_corruption_detected;
     QCheck_alcotest.to_alcotest prop_wire_roundtrip;
+    QCheck_alcotest.to_alcotest prop_encode_matches_reference;
+    QCheck_alcotest.to_alcotest prop_decode_random_bytes;
+    QCheck_alcotest.to_alcotest prop_decode_truncated;
+    QCheck_alcotest.to_alcotest prop_decode_flipped;
+    QCheck_alcotest.to_alcotest prop_filegen_matches_reference;
     Alcotest.test_case "tcp handshake" `Quick test_handshake;
     Alcotest.test_case "tcp bulk transfer (clean)" `Quick test_bulk_transfer_clean;
     Alcotest.test_case "tcp bulk transfer (5% loss)" `Quick test_bulk_transfer_lossy;

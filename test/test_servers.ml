@@ -287,6 +287,46 @@ let test_complaint_requires_authority () =
       | Ok (Sysif.Rx_msg { body = Message.Rs_reply { result = Error Errno.E_no_perm }; _ }) -> ()
       | _ -> failwith "unauthorized complaint must be rejected")
 
+(* --- INET request validation --- *)
+
+(* Negative lengths are invalid arguments and must not reach the TCP
+   queues: INET answers E_inval and keeps serving the connection. *)
+let test_inet_rejects_negative_lengths () =
+  let module Sockets = Resilix_apps.Sockets in
+  let module Hwmap = Resilix_system.Hwmap in
+  let module Filegen = Resilix_net.Filegen in
+  let opts =
+    { System.default_opts with System.disk_mb = 8; peer_files = [ ("f.bin", (65536, 3)) ] }
+  in
+  let t = System.boot ~opts () in
+  System.start_services t [ System.spec_rtl8139 () ];
+  let ok = function Ok v -> v | Error e -> failwith (Errno.to_string e) in
+  let buf = 0x12000 in
+  let io_reply msg =
+    match Api.sendrec Wellknown.inet msg with
+    | Ok (Sysif.Rx_msg { body = Message.In_io_reply { result }; _ }) -> result
+    | _ -> failwith "no io reply from INET"
+  in
+  with_app t (fun () ->
+      let sock = ok (Sockets.socket Message.Tcp) in
+      ok (Sockets.connect sock ~addr:Hwmap.rtl_peer_ip ~port:80);
+      ok (Sockets.send_all sock (Bytes.of_string "GET f.bin\n"));
+      (* Let the file arrive and sit in INET's receive buffer. *)
+      Api.sleep 500_000;
+      let grant = ok (Api.grant_create ~for_:Wellknown.inet ~base:buf ~len:4096 ~access:Sysif.Read_write) in
+      if io_reply (Message.In_recv { sock; grant; len = -1 }) <> Error Errno.E_inval then
+        failwith "recv of -1 bytes must be E_inval";
+      if io_reply (Message.In_send { sock; grant; len = -1 }) <> Error Errno.E_inval then
+        failwith "send of -1 bytes must be E_inval";
+      (* INET is still serving: the next receive returns the file. *)
+      let data = ok (Sockets.recv sock ~len:4096) in
+      if Bytes.length data = 0 || not (Bytes.equal data (Filegen.read ~seed:3 ~off:0 ~len:(Bytes.length data)))
+      then failwith "recv after the rejected one must return the file's first bytes";
+      let udp = ok (Sockets.socket Message.Udp) in
+      match Api.sendrec Wellknown.inet (Message.In_recvfrom { sock = udp; grant; len = -1 }) with
+      | Ok (Sysif.Rx_msg { body = Message.In_recvfrom_reply { result = Error Errno.E_inval }; _ }) -> ()
+      | _ -> failwith "recvfrom of -1 bytes must be E_inval")
+
 let tests =
   [
     Alcotest.test_case "ds pattern matching" `Quick test_pattern_matching;
@@ -299,4 +339,5 @@ let tests =
     Alcotest.test_case "pm kill unknown pid" `Quick test_pm_kill_unknown_pid;
     Alcotest.test_case "complaint replaces a lying driver" `Quick test_complaint_defect_class;
     Alcotest.test_case "complaints require authority" `Quick test_complaint_requires_authority;
+    Alcotest.test_case "inet rejects negative lengths" `Quick test_inet_rejects_negative_lengths;
   ]
