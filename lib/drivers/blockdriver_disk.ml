@@ -59,14 +59,20 @@ type inflight = { src : Resilix_proto.Endpoint.t; grant : int; len : int; write 
 let program () =
   let base, irq = parse_args () in
   let programs = Image.load (image ~base) in
+  (* Resolve every program once; [exec] then costs no lookup. *)
+  let handle name = (name, Image.find programs name) in
+  let p_init = handle "init"
+  and p_status = handle "status"
+  and p_io = handle "io"
+  and p_isr = handle "isr" in
   let regs = Array.make 8 0 in
-  let exec name ~r1 ~r2 ~r3 ~r4 =
+  let exec (name, program) ~r1 ~r2 ~r3 ~r4 =
     Array.fill regs 0 8 0;
     regs.(1) <- r1;
     regs.(2) <- r2;
     regs.(3) <- r3;
     regs.(4) <- r4;
-    match Interp.run (Image.find programs name) ~regs with
+    match Interp.run program ~regs with
     | r0 -> r0
     | exception Interp.Check_failed { detail; _ } ->
         Api.panic (Printf.sprintf "disk: consistency check failed in %s: %s" name detail)
@@ -85,11 +91,11 @@ let program () =
     | Ok g -> (
         match Api.iommu_map g with Ok h -> h | Error _ -> Api.panic "disk: iommu_map failed")
   in
-  ignore (exec "init" ~r1:0 ~r2:0 ~r3:0 ~r4:0);
+  ignore (exec p_init ~r1:0 ~r2:0 ~r3:0 ~r4:0);
   (* Disks take a long time to come back after a reset (spin-up +
      IDENTIFY); poll the status register like a real driver. *)
   let rec wait_ready () =
-    let bits = exec "status" ~r1:0 ~r2:0 ~r3:0 ~r4:0 in
+    let bits = exec p_status ~r1:0 ~r2:0 ~r3:0 ~r4:0 in
     if bits land 1 <> 0 then begin
       Api.sleep 10_000;
       wait_ready ()
@@ -105,7 +111,7 @@ let program () =
       let proceed () =
         inflight := Some { src; grant; len; write };
         let cmd = if write then 0x30 else 0x20 in
-        ignore (exec "io" ~r1:(pos / sector) ~r2:(len / sector) ~r3:h_data ~r4:cmd);
+        ignore (exec p_io ~r1:(pos / sector) ~r2:(len / sector) ~r3:h_data ~r4:cmd);
         Driver_lib.No_reply
       in
       if write then begin
@@ -129,7 +135,7 @@ let program () =
           else start ~src ~grant ~pos ~len ~write:true);
       dh_irq =
         (fun ~line:_ ->
-          let bits = exec "isr" ~r1:0 ~r2:0 ~r3:0 ~r4:0 in
+          let bits = exec p_isr ~r1:0 ~r2:0 ~r3:0 ~r4:0 in
           match !inflight with
           | None -> ()
           | Some { src; grant; len; write } ->

@@ -57,12 +57,19 @@ let parse_args () =
 let program () =
   let base, irq = parse_args () in
   let programs = Image.load (image ~base) in
+  (* Resolve every program once; [exec] then costs no lookup. *)
+  let handle name = (name, Image.find programs name) in
+  let p_init = handle "init"
+  and p_level = handle "level"
+  and p_feed = handle "feed"
+  and p_ctrl = handle "ctrl"
+  and p_ack = handle "ack" in
   let regs = Array.make 8 0 in
-  let exec name ~r1 ~r2 =
+  let exec (name, program) ~r1 ~r2 =
     Array.fill regs 0 8 0;
     regs.(1) <- r1;
     regs.(2) <- r2;
-    match Interp.run (Image.find programs name) ~regs with
+    match Interp.run program ~regs with
     | r0 -> r0
     | exception Interp.Check_failed { detail; _ } ->
         Api.panic (Printf.sprintf "audio: consistency check failed in %s: %s" name detail)
@@ -72,7 +79,7 @@ let program () =
   (match Api.irq_register irq with
   | Ok () -> ()
   | Error _ -> Api.panic "audio: cannot register IRQ");
-  ignore (exec "init" ~r1:0 ~r2:0);
+  ignore (exec p_init ~r1:0 ~r2:0);
   let mem = Api.memory () in
   let spool = Queue.create () in
   let spooled = ref 0 in
@@ -81,7 +88,7 @@ let program () =
   let pump () =
     let continue = ref true in
     while !continue && not (Queue.is_empty spool) do
-      let level = exec "level" ~r1:0 ~r2:0 in
+      let level = exec p_level ~r1:0 ~r2:0 in
       let room = fifo_cap - level in
       if room < 4 then continue := false
       else begin
@@ -90,7 +97,7 @@ let program () =
         if take = 0 then continue := false
         else begin
           Memory.blit_in mem ~addr:stage_buf ~src:chunk ~src_off:0 ~len:take;
-          ignore (exec "feed" ~r1:stage_buf ~r2:((take + 3) / 4));
+          ignore (exec p_feed ~r1:stage_buf ~r2:((take + 3) / 4));
           spooled := !spooled - take;
           if take = Bytes.length chunk then ignore (Queue.pop spool)
           else begin
@@ -123,7 +130,7 @@ let program () =
                 spooled := !spooled + len;
                 if not !playing then begin
                   playing := true;
-                  ignore (exec "ctrl" ~r1:1 ~r2:0)
+                  ignore (exec p_ctrl ~r1:1 ~r2:0)
                 end;
                 pump ();
                 Driver_lib.Reply (Ok len)
@@ -133,16 +140,16 @@ let program () =
           match op with
           | "start" ->
               playing := true;
-              ignore (exec "ctrl" ~r1:1 ~r2:0);
+              ignore (exec p_ctrl ~r1:1 ~r2:0);
               Driver_lib.Reply (Ok 0)
           | "stop" ->
               playing := false;
-              ignore (exec "ctrl" ~r1:0 ~r2:0);
+              ignore (exec p_ctrl ~r1:0 ~r2:0);
               Driver_lib.Reply (Ok 0)
           | _ -> Driver_lib.Reply (Error Errno.E_inval));
       dh_irq =
         (fun ~line:_ ->
-          ignore (exec "ack" ~r1:0 ~r2:0);
+          ignore (exec p_ack ~r1:0 ~r2:0);
           pump ());
     }
   in

@@ -54,12 +54,18 @@ let parse_args () =
 let program () =
   let base, irq = parse_args () in
   let programs = Image.load (image ~base) in
+  (* Resolve every program once; [exec] then costs no lookup. *)
+  let handle name = (name, Image.find programs name) in
+  let p_init = handle "init"
+  and p_cmd = handle "cmd"
+  and p_burn = handle "burn"
+  and p_isr = handle "isr" in
   let regs = Array.make 8 0 in
-  let exec name ~r1 ~r2 =
+  let exec (name, program) ~r1 ~r2 =
     Array.fill regs 0 8 0;
     regs.(1) <- r1;
     regs.(2) <- r2;
-    match Interp.run (Image.find programs name) ~regs with
+    match Interp.run program ~regs with
     | r0 -> r0
     | exception Interp.Check_failed { detail; _ } ->
         Api.panic (Printf.sprintf "cd: consistency check failed in %s: %s" name detail)
@@ -69,7 +75,7 @@ let program () =
   (match Api.irq_register irq with
   | Ok () -> ()
   | Error _ -> Api.panic "cd: cannot register IRQ");
-  ignore (exec "init" ~r1:0 ~r2:0);
+  ignore (exec p_init ~r1:0 ~r2:0);
   let h_data =
     match
       Api.grant_create ~for_:Resilix_proto.Wellknown.hardware ~base:data_buf ~len:max_block
@@ -87,10 +93,10 @@ let program () =
         (fun ~src:_ ~minor:_ ~op ~arg:_ ->
           match op with
           | "burn_start" ->
-              ignore (exec "cmd" ~r1:0x01 ~r2:0);
+              ignore (exec p_cmd ~r1:0x01 ~r2:0);
               Driver_lib.Reply (Ok 0)
           | "burn_finish" ->
-              ignore (exec "cmd" ~r1:0x02 ~r2:0);
+              ignore (exec p_cmd ~r1:0x02 ~r2:0);
               Driver_lib.Reply (Ok 0)
           | _ -> Driver_lib.Reply (Error Errno.E_inval));
       dh_write =
@@ -103,12 +109,12 @@ let program () =
             | Error e -> Driver_lib.Reply (Error e)
             | Ok () ->
                 inflight := Some (src, len);
-                ignore (exec "burn" ~r1:len ~r2:h_data);
+                ignore (exec p_burn ~r1:len ~r2:h_data);
                 Driver_lib.No_reply
           end);
       dh_irq =
         (fun ~line:_ ->
-          let bits = exec "isr" ~r1:0 ~r2:0 in
+          let bits = exec p_isr ~r1:0 ~r2:0 in
           match !inflight with
           | None ->
               (* An error interrupt outside a burn (e.g. the gap

@@ -67,12 +67,18 @@ type job = { src : Resilix_proto.Endpoint.t; data : bytes; mutable off : int }
 let program () =
   let base, irq = parse_args () in
   let programs = Image.load (image ~base) in
+  (* Resolve every program once; [exec] then costs no lookup. *)
+  let handle name = (name, Image.find programs name) in
+  let p_init = handle "init"
+  and p_level = handle "level"
+  and p_feed = handle "feed"
+  and p_ack = handle "ack" in
   let regs = Array.make 8 0 in
-  let exec name ~r1 ~r2 =
+  let exec (name, program) ~r1 ~r2 =
     Array.fill regs 0 8 0;
     regs.(1) <- r1;
     regs.(2) <- r2;
-    match Interp.run (Image.find programs name) ~regs with
+    match Interp.run program ~regs with
     | r0 -> r0
     | exception Interp.Check_failed { detail; _ } ->
         Api.panic (Printf.sprintf "printer: consistency check failed in %s: %s" name detail)
@@ -82,7 +88,7 @@ let program () =
   (match Api.irq_register irq with
   | Ok () -> ()
   | Error _ -> Api.panic "printer: cannot register IRQ");
-  ignore (exec "init" ~r1:0 ~r2:0);
+  ignore (exec p_init ~r1:0 ~r2:0);
   let mem = Api.memory () in
   let current = ref None in
   (* Feed as much of the current job as the FIFO can take; reply when
@@ -91,13 +97,13 @@ let program () =
     match !current with
     | None -> ()
     | Some job ->
-        let level = exec "level" ~r1:0 ~r2:0 in
+        let level = exec p_level ~r1:0 ~r2:0 in
         let room = fifo_cap - level in
         let remaining = Bytes.length job.data - job.off in
         let take = min room remaining in
         if take > 0 then begin
           Memory.blit_in mem ~addr:stage_buf ~src:job.data ~src_off:job.off ~len:take;
-          ignore (exec "feed" ~r1:stage_buf ~r2:take);
+          ignore (exec p_feed ~r1:stage_buf ~r2:take);
           job.off <- job.off + take
         end;
         if job.off >= Bytes.length job.data then begin
@@ -123,7 +129,7 @@ let program () =
           end);
       dh_irq =
         (fun ~line:_ ->
-          ignore (exec "ack" ~r1:0 ~r2:0);
+          ignore (exec p_ack ~r1:0 ~r2:0);
           pump ());
     }
   in

@@ -25,7 +25,7 @@ let load t =
   let mem = Api.memory () in
   Memory.write mem ~addr:t.origin t.blob;
   List.map
-    (fun (name, addr, count) -> (name, { Interp.base = addr; insn_count = count }))
+    (fun (name, addr, count) -> (name, Interp.attach ~base:addr ~insn_count:count))
     t.programs
 
 let find programs name =

@@ -19,7 +19,10 @@ val insn_count : t -> int
 
 val load : t -> (string * Resilix_vm.Interp.program) list
 (** Copy the image into the calling process's memory and return the
-    per-program handles.  Must run inside a fiber. *)
+    per-program handles, each with its own decode cache.  Must run
+    inside a fiber; a driver calls it once per incarnation. *)
 
 val find : (string * Resilix_vm.Interp.program) list -> string -> Resilix_vm.Interp.program
-(** Look up a loaded program by name.  @raise Invalid_argument if absent. *)
+(** Look up a loaded program by name.  A linear search: drivers
+    resolve their handles once, right after {!load}, not per call.
+    @raise Invalid_argument if absent. *)

@@ -141,13 +141,22 @@ let parse_args () =
 let program () =
   let base, irq = parse_args () in
   let programs = Image.load (image ~base) in
+  (* Resolve every program once; [exec] then costs no lookup. *)
+  let handle name = (name, Image.find programs name) in
+  let p_tx = handle "tx"
+  and p_rx = handle "rx"
+  and p_reset = handle "reset"
+  and p_cmdstat = handle "cmdstat"
+  and p_setup = handle "setup"
+  and p_isr = handle "isr"
+  and p_txack = handle "txack" in
   let regs = Array.make 8 0 in
-  let exec name ~r1 ~r2 ~r3 =
+  let exec (name, program) ~r1 ~r2 ~r3 =
     Array.fill regs 0 8 0;
     regs.(1) <- r1;
     regs.(2) <- r2;
     regs.(3) <- r3;
-    match Interp.run (Image.find programs name) ~regs with
+    match Interp.run program ~regs with
     | r0 -> Ok r0
     | exception Interp.Check_failed { detail; _ } ->
         Api.panic (Printf.sprintf "dp8390: consistency check failed in %s: %s" name detail)
@@ -182,13 +191,13 @@ let program () =
     | Error _ -> ()
     | Ok () ->
         tx_busy := true;
-        ignore (exec "tx" ~r1:len ~r2:tx_buf ~r3:0)
+        ignore (exec p_tx ~r1:len ~r2:tx_buf ~r3:0)
   in
   let pump_rx () =
     (* Drain every frame the device has buffered. *)
     let continue = ref true in
     while !continue do
-      match exec "rx" ~r1:0 ~r2:rx_buf ~r3:0 with
+      match exec p_rx ~r1:0 ~r2:rx_buf ~r3:0 with
       | Ok 0 | Error _ -> continue := false
       | Ok len ->
           let len = min len max_frame in
@@ -203,11 +212,11 @@ let program () =
         (fun ~src ~mode ->
           inet := Some src;
           let promisc = if mode.Message.promisc then 1 else 0 in
-          match exec "reset" ~r1:0 ~r2:0 ~r3:0 with
+          match exec p_reset ~r1:0 ~r2:0 ~r3:0 with
           | Error e -> Error e
           | Ok _ -> (
               let rec wait_ready () =
-                match exec "cmdstat" ~r1:0 ~r2:0 ~r3:0 with
+                match exec p_cmdstat ~r1:0 ~r2:0 ~r3:0 with
                 | Ok bits when bits land 0x10 <> 0 ->
                     Api.sleep 10_000;
                     wait_ready ()
@@ -216,7 +225,7 @@ let program () =
               match wait_ready () with
               | Error e -> Error e
               | Ok _ -> (
-                  match exec "setup" ~r1:0 ~r2:0 ~r3:promisc with
+                  match exec p_setup ~r1:0 ~r2:0 ~r3:promisc with
                   | Ok _ -> Ok (regs.(5) lor (regs.(6) lsl 32))
                   | Error e -> Error e)));
       nh_writev =
@@ -231,13 +240,13 @@ let program () =
       nh_getstat = (fun ~src:_ -> (0, 0, 0));
       nh_irq =
         (fun ~line:_ ->
-          match exec "isr" ~r1:0 ~r2:0 ~r3:0 with
+          match exec p_isr ~r1:0 ~r2:0 ~r3:0 with
           | Error _ -> ()
           | Ok bits ->
               if bits land isr_err <> 0 then Api.panic "dp8390: device reported an error";
               if bits land isr_rx <> 0 then pump_rx ();
               if bits land isr_tx <> 0 then begin
-                ignore (exec "txack" ~r1:0 ~r2:0 ~r3:0);
+                ignore (exec p_txack ~r1:0 ~r2:0 ~r3:0);
                 tx_busy := false;
                 (match !inet with
                 | Some dst -> Driver_lib.task_reply dst ~sent:true ~received:false ~read_len:0

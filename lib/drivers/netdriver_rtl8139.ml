@@ -89,14 +89,23 @@ let parse_args () =
 let program () =
   let base, irq = parse_args () in
   let programs = Image.load (image ~base) in
-  let run name regs = Interp.run (Image.find programs name) ~regs in
+  (* Resolve every program once; [exec] then costs no lookup. *)
+  let handle name = (name, Image.find programs name) in
+  let p_tx = handle "tx"
+  and p_reset = handle "reset"
+  and p_cmdstat = handle "cmdstat"
+  and p_setup = handle "setup"
+  and p_isr = handle "isr"
+  and p_rxlen = handle "rxlen"
+  and p_rxack = handle "rxack"
+  and p_txack = handle "txack" in
   let regs = Array.make 8 0 in
-  let exec name ~r1 ~r2 ~r3 =
+  let exec (name, program) ~r1 ~r2 ~r3 =
     Array.fill regs 0 8 0;
     regs.(1) <- r1;
     regs.(2) <- r2;
     regs.(3) <- r3;
-    match run name regs with
+    match Interp.run program ~regs with
     | r0 -> Ok r0
     | exception Interp.Check_failed { detail; _ } ->
         Api.panic (Printf.sprintf "rtl8139: consistency check failed in %s: %s" name detail)
@@ -148,7 +157,7 @@ let program () =
     | Error _ -> () (* requester is gone *)
     | Ok () ->
         tx_busy := true;
-        ignore (exec "tx" ~r1:len ~r2:h_tx ~r3:0)
+        ignore (exec p_tx ~r1:len ~r2:h_tx ~r3:0)
   in
   let handlers =
     {
@@ -156,13 +165,13 @@ let program () =
         (fun ~src ~mode ->
           inet := Some src;
           let promisc = if mode.Message.promisc then 1 else 0 in
-          match exec "reset" ~r1:0 ~r2:0 ~r3:0 with
+          match exec p_reset ~r1:0 ~r2:0 ~r3:0 with
           | Error e -> Error e
           | Ok _ -> (
               (* The chip takes real time to come out of reset; poll
                  like a real driver would. *)
               let rec wait_ready () =
-                match exec "cmdstat" ~r1:0 ~r2:0 ~r3:0 with
+                match exec p_cmdstat ~r1:0 ~r2:0 ~r3:0 with
                 | Ok bits when bits land 0x10 <> 0 ->
                     Api.sleep 10_000;
                     wait_ready ()
@@ -171,7 +180,7 @@ let program () =
               match wait_ready () with
               | Error e -> Error e
               | Ok _ -> (
-                  match exec "setup" ~r1:h_rx ~r2:buf_size ~r3:promisc with
+                  match exec p_setup ~r1:h_rx ~r2:buf_size ~r3:promisc with
                   | Ok _ -> Ok (regs.(5) lor (regs.(6) lsl 32))
                   | Error e -> Error e)));
       nh_writev =
@@ -187,21 +196,21 @@ let program () =
       nh_getstat = (fun ~src:_ -> (0, 0, 0));
       nh_irq =
         (fun ~line:_ ->
-          match exec "isr" ~r1:0 ~r2:0 ~r3:0 with
+          match exec p_isr ~r1:0 ~r2:0 ~r3:0 with
           | Error _ -> ()
           | Ok bits ->
               if bits land isr_err <> 0 then Api.panic "rtl8139: device reported an error";
               if bits land isr_rx <> 0 then begin
-                match exec "rxlen" ~r1:0 ~r2:0 ~r3:0 with
+                match exec p_rxlen ~r1:0 ~r2:0 ~r3:0 with
                 | Ok len ->
                     let frame = Memory.read mem ~addr:rx_buf ~len in
-                    ignore (exec "rxack" ~r1:0 ~r2:0 ~r3:0);
+                    ignore (exec p_rxack ~r1:0 ~r2:0 ~r3:0);
                     if Queue.length stash < stash_cap then Queue.push frame stash;
                     deliver_rx ()
                 | Error _ -> ()
               end;
               if bits land isr_tx <> 0 then begin
-                ignore (exec "txack" ~r1:0 ~r2:0 ~r3:0);
+                ignore (exec p_txack ~r1:0 ~r2:0 ~r3:0);
                 tx_busy := false;
                 (match !inet with
                 | Some dst -> Driver_lib.task_reply dst ~sent:true ~received:false ~read_len:0

@@ -78,6 +78,7 @@ type proc = {
   p_name : string;
   p_args : string list;
   mutable priv : Privilege.t;
+  mutable kcall_mask : int; (* [priv.kcalls] as a Sysif.kcall_mask *)
   memory : Memory.t;
   mutable state : pstate;
   mutable kill_pending : Status.exit_status option;
@@ -502,11 +503,7 @@ and handle_syscall : type a. t -> proc -> a Sysif.syscall -> (a, unit) Effect.De
     make_runnable t proc ~cost ~abort (fun () -> continue k v)
   in
   (* Privilege gate for kernel calls. *)
-  let kcall_denied () =
-    match Sysif.kcall_name op with
-    | None -> false
-    | Some name -> not (Privilege.allows proc.priv.Privilege.kcalls name)
-  in
+  let kcall_denied () = not (Sysif.kcall_allowed proc.kcall_mask op) in
   match op with
   | Sysif.Now -> ret_now (Engine.now t.engine)
   | Sysif.Self -> ret_now self_ep
@@ -762,6 +759,7 @@ and handle_syscall : type a. t -> proc -> a Sysif.syscall -> (a, unit) Effect.De
         | Lookup_bad -> ret (Error Errno.E_bad_endpoint)
         | Lookup_ok target_proc ->
             target_proc.priv <- priv;
+            target_proc.kcall_mask <- Sysif.kcall_mask priv.Privilege.kcalls;
             ret (Ok ())
       end
 
@@ -800,6 +798,7 @@ and make_proc t ~slot ~name ~args ~priv ~mem_kb =
       p_name = name;
       p_args = args;
       priv;
+      kcall_mask = Sysif.kcall_mask priv.Privilege.kcalls;
       memory = Memory.create ~size:(mem_kb * 1024);
       state = Running (* immediately replaced by make_runnable *);
       kill_pending = None;

@@ -25,6 +25,10 @@ let blit_in t ~addr ~src ~src_off ~len =
   check t ~addr ~len;
   Bytes.blit src src_off t.data addr len
 
+let equal_u64 t ~addr key ~off =
+  check t ~addr ~len:8;
+  (Bytes.get_int64_ne t.data addr : int64) = Bytes.get_int64_ne key off
+
 let copy ~src ~src_addr ~dst ~dst_addr ~len =
   check src ~addr:src_addr ~len;
   check dst ~addr:dst_addr ~len;

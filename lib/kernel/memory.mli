@@ -31,6 +31,11 @@ val blit_out : t -> addr:int -> dst:bytes -> dst_off:int -> len:int -> unit
 val blit_in : t -> addr:int -> src:bytes -> src_off:int -> len:int -> unit
 (** Copy from a caller buffer into the space. *)
 
+val equal_u64 : t -> addr:int -> bytes -> off:int -> bool
+(** [equal_u64 t ~addr key ~off] is whether the 8 bytes at [addr]
+    equal bytes [off .. off+7] of [key].  Does not allocate.
+    @raise Fault if the 8 bytes at [addr] are out of bounds. *)
+
 val copy : src:t -> src_addr:int -> dst:t -> dst_addr:int -> len:int -> unit
 (** Inter-space copy (the kernel's virtual-copy primitive). *)
 

@@ -102,24 +102,53 @@ exception Killed_exn of Status.exit_status
 (* Raised by [Api.panic]. *)
 exception Panic_exn of string
 
-(* The name under which each kernel call is privilege-checked, or
-   [None] when the operation is unrestricted. *)
-let kcall_name : type a. a syscall -> string option = function
-  | Safecopy _ -> Some "safecopy"
-  | Grant_create _ -> Some "grant_create"
-  | Grant_revoke _ -> Some "grant_revoke"
-  | Devio_in _ | Devio_out _ -> Some "devio"
-  | Irq_register _ -> Some "irqctl"
-  | Alarm _ -> Some "alarm"
-  | Iommu_map _ | Iommu_unmap _ -> Some "iommu_map"
-  | Proc_create _ -> Some "proc_create"
-  | Proc_kill _ -> Some "proc_kill"
-  | Reap_exit -> Some "reap_exit"
-  | Privctl _ -> Some "privctl"
+(* The names under which kernel calls are privilege-checked; a
+   process's [kcalls] whitelist becomes a bitmask over this table. *)
+let kcall_names =
+  [|
+    "safecopy";
+    "grant_create";
+    "grant_revoke";
+    "devio";
+    "irqctl";
+    "alarm";
+    "iommu_map";
+    "proc_create";
+    "proc_kill";
+    "reap_exit";
+    "privctl";
+  |]
+
+(* Index into [kcall_names] of each kernel call, or [None] when the
+   operation is unrestricted. *)
+let kcall_index : type a. a syscall -> int option = function
+  | Safecopy _ -> Some 0
+  | Grant_create _ -> Some 1
+  | Grant_revoke _ -> Some 2
+  | Devio_in _ | Devio_out _ -> Some 3
+  | Irq_register _ -> Some 4
+  | Alarm _ -> Some 5
+  | Iommu_map _ | Iommu_unmap _ -> Some 6
+  | Proc_create _ -> Some 7
+  | Proc_kill _ -> Some 8
+  | Reap_exit -> Some 9
+  | Privctl _ -> Some 10
   | Send _ | Asend _ | Receive _ | Sendrec _ | Notify _ | Sleep _ | Yield _ | Now | Self
   | My_memory | My_args | My_name | Random _ | Exit _ | Obs_emit _ | Metric_add _
   | Metric_observe _ | Metric_set _ | Metric_counter _ | Metric_gauge _ | Metric_histogram _ ->
       None
+
+let kcall_mask = function
+  | Privilege.All -> -1
+  | Privilege.Only names ->
+      let mask = ref 0 in
+      Array.iteri
+        (fun i name -> if List.mem name names then mask := !mask lor (1 lsl i))
+        kcall_names;
+      !mask
+
+let kcall_allowed mask op =
+  match kcall_index op with None -> true | Some i -> mask land (1 lsl i) <> 0
 
 (* Convenience wrappers used by all process code. *)
 module Api = struct

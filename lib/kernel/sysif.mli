@@ -102,10 +102,17 @@ exception Killed_exn of Status.exit_status
 exception Panic_exn of string
 (** Raised by {!Api.panic}; the kernel records a [Panicked] exit. *)
 
-val kcall_name : 'a syscall -> string option
-(** The name under which a kernel call is privilege-checked against
-    the caller's [kcalls] list, or [None] for unrestricted
-    operations (IPC is checked separately, per destination). *)
+val kcall_mask : Privilege.allow -> int
+(** A [kcalls] whitelist as a bitmask with one bit per kernel-call
+    name (["safecopy"], ["devio"], ...): [All] sets every bit; names
+    that are not kernel calls grant nothing.  The kernel keeps one per
+    process and recomputes it on [Privctl]. *)
+
+val kcall_allowed : int -> 'a syscall -> bool
+(** [kcall_allowed (kcall_mask kcalls) op] is one bit test, equal to
+    [Privilege.allows kcalls name] where [name] is the name [op] is
+    checked under; operations that are not kernel calls are always
+    allowed (IPC is checked separately, per destination). *)
 
 (** The process-side system library. *)
 module Api : sig

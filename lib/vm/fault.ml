@@ -23,19 +23,14 @@ let to_string = function
 
 let random_type rng = Rng.pick rng all
 
-(* Opcode bytes; keep in sync with Isa. *)
-let op_movi = 0x02
-let op_nop = 0x01
-let op_jz = 0x21
-let op_jnz = 0x22
-
 let opcode_of mem ~base index = Memory.get_u8 mem (base + (index * Isa.instr_size))
 let set_opcode mem ~base index v = Memory.set_u8 mem (base + (index * Isa.instr_size)) v
 
-let has_rs op = List.mem op [ 0x03; 0x04; 0x06; 0x0A; 0x0B; 0x0C; 0x0D; 0x11 ]
-let has_rd op = List.mem op [ 0x02; 0x03; 0x04; 0x05; 0x06; 0x07; 0x08; 0x09; 0x0A; 0x0B; 0x0C; 0x0D; 0x10; 0x21; 0x22; 0x30; 0x31; 0x32 ]
-let is_mem op = List.mem op [ 0x0A; 0x0B; 0x0C; 0x0D ]
-let is_cond_jump op = op = op_jz || op = op_jnz
+let uses field op = match Isa.operands op with Some o -> field o | None -> false
+let has_rs = uses (fun o -> o.Isa.rs)
+let has_rd = uses (fun o -> o.Isa.rd)
+let is_mem = uses (fun o -> o.Isa.mem)
+let is_cond_jump op = op = Isa.op_jz || op = Isa.op_jnz
 
 (* Find an instruction satisfying [pred], scanning circularly from a
    random start so repeated injections spread over the image. *)
@@ -89,20 +84,20 @@ let inject rng mem ~base ~insn_count ft =
           Memory.set_u32 mem addr (old lxor mask);
           describe index "garbled pointer operand")
   | Stale_param -> (
-      match find_target rng mem ~base ~insn_count (fun op -> op = op_movi) with
+      match find_target rng mem ~base ~insn_count (fun op -> op = Isa.op_movi) with
       | None -> None
       | Some index ->
           (* Dropping the MOVI means the code keeps using whatever the
              register currently holds — the "current value instead of
              parameter" fault. *)
-          set_opcode mem ~base index op_nop;
+          set_opcode mem ~base index Isa.op_nop;
           describe index "parameter load elided (stale register reuse)")
   | Invert_loop -> (
       match find_target rng mem ~base ~insn_count is_cond_jump with
       | None -> None
       | Some index ->
           let op = opcode_of mem ~base index in
-          set_opcode mem ~base index (if op = op_jz then op_jnz else op_jz);
+          set_opcode mem ~base index (if op = Isa.op_jz then Isa.op_jnz else Isa.op_jz);
           describe index "inverted loop/branch condition")
   | Flip_bit ->
       if insn_count = 0 then None
@@ -118,6 +113,6 @@ let inject rng mem ~base ~insn_count ft =
       if insn_count = 0 then None
       else begin
         let index = Rng.int rng insn_count in
-        set_opcode mem ~base index op_nop;
+        set_opcode mem ~base index Isa.op_nop;
         describe index "instruction elided"
       end

@@ -7,30 +7,59 @@ module Signal = Resilix_proto.Signal
 exception Check_failed of { index : int; detail : string }
 exception Io_failed of { port : int }
 
-type program = { base : int; insn_count : int }
+(* [decoded.(i)] is slot [i] decoded from the 8 bytes at offset
+   [8 * i] of [keys]; it is [empty] while the slot has never been
+   decoded, or was last seen holding an illegal opcode. *)
+type program = { base : int; insn_count : int; keys : bytes; decoded : Isa.decoded array }
+
+(* Never produced by [Isa.decode] (jump targets are unsigned), and
+   compared physically anyway. *)
+let empty = Isa.D_jmp (-1)
+
+let attach ~base ~insn_count =
+  {
+    base;
+    insn_count;
+    keys = Bytes.create (insn_count * Isa.instr_size);
+    decoded = Array.make insn_count empty;
+  }
 
 let load ~base image =
   let mem = Api.memory () in
   Memory.write mem ~addr:base image;
-  { base; insn_count = Bytes.length image / Isa.instr_size }
+  attach ~base ~insn_count:(Bytes.length image / Isa.instr_size)
+
+let base p = p.base
 
 let mask32 v = v land 0xFFFF_FFFF
 
 let run ?(fuel_slice = 32) program ~regs =
   if Array.length regs <> 8 then invalid_arg "Interp.run: want 8 registers";
   let mem = Api.memory () in
-  let fetch_buf = Bytes.create Isa.instr_size in
+  let sigill () = raise (Sysif.Killed_exn (Status.Killed Signal.Sig_ill)) in
+  (* Decode from process memory, remembering the bytes decoded from. *)
+  let decode_slot index ~addr ~off =
+    Memory.blit_out mem ~addr ~dst:program.keys ~dst_off:off ~len:Isa.instr_size;
+    match Isa.decode program.keys ~index with
+    | d ->
+        program.decoded.(index) <- d;
+        d
+    | exception Isa.Illegal_instruction _ ->
+        program.decoded.(index) <- empty;
+        sigill ()
+  in
   let fetch index =
     (* Out-of-image program counters are treated like executing
        unmapped memory: an illegal-instruction CPU exception. *)
-    if index < 0 || index >= program.insn_count then
-      raise (Sysif.Killed_exn (Status.Killed Signal.Sig_ill));
-    Memory.blit_out mem ~addr:(program.base + (index * Isa.instr_size)) ~dst:fetch_buf ~dst_off:0
-      ~len:Isa.instr_size;
-    match Isa.decode fetch_buf ~index:0 with
-    | d -> d
-    | exception Isa.Illegal_instruction _ ->
-        raise (Sysif.Killed_exn (Status.Killed Signal.Sig_ill))
+    if index < 0 || index >= program.insn_count then sigill ();
+    let off = index * Isa.instr_size in
+    let addr = program.base + off in
+    let d = program.decoded.(index) in
+    (* A cached decode is reused only while the code bytes are the ones
+       it came from, so no writer (fault injector, wild store, copy or
+       DMA) has to invalidate anything. *)
+    if d != empty && Memory.equal_u64 mem ~addr program.keys ~off then d
+    else decode_slot index ~addr ~off
   in
   let pc = ref 0 in
   let fuel = ref fuel_slice in

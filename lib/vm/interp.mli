@@ -23,14 +23,24 @@ exception Io_failed of { port : int }
 (** A mediated port access was rejected (e.g. a corrupted port number
     outside the driver's privilege range). *)
 
-type program = {
-  base : int;  (** address of the loaded image in the process *)
-  insn_count : int;  (** number of encoded instructions *)
-}
+type program
+(** A program loaded into a process's memory, with its decode cache.
+    Each instruction slot remembers the 8 encoded bytes it was last
+    decoded from; a fetch reuses the cached decode only while the
+    bytes in memory still equal them, so any write to the code
+    (injected fault, wild store, safecopy, DMA) takes effect at the
+    next fetch of that slot without invalidation hooks. *)
 
 val load : base:int -> bytes -> program
 (** Copy an assembled image into the *calling process's* memory at
     [base] and describe it.  Must be performed from inside a fiber. *)
+
+val attach : base:int -> insn_count:int -> program
+(** Describe [insn_count] instructions already in process memory at
+    [base], with an empty decode cache. *)
+
+val base : program -> int
+(** Address of the program's first instruction. *)
 
 val run : ?fuel_slice:int -> program -> regs:int array -> int
 (** Execute from instruction 0 until [Ret], returning r0.  [regs] is

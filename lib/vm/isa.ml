@@ -229,6 +229,29 @@ let decode image ~index =
   else if op = op_fail then D_fail
   else raise (Illegal_instruction { index; byte = op })
 
+type operands = { rd : bool; rs : bool; mem : bool }
+
+let operands_of = function
+  | D_nop | D_jmp _ | D_ret | D_fail -> { rd = false; rs = false; mem = false }
+  | D_movi _ | D_addi _ | D_andi _ | D_shr _ | D_shl _ | D_in _ | D_jz _ | D_jnz _ | D_chkeq _
+  | D_chklt _ | D_chknz _ ->
+      { rd = true; rs = false; mem = false }
+  | D_mov _ | D_add _ | D_sub _ -> { rd = true; rs = true; mem = false }
+  | D_load _ | D_store _ | D_loadb _ | D_storeb _ -> { rd = true; rs = true; mem = true }
+  | D_out _ -> { rd = false; rs = true; mem = false }
+
+(* Indexed by opcode byte; which constructor an opcode decodes to is
+   read off [decode] itself. *)
+let operand_table =
+  Array.init 256 (fun op ->
+      let template = Bytes.make instr_size '\000' in
+      Bytes.set template 0 (Char.chr op);
+      match decode template ~index:0 with
+      | d -> Some (operands_of d)
+      | exception Illegal_instruction _ -> None)
+
+let operands op = if op < 0 || op > 255 then None else operand_table.(op)
+
 let disassemble_one image ~index =
   match decode image ~index with
   | D_nop -> "nop"

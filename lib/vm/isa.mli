@@ -93,6 +93,23 @@ val opcode_info : int -> string option
 (** Mnemonic for an opcode byte, or [None] if it is not valid —
     exposed so the fault injector can report what it corrupted. *)
 
+(** Which fields of an encoded instruction its opcode uses: [rd] and
+    [rs] whether it reads or writes the register they name, [mem]
+    whether the immediate is a memory-address offset (load/store). *)
+type operands = { rd : bool; rs : bool; mem : bool }
+
+val operands : int -> operands option
+(** The fields an opcode byte uses, or [None] if it is not valid —
+    derived from {!decode}, so binary-mutation tools (the fault
+    injector) need no opcode lists of their own. *)
+
+val op_nop : int
+val op_movi : int
+val op_jz : int
+val op_jnz : int
+(** Opcode bytes the fault injector rewrites: eliding an instruction
+    writes [op_nop]; inverting a branch swaps [op_jz] and [op_jnz]. *)
+
 val disassemble_one : bytes -> index:int -> string
 (** Render one encoded instruction, e.g. ["load r3, [r5+0]"]; corrupt
     encodings render as ["<illegal 0xEE>"]. *)

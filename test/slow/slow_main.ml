@@ -8,6 +8,10 @@
    bytes and the experiments' internal integrity checks must all
    agree.
 
+   It also pins the paper-scale Sec. 7.2 campaign (12,500 faults,
+   plain and with a wedgeable NIC) to the numbers EXPERIMENTS.md
+   reports.
+
    Invoke via the @slow alias:
 
      RESILIX_SLOW_TESTS=1 dune build @slow
@@ -139,6 +143,49 @@ let () =
    | None -> check "storm 1000: stats present" false);
    Printf.printf "slow: storm 1000 done in %.1fs host wall clock\n%!"
      (Unix.gettimeofday () -. t0));
+  (* The paper-scale Sec. 7.2 campaign, emulator and wedgeable-NIC
+     variants: the report must match the tables in EXPERIMENTS.md. *)
+  List.iter
+    (fun (name, wedge_prob, expect, by_type) ->
+      let t0 = Unix.gettimeofday () in
+      let o =
+        E.Sec72.run ~jobs:2 ~faults:12_500 ~seed:42 ~wedge_prob ~has_master_reset:false ()
+      in
+      let got =
+        E.Sec72.
+          [
+            o.injected;
+            o.crashes;
+            o.panics;
+            o.exceptions;
+            o.heartbeats;
+            o.other;
+            o.recovered;
+            o.user_resets;
+            o.bios_resets;
+          ]
+      in
+      check
+        (Printf.sprintf "sec72 %s: 12,500-fault report matches EXPERIMENTS.md (got %s)" name
+           (String.concat "/" (List.map string_of_int got)))
+        (got = expect);
+      check
+        (Printf.sprintf "sec72 %s: faults applied by type match EXPERIMENTS.md" name)
+        (List.map snd o.E.Sec72.by_fault_type = by_type);
+      Printf.printf "slow: sec72 %s done in %.1fs host wall clock\n%!" name
+        (Unix.gettimeofday () -. t0))
+    [
+      (* injected/crashes/panics/exceptions/heartbeats/other/recovered/
+         user resets/BIOS resets; fault types in name order *)
+      ( "emulator",
+        0.,
+        [ 12_500; 360; 237; 121; 2; 0; 360; 137; 0 ],
+        [ 1863; 1844; 1848; 1820; 1816; 1736; 1573 ] );
+      ( "--hw",
+        1.0,
+        [ 12_500; 357; 234; 121; 2; 0; 357; 137; 10 ],
+        [ 1863; 1843; 1847; 1819; 1816; 1738; 1574 ] );
+    ];
   if !failures > 0 then begin
     Printf.eprintf "slow: %d check(s) failed\n%!" !failures;
     exit 1

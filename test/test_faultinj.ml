@@ -112,9 +112,40 @@ let test_each_fault_type_applies () =
       | None -> Alcotest.fail (Fault.to_string ft ^ " found no target instruction"))
     Fault.all
 
+(* The Sec. 7.2 crash split emerges from executing mutated driver
+   code, so it pins the injector's target selection, the VM's decode
+   and failure surface, and recovery together.  The numbers are the
+   campaign's recorded output; any change here is a change in
+   simulated behaviour. *)
+let test_sec72_split_pinned () =
+  let module Sec72 = Resilix_experiments.Sec72 in
+  let o = Sec72.run ~faults:2500 ~seed:42 () in
+  Alcotest.(check int) "injected" 2500 o.Sec72.injected;
+  Alcotest.(check int) "crashes" 78 o.Sec72.crashes;
+  Alcotest.(check int) "panics" 46 o.Sec72.panics;
+  Alcotest.(check int) "exceptions" 32 o.Sec72.exceptions;
+  Alcotest.(check int) "heartbeats" 0 o.Sec72.heartbeats;
+  Alcotest.(check int) "other" 0 o.Sec72.other;
+  Alcotest.(check int) "recovered" 78 o.Sec72.recovered;
+  Alcotest.(check int) "user resets" 27 o.Sec72.user_resets;
+  Alcotest.(check int) "bios resets" 0 o.Sec72.bios_resets;
+  Alcotest.(check (list (pair string int)))
+    "by fault type"
+    [
+      ("change-dst-register", 392);
+      ("change-src-register", 359);
+      ("elide-instruction", 350);
+      ("flip-bit", 387);
+      ("garble-pointer", 344);
+      ("invert-loop-condition", 339);
+      ("stale-parameter", 329);
+    ]
+    o.Sec72.by_fault_type
+
 let tests =
   [
     Alcotest.test_case "udp echo through dp8390" `Quick test_udp_echo;
     Alcotest.test_case "inject until crash, then recover" `Quick test_inject_until_crash_and_recover;
     Alcotest.test_case "all 7 fault types applicable" `Quick test_each_fault_type_applies;
+    Alcotest.test_case "sec72 2500-fault crash split pinned" `Quick test_sec72_split_pinned;
   ]

@@ -632,6 +632,159 @@ let prop_grant_bounds =
       | Some (Error Errno.E_nomem) -> not grant_creatable
       | _ -> false)
 
+(* --- kernel-call gate --- *)
+
+(* Reference gate: the name each kernel call is checked under, looked
+   up in the whitelist per call.  The bitmask must agree with it. *)
+let reference_kcall_name : type a. a Sysif.syscall -> string option = function
+  | Sysif.Safecopy _ -> Some "safecopy"
+  | Sysif.Grant_create _ -> Some "grant_create"
+  | Sysif.Grant_revoke _ -> Some "grant_revoke"
+  | Sysif.Devio_in _ | Sysif.Devio_out _ -> Some "devio"
+  | Sysif.Irq_register _ -> Some "irqctl"
+  | Sysif.Alarm _ -> Some "alarm"
+  | Sysif.Iommu_map _ | Sysif.Iommu_unmap _ -> Some "iommu_map"
+  | Sysif.Proc_create _ -> Some "proc_create"
+  | Sysif.Proc_kill _ -> Some "proc_kill"
+  | Sysif.Reap_exit -> Some "reap_exit"
+  | Sysif.Privctl _ -> Some "privctl"
+  | Sysif.Send _ | Sysif.Asend _ | Sysif.Receive _ | Sysif.Sendrec _ | Sysif.Notify _
+  | Sysif.Sleep _ | Sysif.Yield _ | Sysif.Now | Sysif.Self | Sysif.My_memory | Sysif.My_args
+  | Sysif.My_name | Sysif.Random _ | Sysif.Exit _ | Sysif.Obs_emit _ | Sysif.Metric_add _
+  | Sysif.Metric_observe _ | Sysif.Metric_set _ | Sysif.Metric_counter _ | Sysif.Metric_gauge _
+  | Sysif.Metric_histogram _ ->
+      None
+
+let reference_allows kcalls op =
+  match reference_kcall_name op with None -> true | Some name -> Privilege.allows kcalls name
+
+type any_syscall = Any_syscall : 'a Sysif.syscall -> any_syscall
+
+(* One value of every syscall constructor. *)
+let every_syscall =
+  let e = ep 7 in
+  Sysif.
+    [
+      Any_syscall (Send (e, Message.Ok_reply));
+      Any_syscall (Asend (e, Message.Ok_reply));
+      Any_syscall (Receive Any);
+      Any_syscall (Sendrec (e, Message.Ok_reply));
+      Any_syscall (Notify (e, Message.N_alarm));
+      Any_syscall (Sleep 1);
+      Any_syscall (Yield 1);
+      Any_syscall Now;
+      Any_syscall Self;
+      Any_syscall My_memory;
+      Any_syscall My_args;
+      Any_syscall My_name;
+      Any_syscall (Random 2);
+      Any_syscall (Exit (Status.Exited 0));
+      Any_syscall (Obs_emit (Trace.Info, "t", Resilix_obs.Event.Log { text = "x" }));
+      Any_syscall (Metric_add ("m", 1));
+      Any_syscall (Metric_observe ("m", 1));
+      Any_syscall (Metric_set ("m", 1));
+      Any_syscall (Metric_counter "m");
+      Any_syscall (Metric_gauge "m");
+      Any_syscall (Metric_histogram "m");
+      Any_syscall
+        (Safecopy { dir = `Read; owner = e; grant = 1; grant_off = 0; local_addr = 0; len = 1 });
+      Any_syscall (Grant_create { for_ = e; base = 0; len = 1; access = Read_only });
+      Any_syscall (Grant_revoke 1);
+      Any_syscall (Devio_in 0x300);
+      Any_syscall (Devio_out (0x300, 1));
+      Any_syscall (Irq_register 5);
+      Any_syscall (Alarm 1);
+      Any_syscall (Iommu_map 1);
+      Any_syscall (Iommu_unmap 1);
+      Any_syscall
+        (Proc_create { name = "p"; program = "p"; args = []; priv = Privilege.none; mem_kb = 1 });
+      Any_syscall (Proc_kill (e, Signal.Sig_kill));
+      Any_syscall Reap_exit;
+      Any_syscall (Privctl (e, Privilege.none));
+    ]
+
+let kcall_names_in_use =
+  List.sort_uniq compare
+    (List.filter_map (fun (Any_syscall op) -> reference_kcall_name op) every_syscall)
+
+(* Whitelists mixing real kernel-call names with names the kernel does
+   not know (e.g. the servers' "times"). *)
+let gen_allow =
+  let open QCheck.Gen in
+  let name =
+    oneof [ oneofl kcall_names_in_use; oneofl [ "times"; "proc_kill_request"; ""; "DEVIO" ] ]
+  in
+  frequency
+    [ (1, return Privilege.All); (6, map (fun l -> Privilege.Only l) (list_size (0 -- 12) name)) ]
+
+let arb_allow = QCheck.make ~print:Privilege.show_allow gen_allow
+
+let prop_kcall_mask_matches_whitelist =
+  QCheck.Test.make ~name:"kcall bitmask decides like the whitelist" ~count:300 arb_allow
+    (fun kcalls ->
+      let mask = Sysif.kcall_mask kcalls in
+      List.for_all
+        (fun (Any_syscall op) -> Sysif.kcall_allowed mask op = reference_allows kcalls op)
+        every_syscall)
+
+(* Kernel calls whose result is [E_no_perm] exactly when the gate
+   denies them, each paired with its reference name. *)
+let gate_probes =
+  let bogus = Endpoint.make ~slot:1000 ~gen:1 in
+  let denied = function Error Errno.E_no_perm -> true | Error _ | Ok _ -> false in
+  [
+    ( "safecopy",
+      fun () ->
+        denied (Api.safecopy_from ~owner:bogus ~grant:1 ~grant_off:0 ~local_addr:0 ~len:1) );
+    ( "grant_create",
+      fun () ->
+        denied (Api.grant_create ~for_:(Api.self ()) ~base:0 ~len:0 ~access:Sysif.Read_only) );
+    ("grant_revoke", fun () -> denied (Api.grant_revoke 12345));
+    ("devio", fun () -> denied (Api.devio_in 0x300));
+    ("irqctl", fun () -> denied (Api.irq_register 5));
+    ("alarm", fun () -> denied (Api.alarm 0));
+    ("iommu_map", fun () -> denied (Api.iommu_unmap 12345));
+    ( "proc_create",
+      fun () ->
+        denied
+          (Api.proc_create ~name:"x" ~program:"no-such-program" ~args:[] ~priv:Privilege.none
+             ~mem_kb:1) );
+    ("proc_kill", fun () -> denied (Api.proc_kill bogus Signal.Sig_kill));
+    ("privctl", fun () -> denied (Api.privctl bogus Privilege.none));
+  ]
+
+let prop_privctl_updates_gate =
+  QCheck.Test.make ~name:"after privctl, kernel calls follow the new privilege" ~count:30
+    (QCheck.pair arb_allow arb_allow)
+    (fun (before, after) ->
+      let engine, kernel = make_kernel () in
+      let priv kcalls = { all_priv with Privilege.kcalls } in
+      let probe () = List.map (fun (_, denied) -> denied ()) gate_probes in
+      let seen_before = ref [] and seen_after = ref [] in
+      Kernel.register_program kernel "subject" (fun () ->
+          seen_before := probe ();
+          Api.sleep 100_000;
+          seen_after := probe ());
+      let subject =
+        match
+          Kernel.spawn_dynamic kernel ~name:"subject" ~program:"subject" ~args:[]
+            ~priv:(priv before) ~mem_kb:64
+        with
+        | Ok e -> e
+        | Error _ -> Alcotest.fail "spawn"
+      in
+      ignore
+        (spawn kernel "admin" (fun () ->
+             Api.sleep 50_000;
+             match Api.privctl subject (priv after) with
+             | Ok () -> ()
+             | Error _ -> Alcotest.fail "privctl"));
+      Engine.run engine;
+      let expect kcalls =
+        List.map (fun (name, _) -> not (Privilege.allows kcalls name)) gate_probes
+      in
+      !seen_before = expect before && !seen_after = expect after)
+
 let tests =
   [
     Alcotest.test_case "rendezvous send/receive" `Quick test_rendezvous_send_receive;
@@ -662,4 +815,6 @@ let tests =
     Alcotest.test_case "SIGTERM as notification" `Quick test_sigterm_is_notification;
     Alcotest.test_case "exit recorded" `Quick test_exit_queue_for_pm;
     QCheck_alcotest.to_alcotest prop_many_processes_all_messages_delivered;
+    QCheck_alcotest.to_alcotest prop_kcall_mask_matches_whitelist;
+    QCheck_alcotest.to_alcotest prop_privctl_updates_gate;
   ]

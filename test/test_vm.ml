@@ -203,12 +203,12 @@ let test_each_fault_type_mutates_image () =
     (fun ft ->
       let changed =
         with_image (fun mem program insn_count ->
-            let before = Memory.read mem ~addr:program.Interp.base ~len:(insn_count * 8) in
+            let before = Memory.read mem ~addr:(Interp.base program) ~len:(insn_count * 8) in
             let rng = Rng.create ~seed:11 in
-            match Fault.inject rng mem ~base:program.Interp.base ~insn_count ft with
+            match Fault.inject rng mem ~base:(Interp.base program) ~insn_count ft with
             | None -> false
             | Some _ ->
-                let after = Memory.read mem ~addr:program.Interp.base ~len:(insn_count * 8) in
+                let after = Memory.read mem ~addr:(Interp.base program) ~len:(insn_count * 8) in
                 not (Bytes.equal before after))
       in
       Alcotest.(check bool) (Fault.to_string ft ^ " mutates the image") true changed)
@@ -218,13 +218,13 @@ let test_invert_loop_flips_conditional () =
   let ok =
     with_image (fun mem program insn_count ->
         let rng = Rng.create ~seed:5 in
-        match Fault.inject rng mem ~base:program.Interp.base ~insn_count Fault.Invert_loop with
+        match Fault.inject rng mem ~base:(Interp.base program) ~insn_count Fault.Invert_loop with
         | None -> false
         | Some desc ->
             (* Find the mutated instruction: it must decode as Jz or
                Jnz still (the condition flipped, not destroyed). *)
             ignore desc;
-            let image = Memory.read mem ~addr:program.Interp.base ~len:(insn_count * 8) in
+            let image = Memory.read mem ~addr:(Interp.base program) ~len:(insn_count * 8) in
             let rec any_cond i =
               if i >= insn_count then false
               else
@@ -241,11 +241,11 @@ let test_elide_becomes_nop () =
   let ok =
     with_image (fun mem program insn_count ->
         let rng = Rng.create ~seed:9 in
-        let before = Memory.read mem ~addr:program.Interp.base ~len:(insn_count * 8) in
-        match Fault.inject rng mem ~base:program.Interp.base ~insn_count Fault.Elide with
+        let before = Memory.read mem ~addr:(Interp.base program) ~len:(insn_count * 8) in
+        match Fault.inject rng mem ~base:(Interp.base program) ~insn_count Fault.Elide with
         | None -> false
         | Some _ ->
-            let after = Memory.read mem ~addr:program.Interp.base ~len:(insn_count * 8) in
+            let after = Memory.read mem ~addr:(Interp.base program) ~len:(insn_count * 8) in
             (* exactly one opcode byte changed, to NOP (0x01) *)
             let diffs = ref [] in
             for i = 0 to insn_count - 1 do
@@ -256,6 +256,279 @@ let test_elide_becomes_nop () =
             | _ -> false))
   in
   Alcotest.(check bool) "elide rewrites one opcode to NOP" true ok
+
+(* --- decode cache --- *)
+
+(* Reference interpreter without a decode cache: every fetch copies
+   the 8 encoded bytes out of process memory and decodes them.  The
+   cached interpreter must agree with it. *)
+let reference_run ?(fuel_slice = 32) ~base ~insn_count ~regs () =
+  let mask32 v = v land 0xFFFF_FFFF in
+  let mem = Api.memory () in
+  let fetch_buf = Bytes.create Isa.instr_size in
+  let fetch index =
+    if index < 0 || index >= insn_count then
+      raise (Sysif.Killed_exn (Resilix_proto.Status.Killed Resilix_proto.Signal.Sig_ill));
+    Memory.blit_out mem ~addr:(base + (index * Isa.instr_size)) ~dst:fetch_buf ~dst_off:0
+      ~len:Isa.instr_size;
+    match Isa.decode fetch_buf ~index:0 with
+    | d -> d
+    | exception Isa.Illegal_instruction _ ->
+        raise (Sysif.Killed_exn (Resilix_proto.Status.Killed Resilix_proto.Signal.Sig_ill))
+  in
+  let check_failed index detail = raise (Interp.Check_failed { index; detail }) in
+  let pc = ref 0 and fuel = ref fuel_slice and running = ref true in
+  while !running do
+    decr fuel;
+    if !fuel <= 0 then begin
+      fuel := fuel_slice;
+      Api.yield ~cost:1 ()
+    end;
+    let index = !pc in
+    incr pc;
+    match fetch index with
+    | Isa.D_nop -> ()
+    | Isa.D_movi (rd, imm) -> regs.(rd) <- mask32 imm
+    | Isa.D_mov (rd, rs) -> regs.(rd) <- regs.(rs)
+    | Isa.D_add (rd, rs) -> regs.(rd) <- mask32 (regs.(rd) + regs.(rs))
+    | Isa.D_addi (rd, imm) -> regs.(rd) <- mask32 (regs.(rd) + imm)
+    | Isa.D_sub (rd, rs) -> regs.(rd) <- mask32 (regs.(rd) - regs.(rs))
+    | Isa.D_andi (rd, imm) -> regs.(rd) <- regs.(rd) land mask32 imm
+    | Isa.D_shr (rd, n) -> regs.(rd) <- regs.(rd) lsr n
+    | Isa.D_shl (rd, n) -> regs.(rd) <- mask32 (regs.(rd) lsl n)
+    | Isa.D_load (rd, rs, imm) -> regs.(rd) <- Memory.get_u32 mem (regs.(rs) + imm)
+    | Isa.D_store (rd, imm, rs) -> Memory.set_u32 mem (regs.(rd) + imm) regs.(rs)
+    | Isa.D_loadb (rd, rs, imm) -> regs.(rd) <- Memory.get_u8 mem (regs.(rs) + imm)
+    | Isa.D_storeb (rd, imm, rs) -> Memory.set_u8 mem (regs.(rd) + imm) regs.(rs)
+    | Isa.D_in (rd, port) -> (
+        match Api.devio_in port with
+        | Ok v -> regs.(rd) <- mask32 v
+        | Error _ -> raise (Interp.Io_failed { port }))
+    | Isa.D_out (port, rs) -> (
+        match Api.devio_out port regs.(rs) with
+        | Ok () -> ()
+        | Error _ -> raise (Interp.Io_failed { port }))
+    | Isa.D_jmp target -> pc := target
+    | Isa.D_jz (rd, target) -> if regs.(rd) = 0 then pc := target
+    | Isa.D_jnz (rd, target) -> if regs.(rd) <> 0 then pc := target
+    | Isa.D_chkeq (rd, imm) ->
+        if regs.(rd) <> mask32 imm then
+          check_failed index (Printf.sprintf "r%d = %d, expected %d" rd regs.(rd) (mask32 imm))
+    | Isa.D_chklt (rd, imm) ->
+        if regs.(rd) >= mask32 imm then
+          check_failed index (Printf.sprintf "r%d = %d, expected < %d" rd regs.(rd) (mask32 imm))
+    | Isa.D_chknz rd -> if regs.(rd) = 0 then check_failed index (Printf.sprintf "r%d is zero" rd)
+    | Isa.D_ret -> running := false
+    | Isa.D_fail -> check_failed index "explicit fail"
+  done;
+  regs.(0)
+
+let code_base = 0x1000
+
+(* A random program plus byte writes into its code image: [at = None]
+   writes land between runs (from inside the process), [Some t] ones
+   land t microseconds after the process starts, whatever it is doing
+   then (computing, yielding, blocked in a devio call). *)
+type scenario = {
+  code : bytes;
+  regs0 : int array;
+  writes : (int option * int * int) list; (* at, image offset, byte *)
+}
+
+let valid_opcodes = List.filter (fun op -> Isa.opcode_info op <> None) (List.init 256 Fun.id)
+
+let gen_scenario =
+  let open QCheck.Gen in
+  let* n = 2 -- 14 in
+  let image_bytes = n * Isa.instr_size in
+  let value =
+    frequency
+      [
+        (4, -4 -- 40);
+        (2, map (fun k -> code_base + k) (0 -- (image_bytes + 8)));
+        (1, 0x4000 -- 0x4100);
+        (1, int_bound 0x3FFF_FFFF);
+      ]
+  in
+  let field = frequency [ (8, int_bound 7); (1, int_bound 255) ] in
+  let insn =
+    let* op = frequency [ (12, oneofl valid_opcodes); (1, int_bound 255) ] in
+    let* rd = field and* rs = field in
+    let* imm = frequency [ (3, value); (2, 0 -- n) ] in
+    let b = Bytes.make Isa.instr_size '\000' in
+    Bytes.set b 0 (Char.chr op);
+    Bytes.set b 1 (Char.chr rd);
+    Bytes.set b 2 (Char.chr rs);
+    Bytes.set_int32_le b 4 (Int32.of_int imm);
+    return b
+  in
+  let* code = map (Bytes.concat Bytes.empty) (list_repeat n insn) in
+  let* regs0 = array_repeat 8 value in
+  let write =
+    let* at = opt (0 -- 300) in
+    let* off = 0 -- (image_bytes - 1) in
+    let* byte = frequency [ (1, int_bound 255); (1, oneofl valid_opcodes) ] in
+    return (at, off, byte)
+  in
+  let* writes = list_size (0 -- 4) write in
+  return { code; regs0; writes }
+
+let print_scenario sc =
+  String.concat "\n"
+    (Isa.disassemble sc.code
+    @ [ "regs: " ^ String.concat " " (Array.to_list (Array.map string_of_int sc.regs0)) ]
+    @ List.map
+        (fun (at, off, byte) ->
+          Printf.sprintf "write 0x%02x at +%d %s" byte off
+            (match at with None -> "between runs" | Some t -> Printf.sprintf "at t+%dus" t))
+        sc.writes)
+
+(* Run the scenario's program three times in one process (the writes
+   marked [None] go in after the first run), with one interpreter, and
+   record everything observable: each run's result, registers and
+   finishing time, the final register file (for a run killed or still
+   looping at the horizon) and the kernel's trace, which holds the
+   process's exit status and time. *)
+let observe ~interp sc =
+  let engine, kernel = make_kernel () in
+  Kernel.set_io_handler kernel (function
+    | `In port when port < 0x40 -> Ok (port * 3)
+    | `Out (port, _) when port < 0x40 -> Ok 0
+    | `In _ | `Out _ -> Error Resilix_proto.Errno.E_io);
+  let insn_count = Bytes.length sc.code / Isa.instr_size in
+  let regs = Array.copy sc.regs0 in
+  let runs = ref [] and mem = ref None in
+  Kernel.register_program kernel "vm" (fun () ->
+      let program = Interp.load ~base:code_base sc.code in
+      mem := Some (Api.memory ());
+      let run () =
+        Array.blit sc.regs0 0 regs 0 8;
+        let result =
+          match
+            match interp with
+            | `Cached -> Interp.run program ~regs
+            | `Reference -> reference_run ~base:code_base ~insn_count ~regs ()
+          with
+          | r0 -> Printf.sprintf "ret %d" r0
+          | exception Interp.Check_failed { index; detail } ->
+              Printf.sprintf "check failed at %d: %s" index detail
+          | exception Interp.Io_failed { port } -> Printf.sprintf "io failed on %d" port
+        in
+        runs := (Api.now (), result, Array.copy regs) :: !runs
+      in
+      run ();
+      List.iter
+        (fun (at, off, byte) ->
+          if at = None then Memory.set_u8 (Api.memory ()) (code_base + off) byte)
+        sc.writes;
+      run ();
+      run ());
+  (match
+     Kernel.spawn_dynamic kernel ~name:"vm" ~program:"vm" ~args:[] ~priv:all_priv ~mem_kb:64
+   with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.fail "spawn");
+  let start = Kernel.default_costs.Kernel.spawn + 100 in
+  List.iter
+    (fun (at, off, byte) ->
+      match at with
+      | None -> ()
+      | Some t ->
+          ignore
+            (Engine.schedule engine ~after:(start + t) (fun () ->
+                 Option.iter (fun m -> Memory.set_u8 m (code_base + off) byte) !mem)))
+    sc.writes;
+  Engine.run engine ~until:(start + 500);
+  (List.rev !runs, Array.to_list regs, Engine.now engine, Trace.events (Kernel.trace kernel))
+
+let prop_decode_cache_matches_reference =
+  QCheck.Test.make ~name:"decode cache = decode-per-fetch under code writes" ~count:300
+    (QCheck.make ~print:print_scenario gen_scenario)
+    (fun sc -> observe ~interp:`Cached sc = observe ~interp:`Reference sc)
+
+(* Run [body] (given the loaded program and process memory) inside a
+   process, returning its result and how the process exited. *)
+let with_program ?io code body =
+  let engine, kernel = make_kernel () in
+  Option.iter (Kernel.set_io_handler kernel) io;
+  let result = ref None in
+  Kernel.register_program kernel "t" (fun () ->
+      let program = Interp.load ~base:code_base (Isa.assemble code) in
+      result := Some (body program (Api.memory ())));
+  (match Kernel.spawn_dynamic kernel ~name:"t" ~program:"t" ~args:[] ~priv:all_priv ~mem_kb:64 with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.fail "spawn");
+  Engine.run engine ~until:60_000_000;
+  let exits =
+    List.filter_map
+      (fun e ->
+        match e.Trace.payload with
+        | Resilix_obs.Event.Exit { status; _ } -> Some status
+        | _ -> None)
+      (Trace.events (Kernel.trace kernel))
+  in
+  (!result, exits)
+
+let test_fault_during_devio_seen_at_next_fetch () =
+  (* A warm cache holds [movi r0, 7] for slot 1; the injector elides
+     it while the program is blocked in the [in] of slot 0. *)
+  let mem = ref None in
+  let io = function
+    | `In _ ->
+        Option.iter
+          (fun m ->
+            ignore
+              (Fault.inject (Rng.create ~seed:1) m ~base:(code_base + Isa.instr_size) ~insn_count:1
+                 Fault.Stale_param))
+          !mem;
+        Ok 0
+    | `Out _ -> Ok 0
+  in
+  let result, _ =
+    with_program ~io
+      Isa.[ In (R1, 0x10); Movi (R0, 7); Ret ]
+      (fun program m ->
+        let first = Interp.run program ~regs:(Array.make 8 0) in
+        mem := Some m;
+        let second = Interp.run program ~regs:(Array.make 8 0) in
+        (first, second))
+  in
+  Alcotest.(check (option (pair int int))) "movi elided mid-call" (Some (7, 0)) result
+
+let test_store_into_own_image () =
+  (* Two passes over a loop whose body rewrites the immediate of its
+     own first instruction: the second pass must see the new value. *)
+  let code =
+    Isa.
+      [
+        Movi (R3, 2);
+        Movi (R1, code_base);
+        Label "loop";
+        Movi (R0, 1);
+        Add (R4, R0);
+        Movi (R2, 5);
+        Store (R1, (2 * 8) + 4, R2);
+        Addi (R3, -1);
+        Jnz (R3, "loop");
+        Mov (R0, R4);
+        Ret;
+      ]
+  in
+  let result, _ = with_program code (fun program _ -> Interp.run program ~regs:(Array.make 8 0)) in
+  Alcotest.(check (option int)) "1 on the first pass, 5 on the second" (Some 6) result
+
+let test_corrupted_cached_opcode_sigill () =
+  let result, exits =
+    with_program
+      Isa.[ Movi (R0, 1); Ret ]
+      (fun program m ->
+        ignore (Interp.run program ~regs:(Array.make 8 0));
+        Memory.set_u8 m code_base 0xEE;
+        Interp.run program ~regs:(Array.make 8 0))
+  in
+  Alcotest.(check (option int)) "second run never returns" None result;
+  Alcotest.(check bool) "killed by SIGILL" true
+    (exits = [ Resilix_proto.Status.Killed Resilix_proto.Signal.Sig_ill ])
 
 let prop_assemble_length =
   QCheck.Test.make ~name:"assemble emits 8 bytes per real instruction" ~count:100
@@ -302,4 +575,10 @@ let tests =
     Alcotest.test_case "elide rewrites to NOP" `Quick test_elide_becomes_nop;
     QCheck_alcotest.to_alcotest prop_assemble_length;
     QCheck_alcotest.to_alcotest prop_corrupted_image_never_hangs_decode;
+    QCheck_alcotest.to_alcotest prop_decode_cache_matches_reference;
+    Alcotest.test_case "fault during devio seen at next fetch" `Quick
+      test_fault_during_devio_seen_at_next_fetch;
+    Alcotest.test_case "store into own image takes effect" `Quick test_store_into_own_image;
+    Alcotest.test_case "opcode corrupted after caching: SIGILL" `Quick
+      test_corrupted_cached_opcode_sigill;
   ]
