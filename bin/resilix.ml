@@ -47,27 +47,29 @@ let run_fig3 jobs progress seed =
       E.Fig3.print (E.Fig3.run ?jobs ?on_progress:(progress_for progress "fig3") ~seed ());
       0)
 
+let fig7 jobs progress seed size_mb intervals obs =
+  let rows =
+    E.Fig7.run ?jobs
+      ?on_progress:(progress_for progress "fig7")
+      ~size:(size_mb * mb) ~intervals ~seed ?obs ()
+  in
+  E.Fig7.print rows;
+  checked "fig7 fnv digest" (E.Fig7.ok rows)
+
+let fig8 jobs progress seed size_mb intervals obs =
+  let rows =
+    E.Fig8.run ?jobs
+      ?on_progress:(progress_for progress "fig8")
+      ~size:(size_mb * mb) ~intervals ~seed ?obs ()
+  in
+  E.Fig8.print rows;
+  checked "fig8 digest vs baseline" (E.Fig8.ok rows)
+
 let run_fig7 jobs progress seed size_mb intervals metrics_out =
-  guard (fun () ->
-      with_obs metrics_out (fun obs ->
-          let rows =
-            E.Fig7.run ?jobs
-              ?on_progress:(progress_for progress "fig7")
-              ~size:(size_mb * mb) ~intervals ~seed ?obs ()
-          in
-          E.Fig7.print rows;
-          checked "fig7 fnv digest" (E.Fig7.ok rows)))
+  guard (fun () -> with_obs metrics_out (fig7 jobs progress seed size_mb intervals))
 
 let run_fig8 jobs progress seed size_mb intervals metrics_out =
-  guard (fun () ->
-      with_obs metrics_out (fun obs ->
-          let rows =
-            E.Fig8.run ?jobs
-              ?on_progress:(progress_for progress "fig8")
-              ~size:(size_mb * mb) ~intervals ~seed ?obs ()
-          in
-          E.Fig8.print rows;
-          checked "fig8 digest vs baseline" (E.Fig8.ok rows)))
+  guard (fun () -> with_obs metrics_out (fig8 jobs progress seed size_mb intervals))
 
 let run_sec72 jobs progress seed faults shard_size hw metrics_out =
   guard (fun () ->
@@ -193,16 +195,22 @@ let run_explore_guided jobs progress sc ~seed ~runs faults bound repro_out no_sh
           write_first_finding repro_out no_shrink (Dst.Explore.guided_to_repro g first);
           1)
 
+let scenario_names = List.map (fun s -> s.Dst.Scenario.name) Dst.Scenario.builtins
+
+(* [Scenario.find], complaining on stderr about an unknown name. *)
+let find_scenario name =
+  let sc = Dst.Scenario.find name in
+  if Option.is_none sc then
+    Printf.eprintf "unknown scenario %S (known: %s)\n" name (String.concat ", " scenario_names);
+  sc
+
 (* Exploration exits like a fuzzer: 0 when every run upheld the
    invariants, 1 when a finding was made (and, with --repro-out, a
    minimized repro file written). *)
 let run_explore jobs progress scenario_name seed runs faults bound repro_out no_shrink
     guided corpus_dir batch =
-  match Dst.Scenario.find scenario_name with
-  | None ->
-      Printf.eprintf "unknown scenario %S (known: %s)\n" scenario_name
-        (String.concat ", " (List.map (fun s -> s.Dst.Scenario.name) Dst.Scenario.builtins));
-      2
+  match find_scenario scenario_name with
+  | None -> 2
   | Some sc ->
       if guided then
         run_explore_guided jobs progress sc ~seed ~runs faults bound repro_out no_shrink
@@ -214,11 +222,8 @@ let run_explore jobs progress scenario_name seed runs faults bound repro_out no_
    is nagios-style: 0 when everything is healthy, 1 when components
    are degraded, 2 when a circuit breaker is not closed. *)
 let run_health scenario_name seed faults =
-  match Dst.Scenario.find scenario_name with
-  | None ->
-      Printf.eprintf "unknown scenario %S (known: %s)\n" scenario_name
-        (String.concat ", " (List.map (fun s -> s.Dst.Scenario.name) Dst.Scenario.builtins));
-      3
+  match find_scenario scenario_name with
+  | None -> 3
   | Some sc ->
       let faults = Option.value faults ~default:sc.Dst.Scenario.default_faults in
       let plan = sc.Dst.Scenario.plan ~seed ~faults in
@@ -360,7 +365,11 @@ let scenario_t =
   Arg.(
     required
     & pos 0 (some string) None
-    & info [] ~docv:"SCENARIO" ~doc:"Scenario to explore: $(b,wget) or $(b,dp-inject).")
+    & info [] ~docv:"SCENARIO"
+        ~doc:
+          ("Scenario to explore: "
+          ^ String.concat ", " (List.map (Printf.sprintf "$(b,%s)") scenario_names)
+          ^ "."))
 
 let runs_t =
   Arg.(value & opt int 16 & info [ "runs" ] ~doc:"Number of seeded runs to explore.")
@@ -516,23 +525,13 @@ let all_cmd =
       const (fun jobs progress seed size7 size8 intervals faults metrics_out ->
           let rc = ref (run_fig3 jobs progress seed) in
           let track n = rc := max !rc n in
+          (* One --metrics-out file for both figures, fig7 first. *)
           track
             (guard (fun () ->
                  with_obs metrics_out (fun obs ->
-                     let r7 =
-                       E.Fig7.run ?jobs
-                         ?on_progress:(progress_for progress "fig7")
-                         ~size:(size7 * mb) ~intervals ~seed ?obs ()
-                     in
-                     E.Fig7.print r7;
-                     let c7 = checked "fig7 fnv digest" (E.Fig7.ok r7) in
-                     let r8 =
-                       E.Fig8.run ?jobs
-                         ?on_progress:(progress_for progress "fig8")
-                         ~size:(size8 * mb) ~intervals ~seed ?obs ()
-                     in
-                     E.Fig8.print r8;
-                     max c7 (checked "fig8 digest vs baseline" (E.Fig8.ok r8)))));
+                     let c7 = fig7 jobs progress seed size7 intervals obs in
+                     let c8 = fig8 jobs progress seed size8 intervals obs in
+                     max c7 c8)));
           track (run_sec72 jobs progress seed faults None false None);
           track (run_sec72 jobs progress seed faults None true None);
           track (run_fig9 jobs progress ());

@@ -1,6 +1,5 @@
 module Fault = Resilix_vm.Fault
-
-let esc = Resilix_obs.Event.json_escape
+module Json = Resilix_obs.Json
 
 type t = {
   scenario : string;
@@ -15,188 +14,52 @@ type t = {
 (* Serialization                                                       *)
 (* ------------------------------------------------------------------ *)
 
+let line ty fields = Json.to_string (Obj (("type", String ty) :: fields))
+
 let fault_line (e : Fault_plan.entry) =
-  match e.action with
-  | Fault_plan.Kill ->
-      Printf.sprintf {|{"type":"fault","at":%d,"target":"%s","action":"kill"}|} e.at
-        (esc e.target)
-  | Fault_plan.Inject fi ->
-      Printf.sprintf {|{"type":"fault","at":%d,"target":"%s","action":"inject","fault":%d}|}
-        e.at (esc e.target) fi
+  let action =
+    match e.action with
+    | Fault_plan.Kill -> Json.[ ("action", String "kill") ]
+    | Fault_plan.Inject fi -> Json.[ ("action", String "inject"); ("fault", Int fi) ]
+  in
+  line "fault" Json.(("at", Int e.at) :: ("target", String e.target) :: action)
 
 let to_lines r =
   let header =
-    Printf.sprintf {|{"type":"dst-repro","version":1,"scenario":"%s","seed":%d,"bound":%d}|}
-      (esc r.scenario) r.seed r.bound
+    line "dst-repro"
+      Json.
+        [
+          ("version", Int 1); ("scenario", String r.scenario); ("seed", Int r.seed);
+          ("bound", Int r.bound);
+        ]
   in
-  let decisions =
-    Printf.sprintf {|{"type":"decisions","values":[%s]}|}
-      (String.concat "," (List.map string_of_int (Array.to_list r.decisions)))
+  let values = Json.List (List.map (fun d -> Json.Int d) (Array.to_list r.decisions)) in
+  let violation v =
+    line "violation"
+      Json.[ ("invariant", String v.Invariant.v_invariant); ("detail", String v.Invariant.v_detail) ]
   in
-  let violations =
-    List.map
-      (fun v ->
-        Printf.sprintf {|{"type":"violation","invariant":"%s","detail":"%s"}|}
-          (esc v.Invariant.v_invariant) (esc v.Invariant.v_detail))
-      r.violations
-  in
-  (header :: List.map fault_line r.plan) @ (decisions :: violations)
+  (header :: List.map fault_line r.plan)
+  @ (line "decisions" [ ("values", values) ] :: List.map violation r.violations)
 
 let save r path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> List.iter (fun l -> output_string oc (l ^ "\n")) (to_lines r))
+  Out_channel.with_open_text path (fun oc ->
+      List.iter (fun l -> output_string oc (l ^ "\n")) (to_lines r))
 
 (* ------------------------------------------------------------------ *)
-(* A small parser for the flat JSON objects above                      *)
+(* Parsing                                                             *)
 (* ------------------------------------------------------------------ *)
-
-type jv = J_str of string | J_int of int | J_ints of int list
 
 exception Bad of string
 
 let bad fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt
 
-(* Parse one serialized line: a single-level object whose values are
-   strings, integers, or integer arrays — all this format ever emits. *)
-let parse_line line =
-  let n = String.length line in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some line.[!pos] else None in
-  let next () =
-    match peek () with
-    | Some c ->
-        incr pos;
-        c
-    | None -> bad "unexpected end of line"
-  in
-  let expect c =
-    let g = next () in
-    if g <> c then bad "expected '%c', got '%c'" c g
-  in
-  let skip_ws () =
-    while (match peek () with Some (' ' | '\t') -> true | _ -> false) do
-      incr pos
-    done
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let hex4 () =
-      let hex = String.init 4 (fun _ -> next ()) in
-      match int_of_string_opt ("0x" ^ hex) with
-      | Some v -> v
-      | None -> bad "bad \\u escape \"\\u%s\"" hex
-    in
-    (* Decode one \uXXXX escape faithfully: code points are UTF-8
-       encoded into the buffer (the old [land 0xff] silently corrupted
-       anything above 0xFF), and surrogate pairs combine into their
-       supplementary code point.  [json_escape] itself only emits
-       \u00XX for control bytes, but repro files are hand-editable and
-       a parser that cannot reverse what standard JSON writers emit
-       would break the save -> load round trip. *)
-    let unicode_escape () =
-      let code = hex4 () in
-      if code >= 0xD800 && code <= 0xDBFF then begin
-        if next () <> '\\' || next () <> 'u' then
-          bad "high surrogate \\u%04x without a low surrogate" code;
-        let low = hex4 () in
-        if low < 0xDC00 || low > 0xDFFF then
-          bad "high surrogate \\u%04x followed by \\u%04x" code low;
-        0x10000 + (((code - 0xD800) lsl 10) lor (low - 0xDC00))
-      end
-      else if code >= 0xDC00 && code <= 0xDFFF then bad "lone low surrogate \\u%04x" code
-      else code
-    in
-    let rec go () =
-      match next () with
-      | '"' -> Buffer.contents buf
-      | '\\' -> (
-          (match next () with
-          | '"' -> Buffer.add_char buf '"'
-          | '\\' -> Buffer.add_char buf '\\'
-          | '/' -> Buffer.add_char buf '/'
-          | 'n' -> Buffer.add_char buf '\n'
-          | 't' -> Buffer.add_char buf '\t'
-          | 'r' -> Buffer.add_char buf '\r'
-          | 'b' -> Buffer.add_char buf '\b'
-          | 'f' -> Buffer.add_char buf '\012'
-          | 'u' -> Buffer.add_utf_8_uchar buf (Uchar.of_int (unicode_escape ()))
-          | c -> bad "bad escape '\\%c'" c);
-          go ())
-      | c ->
-          Buffer.add_char buf c;
-          go ()
-    in
-    go ()
-  in
-  let parse_int () =
-    let start = !pos in
-    if peek () = Some '-' then incr pos;
-    while (match peek () with Some ('0' .. '9') -> true | _ -> false) do
-      incr pos
-    done;
-    if !pos = start then bad "expected integer";
-    int_of_string (String.sub line start (!pos - start))
-  in
-  let parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '"' -> J_str (parse_string ())
-    | Some '[' ->
-        incr pos;
-        skip_ws ();
-        if peek () = Some ']' then begin
-          incr pos;
-          J_ints []
-        end
-        else begin
-          let items = ref [ parse_int () ] in
-          skip_ws ();
-          while peek () = Some ',' do
-            incr pos;
-            skip_ws ();
-            items := parse_int () :: !items;
-            skip_ws ()
-          done;
-          expect ']';
-          J_ints (List.rev !items)
-        end
-    | _ -> J_int (parse_int ())
-  in
-  skip_ws ();
-  expect '{';
-  let fields = ref [] in
-  skip_ws ();
-  if peek () = Some '}' then incr pos
-  else begin
-    let rec members () =
-      skip_ws ();
-      let key = parse_string () in
-      skip_ws ();
-      expect ':';
-      let v = parse_value () in
-      fields := (key, v) :: !fields;
-      skip_ws ();
-      match next () with
-      | ',' -> members ()
-      | '}' -> ()
-      | c -> bad "expected ',' or '}', got '%c'" c
-    in
-    members ()
-  end;
-  List.rev !fields
+let str j key =
+  match Json.field key j with Some (Json.String s) -> s | _ -> bad "missing string field %S" key
 
-let str fields key =
-  match List.assoc_opt key fields with
-  | Some (J_str s) -> s
-  | _ -> bad "missing string field %S" key
+let int j key =
+  match Json.field key j with Some (Json.Int i) -> i | _ -> bad "missing integer field %S" key
 
-let int fields key =
-  match List.assoc_opt key fields with
-  | Some (J_int i) -> i
-  | _ -> bad "missing integer field %S" key
+let parse_line l = match Json.of_string l with Ok j -> j | Error m -> bad "%s" m
 
 let of_lines lines =
   let lines = List.filter (fun l -> String.trim l <> "") lines in
@@ -204,26 +67,24 @@ let of_lines lines =
     match List.map parse_line lines with
     | [] -> Error "empty repro file"
     | header :: rest ->
-        if List.assoc_opt "type" header <> Some (J_str "dst-repro") then
+        if Json.field "type" header <> Some (Json.String "dst-repro") then
           bad "not a dst-repro file";
-        (match List.assoc_opt "version" header with
-        | Some (J_int 1) -> ()
-        | _ -> bad "unsupported repro version");
+        if Json.field "version" header <> Some (Json.Int 1) then bad "unsupported repro version";
         let scenario = str header "scenario" in
         let seed = int header "seed" in
         let bound = int header "bound" in
         let plan = ref [] and decisions = ref [||] and violations = ref [] in
         List.iter
-          (fun fields ->
-            match str fields "type" with
+          (fun j ->
+            match str j "type" with
             | "fault" ->
-                let at = int fields "at" in
-                let target = str fields "target" in
+                let at = int j "at" in
+                let target = str j "target" in
                 let action =
-                  match str fields "action" with
+                  match str j "action" with
                   | "kill" -> Fault_plan.Kill
                   | "inject" ->
-                      let fi = int fields "fault" in
+                      let fi = int j "fault" in
                       if fi < 0 || fi >= Array.length Fault.all then
                         bad "fault index %d out of range" fi;
                       Fault_plan.Inject fi
@@ -231,15 +92,17 @@ let of_lines lines =
                 in
                 plan := { Fault_plan.at; target; action } :: !plan
             | "decisions" -> (
-                match List.assoc_opt "values" fields with
-                | Some (J_ints vs) -> decisions := Array.of_list vs
+                match Json.field "values" j with
+                | Some (Json.List vs) ->
+                    decisions :=
+                      Array.of_list
+                        (List.map
+                           (function Json.Int d -> d | _ -> bad "non-integer decision")
+                           vs)
                 | _ -> bad "decisions line without values")
             | "violation" ->
                 violations :=
-                  {
-                    Invariant.v_invariant = str fields "invariant";
-                    v_detail = str fields "detail";
-                  }
+                  { Invariant.v_invariant = str j "invariant"; v_detail = str j "detail" }
                   :: !violations
             | ty -> bad "unknown line type %S" ty)
           rest;
@@ -252,21 +115,9 @@ let of_lines lines =
             decisions = !decisions;
             violations = List.rev !violations;
           }
-  with
-  | Bad m -> Error m
-  | Failure m -> Error m
+  with Bad m -> Error m
 
 let load path =
-  let ic = open_in path in
-  let lines =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let rec go acc =
-          match input_line ic with
-          | line -> go (line :: acc)
-          | exception End_of_file -> List.rev acc
-        in
-        go [])
-  in
-  of_lines lines
+  match In_channel.with_open_text path In_channel.input_all with
+  | text -> of_lines (String.split_on_char '\n' text)
+  | exception Sys_error m -> Error m

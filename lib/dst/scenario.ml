@@ -3,12 +3,10 @@ module Hwmap = Resilix_system.Hwmap
 module Engine = Resilix_sim.Engine
 module Kernel = Resilix_kernel.Kernel
 module Endpoint = Resilix_proto.Endpoint
-module Message = Resilix_proto.Message
 module Span = Resilix_obs.Span
 module Fault = Resilix_vm.Fault
 module Data_store = Resilix_datastore.Data_store
 module Wget = Resilix_apps.Wget
-module Sockets = Resilix_apps.Sockets
 module Fslib = Resilix_apps.Fslib
 module Httpd = Resilix_apps.Httpd
 module Loadgen = Resilix_load.Loadgen
@@ -269,21 +267,7 @@ let dp_inject_run ~horizon ~seed ~policy ~plan =
   System.start_services t [ System.spec_dp8390 ~policy:"direct" ~heartbeat_period:200_000 () ];
   let received = ref 0 in
   ignore
-    (System.spawn_app t ~name:"udp-sink" (fun () ->
-         let module Api = Resilix_kernel.Sysif.Api in
-         match Sockets.socket Message.Udp with
-         | Error _ -> ()
-         | Ok sock -> (
-             match Sockets.listen sock ~port:9 with
-             | Error _ -> ()
-             | Ok () ->
-                 let rec pump () =
-                   (match Sockets.recvfrom sock ~len:2048 with
-                   | Ok _ -> incr received
-                   | Error _ -> Api.sleep 50_000);
-                   pump ()
-                 in
-                 pump ())));
+    (System.spawn_app t ~name:"udp-sink" (Resilix_apps.Udp_sink.make ~port:9 received));
   let _stop =
     Resilix_net.Peer.start_udp_stream t.System.dp_peer ~dst_ip:Hwmap.local_ip
       ~dst_mac:Hwmap.dp8390_mac ~dst_port:9 ~src_port:7777 ~payload_len:700 ~interval:10_000

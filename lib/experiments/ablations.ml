@@ -13,9 +13,7 @@ module Policy = Resilix_core.Policy
 module Reincarnation = Resilix_core.Reincarnation
 module Hwmap = Resilix_system.Hwmap
 module Status = Resilix_proto.Status
-module Message = Resilix_proto.Message
 module Fault = Resilix_vm.Fault
-module Sockets = Resilix_apps.Sockets
 module Dp8390 = Resilix_drivers.Netdriver_dp8390
 
 (* ------------------------------------------------------------------ *)
@@ -188,20 +186,7 @@ let availability_trial ~faults ~inject_period ~seed (label, policy_key, extra_po
         [ System.spec_dp8390 ~policy:policy_key ~heartbeat_period:200_000 () ];
       let received = ref 0 in
       ignore
-        (System.spawn_app t ~name:"udp-sink" (fun () ->
-             match Sockets.socket Message.Udp with
-             | Error _ -> ()
-             | Ok sock -> (
-                 match Sockets.listen sock ~port:9 with
-                 | Error _ -> ()
-                 | Ok () ->
-                     let rec pump () =
-                       (match Sockets.recvfrom sock ~len:2048 with
-                       | Ok _ -> incr received
-                       | Error _ -> Api.sleep 50_000);
-                       pump ()
-                     in
-                     pump ())));
+        (System.spawn_app t ~name:"udp-sink" (Resilix_apps.Udp_sink.make ~port:9 received));
       let _stop =
         Resilix_net.Peer.start_udp_stream t.System.dp_peer ~dst_ip:Hwmap.local_ip
           ~dst_mac:Hwmap.dp8390_mac ~dst_port:9 ~src_port:7777 ~payload_len:700

@@ -3,11 +3,9 @@ module Hwmap = Resilix_system.Hwmap
 module Engine = Resilix_sim.Engine
 module Kernel = Resilix_kernel.Kernel
 module Status = Resilix_proto.Status
-module Message = Resilix_proto.Message
 module Reincarnation = Resilix_core.Reincarnation
 module Fault = Resilix_vm.Fault
 module Nic8390 = Resilix_hw.Nic8390
-module Sockets = Resilix_apps.Sockets
 module Dp8390 = Resilix_drivers.Netdriver_dp8390
 module Rng = Resilix_sim.Rng
 module Metrics = Resilix_obs.Metrics
@@ -58,29 +56,8 @@ let run_shard ~shard ~faults ~seed ~inject_period ~wedge_prob ~has_master_reset 
      transmit path is exercised by the sink's periodic replies. *)
   let received = ref 0 in
   ignore
-    (System.spawn_app t ~name:"udp-sink" (fun () ->
-         let module Api = Resilix_kernel.Sysif.Api in
-         match Sockets.socket Message.Udp with
-         | Error _ -> ()
-         | Ok sock -> (
-             match Sockets.listen sock ~port:9 with
-             | Error _ -> ()
-             | Ok () ->
-                 let rec pump n =
-                   match Sockets.recvfrom sock ~len:2048 with
-                   | Ok (_, src_ip, src_port) ->
-                       incr received;
-                       (* Periodically talk back so TX code also runs. *)
-                       if n mod 8 = 0 then
-                         ignore
-                           (Sockets.sendto sock ~addr:src_ip ~port:src_port
-                              (Bytes.of_string "ack"));
-                       pump (n + 1)
-                   | Error _ ->
-                       Api.sleep 50_000;
-                       pump n
-                 in
-                 pump 0)));
+    (System.spawn_app t ~name:"udp-sink"
+       (Resilix_apps.Udp_sink.make ~ack_every:8 ~port:9 received));
   let _stop =
     Resilix_net.Peer.start_udp_stream t.System.dp_peer ~dst_ip:Hwmap.local_ip
       ~dst_mac:Hwmap.dp8390_mac ~dst_port:9 ~src_port:7777 ~payload_len:700 ~interval:10_000

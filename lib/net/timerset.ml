@@ -1,117 +1,50 @@
-(* Binary min-heap ordered by deadline, with lazy deletion: [arm]
-   remembers each key's current (deadline, generation); stale heap
-   entries — re-armed or cancelled keys — are recognized by a
-   generation mismatch and dropped when they reach the top.  The heap
-   stores (deadline, key, gen) packed in three parallel int arrays to
-   avoid per-entry allocation on the retransmission hot path. *)
+(* Lazy deletion on the engine's heap: [armed] maps each key to its
+   current arming generation; a heap entry is (deadline, key) carrying
+   the generation it was armed with, and stale entries (re-armed or
+   cancelled keys) are recognized by a generation mismatch and dropped
+   when they reach the top.  The heap's (key, seq) order is exactly
+   (deadline, timer key), so ties never depend on insertion history. *)
 
-type t = {
-  armed : (int, int * int) Hashtbl.t; (* key -> (deadline, generation) *)
-  mutable hd : int array; (* deadlines *)
-  mutable hk : int array; (* keys *)
-  mutable hg : int array; (* generations *)
-  mutable len : int;
-  mutable gen : int;
-}
+module Heap = Resilix_sim.Heap
 
-let create () =
-  {
-    armed = Hashtbl.create 64;
-    hd = Array.make 64 0;
-    hk = Array.make 64 0;
-    hg = Array.make 64 0;
-    len = 0;
-    gen = 0;
-  }
+type t = { armed : (int, int) Hashtbl.t; heap : int Heap.t; mutable gen : int }
+
+let create () = { armed = Hashtbl.create 64; heap = Heap.create ~dummy:0 (); gen = 0 }
 
 let armed t = Hashtbl.length t.armed
 
-let swap t i j =
-  let d = t.hd.(i) and k = t.hk.(i) and g = t.hg.(i) in
-  t.hd.(i) <- t.hd.(j);
-  t.hk.(i) <- t.hk.(j);
-  t.hg.(i) <- t.hg.(j);
-  t.hd.(j) <- d;
-  t.hk.(j) <- k;
-  t.hg.(j) <- g
-
-(* Ties break on key so the heap order never depends on insertion
-   history. *)
-let lt t i j = t.hd.(i) < t.hd.(j) || (t.hd.(i) = t.hd.(j) && t.hk.(i) < t.hk.(j))
-
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if lt t i parent then begin
-      swap t i parent;
-      sift_up t parent
-    end
-  end
-
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.len && lt t l !smallest then smallest := l;
-  if r < t.len && lt t r !smallest then smallest := r;
-  if !smallest <> i then begin
-    swap t i !smallest;
-    sift_down t !smallest
-  end
-
-let grow t =
-  let n = Array.length t.hd in
-  let bigger a = Array.append a (Array.make n 0) in
-  t.hd <- bigger t.hd;
-  t.hk <- bigger t.hk;
-  t.hg <- bigger t.hg
-
-let push t ~deadline ~key ~gen =
-  if t.len = Array.length t.hd then grow t;
-  let i = t.len in
-  t.hd.(i) <- deadline;
-  t.hk.(i) <- key;
-  t.hg.(i) <- gen;
-  t.len <- t.len + 1;
-  sift_up t i
-
-let pop_top t =
-  t.len <- t.len - 1;
-  if t.len > 0 then begin
-    swap t 0 t.len;
-    sift_down t 0
-  end
-
 (* Is the top entry the live arming of its key? *)
 let top_live t =
-  match Hashtbl.find_opt t.armed t.hk.(0) with
-  | Some (_, g) -> g = t.hg.(0)
+  match Hashtbl.find_opt t.armed (Heap.min_seq t.heap) with
+  | Some g -> g = Heap.min_value t.heap
   | None -> false
 
 (* Drop stale entries until the top is live (or the heap is empty). *)
-let rec settle t = if t.len > 0 && not (top_live t) then begin pop_top t; settle t end
+let rec settle t =
+  if not (Heap.is_empty t.heap || top_live t) then begin
+    ignore (Heap.pop_min t.heap);
+    settle t
+  end
 
 let set t ~key ~deadline =
   t.gen <- t.gen + 1;
-  Hashtbl.replace t.armed key (deadline, t.gen);
-  push t ~deadline ~key ~gen:t.gen
+  Hashtbl.replace t.armed key t.gen;
+  Heap.push t.heap ~key:deadline ~seq:key t.gen
 
 let cancel t ~key = Hashtbl.remove t.armed key
 
 let next_deadline t =
   settle t;
-  if t.len = 0 then None else Some t.hd.(0)
+  if Heap.is_empty t.heap then None else Some (Heap.min_key t.heap)
 
 let take_due t ~now =
   let due = ref [] in
-  let continue = ref true in
-  while !continue do
-    settle t;
-    if t.len > 0 && t.hd.(0) <= now then begin
-      let key = t.hk.(0) in
-      Hashtbl.remove t.armed key;
-      pop_top t;
-      due := key :: !due
-    end
-    else continue := false
+  settle t;
+  while (not (Heap.is_empty t.heap)) && Heap.min_key t.heap <= now do
+    let key = Heap.min_seq t.heap in
+    Hashtbl.remove t.armed key;
+    ignore (Heap.pop_min t.heap);
+    due := key :: !due;
+    settle t
   done;
   List.sort Int.compare !due

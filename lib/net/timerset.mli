@@ -5,13 +5,11 @@
     retransmission timer.  This keeps the earliest deadline per
     integer key.
 
-    Scales to C10K: a binary min-heap with lazy deletion, so [set],
-    [cancel] and each expiry are O(log n) amortized — re-arming a
-    timer leaves the stale heap entry behind and invalidates it with a
-    per-key generation, which {!next_deadline}/{!take_due} skip as
-    they surface.  (The previous implementation folded over a hash
-    table on every query: O(n) per TCP action, quadratic across a
-    connection storm.) *)
+    Scales to C10K: {!Resilix_sim.Heap} ordered by (deadline, key)
+    with lazy deletion, so [set], [cancel] and each expiry are
+    O(log n) amortized — re-arming a timer leaves the stale heap entry
+    behind and invalidates it with a per-key generation, which
+    {!next_deadline}/{!take_due} skip as they surface. *)
 
 type t
 (** A timer set. *)

@@ -108,39 +108,4 @@ let pp ppf e =
   Format.fprintf ppf "[%a] %s %-8s %s" time_pp e.time (level_tag e.level) e.subsystem
     (message e.payload)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let payload_kind = function
-  | Ipc _ -> "ipc"
-  | Safecopy _ -> "safecopy"
-  | Irq _ -> "irq"
-  | Spawn _ -> "spawn"
-  | Exit _ -> "exit"
-  | Defect _ -> "defect"
-  | Policy_decision _ -> "policy_decision"
-  | Policy_action _ -> "policy_action"
-  | Breaker _ -> "breaker"
-  | Restart _ -> "restart"
-  | Ds_publish _ -> "ds_publish"
-  | Retry _ -> "retry"
-  | Heartbeat_miss _ -> "heartbeat_miss"
-  | Log _ -> "log"
-
-let to_json e =
-  Printf.sprintf
-    "{\"type\":\"event\",\"at_us\":%d,\"level\":\"%s\",\"subsystem\":\"%s\",\"kind\":\"%s\",\"message\":\"%s\"}"
-    e.time (level_tag e.level) (json_escape e.subsystem)
-    (payload_kind e.payload)
-    (json_escape (message e.payload))
+let json_escape = Json.escape

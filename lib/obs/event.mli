@@ -83,8 +83,5 @@ val shape_add : int64 -> t -> int64
     the DST coverage signature (the other is
     {!Resilix_obs.Span.shape_fingerprint}). *)
 
-val to_json : t -> string
-(** One JSON object (single line) describing the event. *)
-
 val json_escape : string -> string
-(** Escape a string for embedding in a JSON string literal. *)
+(** Alias of {!Json.escape}. *)

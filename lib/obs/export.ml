@@ -1,72 +1,60 @@
 module Status = Resilix_proto.Status
 
-let esc = Event.json_escape
+let line ty label fields =
+  Json.to_string (Obj (("type", String ty) :: ("label", String label) :: fields))
 
 let metric_lines ?(label = "run") (snap : Metrics.snapshot) =
-  let meta =
-    Printf.sprintf "{\"type\":\"meta\",\"label\":\"%s\",\"at_us\":%d}" (esc label) snap.taken_at
+  let named ty name fields = line ty label (("name", Json.String name) :: fields) in
+  let counter (name, v) = named "counter" name [ ("value", Int v) ] in
+  let gauge (name, (g : Metrics.gauge_snapshot)) =
+    named "gauge" name
+      [
+        ("value", Int g.g_last); ("min", Int g.g_min); ("max", Int g.g_max);
+        ("shards", Int g.g_sources);
+      ]
   in
-  let counters =
-    List.map
-      (fun (name, v) ->
-        Printf.sprintf "{\"type\":\"counter\",\"label\":\"%s\",\"name\":\"%s\",\"value\":%d}"
-          (esc label) (esc name) v)
-      snap.counters
+  (* min/max need no count=0 guard: empty snapshots are normalized to
+     all-zero by [Metrics.snapshot]. *)
+  let histogram (name, (h : Metrics.hist_snapshot)) =
+    let buckets = List.map (fun (i, c) -> Json.List [ Int i; Int c ]) h.buckets in
+    named "histogram" name
+      [
+        ("count", Int h.count); ("sum", Int h.sum); ("min", Int h.min_v); ("max", Int h.max_v);
+        ("buckets", List buckets);
+      ]
   in
-  let gauges =
-    List.map
-      (fun (name, (g : Metrics.gauge_snapshot)) ->
-        Printf.sprintf
-          "{\"type\":\"gauge\",\"label\":\"%s\",\"name\":\"%s\",\"value\":%d,\"min\":%d,\"max\":%d,\"shards\":%d}"
-          (esc label) (esc name) g.g_last g.g_min g.g_max g.g_sources)
-      snap.gauges
-  in
-  let histograms =
-    List.map
-      (fun (name, (h : Metrics.hist_snapshot)) ->
-        let buckets =
-          String.concat "," (List.map (fun (i, c) -> Printf.sprintf "[%d,%d]" i c) h.buckets)
-        in
-        (* min/max need no count=0 guard: empty snapshots are
-           normalized to all-zero by [Metrics.snapshot]. *)
-        Printf.sprintf
-          "{\"type\":\"histogram\",\"label\":\"%s\",\"name\":\"%s\",\"count\":%d,\"sum\":%d,\"min\":%d,\"max\":%d,\"buckets\":[%s]}"
-          (esc label) (esc name) h.count h.sum h.min_v h.max_v buckets)
-      snap.histograms
-  in
-  (meta :: counters) @ gauges @ histograms
+  (line "meta" label [ ("at_us", Int snap.taken_at) ] :: List.map counter snap.counters)
+  @ List.map gauge snap.gauges
+  @ List.map histogram snap.histograms
 
-let phase_obj deltas =
-  String.concat ","
-    (List.map (fun (p, d) -> Printf.sprintf "\"%s\":%d" (Span.phase_name p) d) deltas)
+let phase_obj deltas = Json.Obj (List.map (fun (p, d) -> (Span.phase_name p, Json.Int d)) deltas)
 
 let span_lines ?(label = "run") spans =
   let span_line (s : Span.span) =
-    let total =
-      match Span.total_us s with None -> "null" | Some u -> string_of_int u
-    in
+    let total = match Span.total_us s with None -> Json.Null | Some u -> Int u in
     (* Tags appended only when present, so runs that never tag a span
        export byte-identical lines to the pre-tag format. *)
     let tags =
       match Span.tags s with
-      | [] -> ""
-      | kvs ->
-          Printf.sprintf ",\"tags\":{%s}"
-            (String.concat ","
-               (List.map (fun (k, v) -> Printf.sprintf "\"%s\":\"%s\"" (esc k) (esc v)) kvs))
+      | [] -> []
+      | kvs -> [ ("tags", Json.Obj (List.map (fun (k, v) -> (k, Json.String v)) kvs)) ]
     in
-    Printf.sprintf
-      "{\"type\":\"span\",\"label\":\"%s\",\"id\":%d,\"component\":\"%s\",\"defect\":\"%s\",\"repetition\":%d,\"opened_at_us\":%d,\"total_us\":%s,\"phases\":{%s}%s}"
-      (esc label) s.id (esc s.component)
-      (esc (Status.defect_name s.defect))
-      s.repetition s.opened_at total
-      (phase_obj (Span.phases s))
-      tags
+    line "span" label
+      Json.(
+        [
+          ("id", Int s.id); ("component", String s.component);
+          ("defect", String (Status.defect_name s.defect)); ("repetition", Int s.repetition);
+          ("opened_at_us", Int s.opened_at); ("total_us", total);
+          ("phases", phase_obj (Span.phases s));
+        ]
+        @ tags)
   in
   let mttr_line (m : Span.mttr) =
-    Printf.sprintf
-      "{\"type\":\"mttr\",\"label\":\"%s\",\"component\":\"%s\",\"n\":%d,\"mean_us\":%d,\"min_us\":%d,\"max_us\":%d,\"p95_us\":%d,\"phase_mean_us\":{%s}}"
-      (esc label) (esc m.m_component) m.n m.mean_us m.min_us m.max_us m.p95_us
-      (phase_obj m.phase_mean_us)
+    line "mttr" label
+      [
+        ("component", String m.m_component); ("n", Int m.n); ("mean_us", Int m.mean_us);
+        ("min_us", Int m.min_us); ("max_us", Int m.max_us); ("p95_us", Int m.p95_us);
+        ("phase_mean_us", phase_obj m.phase_mean_us);
+      ]
   in
   List.map span_line (Span.spans spans) @ List.map mttr_line (Span.report spans)

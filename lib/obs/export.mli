@@ -1,7 +1,8 @@
 (** JSONL export of metrics and spans.
 
-    Each function renders one JSON object per line — the format
-    written by the CLI's [--metrics-out].  Line shapes ("type"
+    Each function renders one JSON object per line through
+    {!Json.to_string} — the format written by the CLI's
+    [--metrics-out].  Line shapes ("type"
     discriminates):
 
     - [{"type":"meta","label":L,"at_us":T}]

@@ -123,7 +123,9 @@ let pop_min h =
   else Array.unsafe_set vals 0 h.dummy;
   v
 
-let peek h = if h.size = 0 then None else Some (h.keys.(0), h.seqs.(0), h.vals.(0))
+let min_value h =
+  if h.size = 0 then invalid_arg "Heap.min_value: empty heap";
+  h.vals.(0)
 
 let pop h =
   if h.size = 0 then None

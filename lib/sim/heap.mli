@@ -42,9 +42,9 @@ val pop_min : 'a t -> 'a
     needed.
     @raise Invalid_argument on an empty heap. *)
 
-val peek : 'a t -> (int * int * 'a) option
-(** [peek h] is the minimum element without removing it.  Allocates;
-    prefer {!min_key}/{!min_seq} on hot paths. *)
+val min_value : 'a t -> 'a
+(** Value of the minimum element, without removing it.
+    @raise Invalid_argument on an empty heap. *)
 
 val pop : 'a t -> (int * int * 'a) option
 (** [pop h] removes and returns the minimum element.  Allocates;

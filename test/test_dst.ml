@@ -90,9 +90,24 @@ let sample_repro =
 let test_repro_roundtrip () =
   let lines = Repro.to_lines sample_repro in
   Alcotest.(check int) "header + 2 faults + decisions + violation" 5 (List.length lines);
-  match Repro.of_lines lines with
+  (match Repro.of_lines lines with
   | Error m -> Alcotest.fail ("round-trip failed: " ^ m)
-  | Ok r -> Alcotest.(check bool) "round-trip preserves everything" true (r = sample_repro)
+  | Ok r -> Alcotest.(check bool) "round-trip preserves everything" true (r = sample_repro));
+  Alcotest.(check bool) "CRLF line ends still load" true
+    (Repro.of_lines (List.map (fun l -> l ^ "\r") lines) = Ok sample_repro)
+
+(* The exact lines, recorded before repros were written through Json. *)
+let test_repro_golden () =
+  Alcotest.(check (list string))
+    "repro lines"
+    [
+      {|{"type":"dst-repro","version":1,"scenario":"toy","seed":1234567890123,"bound":1000}|};
+      {|{"type":"fault","at":100,"target":"eth.rtl8139","action":"kill"}|};
+      {|{"type":"fault","at":250,"target":"eth.dp8390","action":"inject","fault":3}|};
+      {|{"type":"decisions","values":[0,2,1]}|};
+      {|{"type":"violation","invariant":"span-completeness","detail":"says \"late\"\twith \\ and\nnewline"}|};
+    ]
+    (Repro.to_lines sample_repro)
 
 let test_repro_file_roundtrip () =
   let path = Filename.temp_file "dst-repro" ".jsonl" in
@@ -117,7 +132,25 @@ let test_repro_rejects_garbage () =
        [
          {|{"type":"dst-repro","version":1,"scenario":"x","seed":1,"bound":2}|};
          {|{"type":"fault","at":1,"target":"t","action":"frobnicate"}|};
-       ])
+       ]);
+  Alcotest.(check bool) "trailing bytes after the object" true
+    (bad [ {|{"type":"dst-repro","version":1,"scenario":"x","seed":1,"bound":2} trailing junk|} ])
+
+(* Unreadable paths are load errors, not exceptions: a directory given
+   as a repro file, or a directory named like a corpus entry. *)
+let test_repro_load_io_errors () =
+  let dir = Filename.temp_file "dst-io" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  Sys.mkdir (Filename.concat dir "d.jsonl") 0o755;
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.rmdir (Filename.concat dir "d.jsonl");
+      Sys.rmdir dir)
+    (fun () ->
+      Alcotest.(check bool) "directory as repro" true (Result.is_error (Repro.load dir));
+      Alcotest.(check bool) "directory entry in a corpus" true
+        (Result.is_error (Corpus.load ~dir)))
 
 (* The parser must reverse anything a standard JSON writer emits:
    code points above 0xFF decode to their UTF-8 bytes (a historical
@@ -146,7 +179,8 @@ let test_repro_unicode_escapes () =
   Alcotest.(check bool) "lone high surrogate rejected" true (rejected {|\ud83d|});
   Alcotest.(check bool) "lone low surrogate rejected" true (rejected {|\ude00|});
   Alcotest.(check bool) "high surrogate + non-low rejected" true (rejected {|\ud83dA|});
-  Alcotest.(check bool) "truncated hex rejected" true (rejected {|\u00|})
+  Alcotest.(check bool) "truncated hex rejected" true (rejected {|\u00|});
+  Alcotest.(check bool) "non-hex digit rejected" true (rejected {|\u0_41|})
 
 (* Property: serialization round-trips for adversarial detail strings
    — full byte range, embedded quotes, backslashes, newlines. *)
@@ -164,6 +198,32 @@ let prop_repro_roundtrip =
       match Repro.of_lines (Repro.to_lines r) with
       | Error _ -> false
       | Ok r' -> r' = r && Repro.to_lines r' = Repro.to_lines r)
+
+(* Repro files are outside input: random bytes, truncations and
+   single-byte flips of valid lines give an [Error] or a value, never an
+   exception. *)
+let of_lines_total lines =
+  match Repro.of_lines lines with
+  | _ -> true
+  | exception e -> QCheck.Test.fail_reportf "of_lines raised %s" (Printexc.to_string e)
+
+let prop_repro_fuzz =
+  QCheck.Test.make ~count:500 ~name:"repro of_lines never raises"
+    QCheck.(quad (make Gen.nat) (make Gen.nat) (make Gen.(int_range 1 255)) string)
+    (fun (line, pos, x, junk) ->
+      let lines = Repro.to_lines sample_repro in
+      let i = line mod List.length lines in
+      let damage f = List.mapi (fun j l -> if j = i then f l else l) lines in
+      let flip l =
+        let b = Bytes.of_string l in
+        let p = pos mod Bytes.length b in
+        Bytes.set_uint8 b p (Bytes.get_uint8 b p lxor x);
+        Bytes.to_string b
+      in
+      of_lines_total (damage flip)
+      && of_lines_total (damage (fun l -> String.sub l 0 (pos mod String.length l)))
+      && of_lines_total (damage (fun _ -> junk))
+      && of_lines_total [ junk ])
 
 (* ------------------------------------------------------------------ *)
 (* Invariants                                                          *)
@@ -594,6 +654,9 @@ let tests =
     Alcotest.test_case "repro rejects garbage" `Quick test_repro_rejects_garbage;
     Alcotest.test_case "repro unicode escapes" `Quick test_repro_unicode_escapes;
     QCheck_alcotest.to_alcotest prop_repro_roundtrip;
+    Alcotest.test_case "repro golden lines" `Quick test_repro_golden;
+    Alcotest.test_case "repro load I/O errors" `Quick test_repro_load_io_errors;
+    QCheck_alcotest.to_alcotest prop_repro_fuzz;
     Alcotest.test_case "invariants: clean report" `Quick test_invariant_clean;
     Alcotest.test_case "invariants: each violation" `Quick test_invariant_each;
     Alcotest.test_case "invariants: span bound" `Quick test_invariant_span_bound;

@@ -7,6 +7,7 @@ module Rng = Resilix_sim.Rng
 module Wire = Resilix_net.Wire
 module Tcp = Resilix_net.Tcp
 module Filegen = Resilix_net.Filegen
+module Timerset = Resilix_net.Timerset
 module Crc32 = Resilix_checksum.Crc32
 
 (* --- wire codec --- *)
@@ -464,6 +465,62 @@ let prop_lossy_transfer_delivers_exactly =
       let got, expected = transfer ~maxes engine a b ~total ~chunks in
       Tcp.rx_available (Option.get b.conn) = 0 && String.equal got expected)
 
+(* --- timer multiplexer --- *)
+
+type timer_op = Set of int * int | Cancel of int | Next | Take of int
+
+(* Random operation sequences over few keys and few deadlines, so ties
+   and re-armed keys are common, checked against an association list
+   of armed (key, deadline) pairs. *)
+let prop_timerset_model =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, map2 (fun k d -> Set (k, d)) (int_bound 7) (int_bound 20));
+          (2, map (fun k -> Cancel k) (int_bound 7));
+          (2, return Next);
+          (2, map (fun now -> Take now) (int_bound 25));
+        ])
+  in
+  let print = function
+    | Set (k, d) -> Printf.sprintf "set %d@%d" k d
+    | Cancel k -> Printf.sprintf "cancel %d" k
+    | Next -> "next"
+    | Take now -> Printf.sprintf "take %d" now
+  in
+  QCheck.Test.make ~count:500 ~name:"timerset matches an association-list model"
+    QCheck.(make ~print:(Print.list print) Gen.(list_size (int_bound 60) op))
+    (fun ops ->
+      let ts = Timerset.create () in
+      let model = ref [] in
+      List.for_all
+        (fun op ->
+          let agrees =
+            match op with
+            | Set (key, deadline) ->
+                Timerset.set ts ~key ~deadline;
+                model := (key, deadline) :: List.remove_assoc key !model;
+                true
+            | Cancel key ->
+                Timerset.cancel ts ~key;
+                model := List.remove_assoc key !model;
+                true
+            | Next ->
+                let expected =
+                  List.fold_left
+                    (fun acc (_, d) -> Some (match acc with None -> d | Some m -> min m d))
+                    None !model
+                in
+                Timerset.next_deadline ts = expected
+            | Take now ->
+                let due, rest = List.partition (fun (_, d) -> d <= now) !model in
+                model := rest;
+                Timerset.take_due ts ~now = List.sort Int.compare (List.map fst due)
+          in
+          agrees && Timerset.armed ts = List.length !model)
+        ops)
+
 let tests =
   [
     Alcotest.test_case "wire tcp roundtrip" `Quick test_tcp_roundtrip;
@@ -475,6 +532,7 @@ let tests =
     QCheck_alcotest.to_alcotest prop_decode_truncated;
     QCheck_alcotest.to_alcotest prop_decode_flipped;
     QCheck_alcotest.to_alcotest prop_filegen_matches_reference;
+    QCheck_alcotest.to_alcotest prop_timerset_model;
     Alcotest.test_case "tcp handshake" `Quick test_handshake;
     Alcotest.test_case "tcp bulk transfer (clean)" `Quick test_bulk_transfer_clean;
     Alcotest.test_case "tcp bulk transfer (5% loss)" `Quick test_bulk_transfer_lossy;

@@ -6,6 +6,7 @@ module Event = Resilix_obs.Event
 module Metrics = Resilix_obs.Metrics
 module Span = Resilix_obs.Span
 module Export = Resilix_obs.Export
+module Json = Resilix_obs.Json
 module Trace = Resilix_sim.Trace
 module Time = Resilix_sim.Time
 module Status = Resilix_proto.Status
@@ -369,12 +370,40 @@ let test_export_jsonl () =
   Alcotest.(check bool) "span total" true (has {|"total_us":50|});
   Alcotest.(check bool) "mttr line" true (has {|"type":"mttr"|});
   Alcotest.(check bool) "mttr component" true (has {|"component":"eth"|});
-  (* every line must be minimally well-formed JSON object syntax *)
   List.iter
     (fun l ->
       Alcotest.(check bool) "line is an object" true
-        (String.length l > 1 && l.[0] = '{' && l.[String.length l - 1] = '}'))
+        (match Json.of_string l with Ok (Json.Obj _) -> true | _ -> false))
     lines
+
+(* The exact lines, recorded before Export rendered through Json: a
+   label needing escapes, every metric kind, a tagged closed span (tags
+   sorted by key), an open span ("total_us":null) and its MTTR line. *)
+let test_export_golden () =
+  let m = Metrics.create () in
+  Metrics.add_named m "kernel.ipc.messages" 5;
+  Metrics.set_named m "rs.restarts_pending" 2;
+  List.iter (Metrics.observe_named m "mttr_us") [ 0; 100; 5_000 ];
+  let c = Span.create () in
+  let s = Span.open_span c ~component:"eth" ~defect:Status.D_heartbeat ~repetition:2 ~now:10 in
+  Span.mark s Span.Policy ~now:25;
+  Span.tag s "policy" "say \"hi\"\t";
+  Span.tag s "breaker" "closed";
+  Span.close s ~now:60;
+  ignore (Span.open_span c ~component:"blk" ~defect:Status.D_exit ~repetition:1 ~now:70);
+  let label = "t\n1" in
+  Alcotest.(check (list string))
+    "export lines"
+    [
+      {|{"type":"meta","label":"t\n1","at_us":99}|};
+      {|{"type":"counter","label":"t\n1","name":"kernel.ipc.messages","value":5}|};
+      {|{"type":"gauge","label":"t\n1","name":"rs.restarts_pending","value":2,"min":2,"max":2,"shards":1}|};
+      {|{"type":"histogram","label":"t\n1","name":"mttr_us","count":3,"sum":5100,"min":0,"max":5000,"buckets":[[0,1],[7,1],[13,1]]}|};
+      {|{"type":"span","label":"t\n1","id":0,"component":"eth","defect":"heartbeat missing","repetition":2,"opened_at_us":10,"total_us":50,"phases":{"detect":0,"policy":15},"tags":{"breaker":"closed","policy":"say \"hi\"\t"}}|};
+      {|{"type":"span","label":"t\n1","id":1,"component":"blk","defect":"exit/panic","repetition":1,"opened_at_us":70,"total_us":null,"phases":{"detect":0}}|};
+      {|{"type":"mttr","label":"t\n1","component":"eth","n":1,"mean_us":50,"min_us":50,"max_us":50,"p95_us":50,"phase_mean_us":{"detect":0,"policy":15}}|};
+    ]
+    (Export.metric_lines ~label (Metrics.snapshot ~at:99 m) @ Export.span_lines ~label c)
 
 (* ------------------------------------------------------------------ *)
 (* Quantile estimation                                                 *)
@@ -453,6 +482,72 @@ let test_json_escape () =
   Alcotest.(check string) "quotes and backslashes" {|a\"b\\c|} (Event.json_escape {|a"b\c|});
   Alcotest.(check string) "control chars" {|x\ny|} (Event.json_escape "x\ny")
 
+(* ------------------------------------------------------------------ *)
+(* Json                                                                *)
+(* ------------------------------------------------------------------ *)
+
+let test_json_parse () =
+  let ok s v = Alcotest.(check bool) s true (Json.of_string s = Ok v) in
+  let rejected s = Alcotest.(check bool) s true (Result.is_error (Json.of_string s)) in
+  ok " {\"a\" : [1, -2, null], \"b\":\"\\u00e9\\/\"}\r"
+    Json.(Obj [ ("a", List [ Int 1; Int (-2); Null ]); ("b", String "\xc3\xa9/") ]);
+  ok "{}" (Json.Obj []);
+  ok "[]" (Json.List []);
+  List.iter rejected
+    [
+      ""; "{} x"; "{\"a\":1,}"; "[1 2]"; "\"\\u0_41\""; "\"\\u00"; "\"abc"; "\"\\q\""; "1.5";
+      "true"; "-"; "4611686018427387904"; "nul"; "{\"a\"}";
+    ];
+  Alcotest.(check bool) "field lookup" true
+    (Json.field "k" (Json.Obj [ ("k", Json.String "x") ]) = Some (Json.String "x"));
+  Alcotest.(check bool) "field of a non-object" true (Json.field "k" (Json.List []) = None)
+
+let json_gen =
+  QCheck.Gen.(
+    let str = string_size ~gen:char (int_bound 12) in
+    let int = oneof [ int; oneofl [ min_int; max_int; 0; -1 ] ] in
+    sized_size (int_bound 3)
+    @@ fix (fun self n ->
+           let leaf =
+             oneof
+               [ return Json.Null; map (fun i -> Json.Int i) int; map (fun s -> Json.String s) str ]
+           in
+           if n = 0 then leaf
+           else
+             frequency
+               [
+                 (2, leaf);
+                 (1, map (fun l -> Json.List l) (list_size (int_bound 4) (self (n - 1))));
+                 (1, map (fun l -> Json.Obj l) (list_size (int_bound 4) (pair str (self (n - 1)))));
+               ]))
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~count:500 ~name:"json of_string (to_string v) = Ok v"
+    (QCheck.make json_gen ~print:Json.to_string)
+    (fun v -> Json.of_string (Json.to_string v) = Ok v)
+
+let parse_total s =
+  match Json.of_string s with
+  | _ -> true
+  | exception e -> QCheck.Test.fail_reportf "of_string raised %s" (Printexc.to_string e)
+
+let prop_json_random_bytes =
+  QCheck.Test.make ~count:500 ~name:"json of_string never raises on random bytes"
+    QCheck.(string_of_size (Gen.int_bound 64))
+    parse_total
+
+(* Truncations and single-byte flips of valid renderings. *)
+let prop_json_mutated =
+  QCheck.Test.make ~count:500 ~name:"json of_string never raises on damaged values"
+    QCheck.(
+      triple (make json_gen ~print:Json.to_string) (make Gen.nat) (make Gen.(int_range 1 255)))
+    (fun (v, pos, x) ->
+      let s = Json.to_string v in
+      let pos = pos mod String.length s in
+      let b = Bytes.of_string s in
+      Bytes.set_uint8 b pos (Bytes.get_uint8 b pos lxor x);
+      parse_total (String.sub s 0 pos) && parse_total (Bytes.to_string b))
+
 let tests =
   [
     Alcotest.test_case "counters and gauges" `Quick test_counters_and_gauges;
@@ -480,5 +575,10 @@ let tests =
     Alcotest.test_case "quantile uniform within bucket width" `Quick test_quantile_uniform;
     Alcotest.test_case "quantile merge consistency" `Quick test_quantile_merge_consistent;
     Alcotest.test_case "JSONL export" `Quick test_export_jsonl;
+    Alcotest.test_case "JSONL export golden" `Quick test_export_golden;
     Alcotest.test_case "json escaping" `Quick test_json_escape;
+    Alcotest.test_case "json parse and reject" `Quick test_json_parse;
+    QCheck_alcotest.to_alcotest prop_json_roundtrip;
+    QCheck_alcotest.to_alcotest prop_json_random_bytes;
+    QCheck_alcotest.to_alcotest prop_json_mutated;
   ]
