@@ -15,7 +15,7 @@ module Privilege = Resilix_proto.Privilege
 module Spec = Resilix_proto.Spec
 module Status = Resilix_proto.Status
 module Driver_lib = Resilix_drivers.Driver_lib
-module Reincarnation = Resilix_core.Reincarnation
+module Span = Resilix_obs.Span
 module Service = Resilix_core.Service
 
 (* A trivial versioned "driver": answers the "version" ioctl. *)
@@ -72,13 +72,13 @@ let () =
   ignore (System.run_until t ~timeout:60_000_000 (fun () -> !done_flag));
   List.iter print_endline (List.rev !log);
   List.iter
-    (fun e ->
+    (fun s ->
       Printf.printf "RS recorded: defect class %d (%s)%s\n"
-        (Status.defect_number e.Reincarnation.defect)
-        (Status.defect_name e.Reincarnation.defect)
-        (match e.Reincarnation.recovered_at with
-        | Some r ->
+        (Status.defect_number s.Span.defect)
+        (Status.defect_name s.Span.defect)
+        (match Span.total_us s with
+        | Some us ->
             Printf.sprintf ", downtime %.1f ms — no exponential backoff for updates"
-              (float_of_int (r - e.Reincarnation.detected_at) /. 1e3)
+              (float_of_int us /. 1e3)
         | None -> ""))
-    (Reincarnation.events t.System.rs)
+    (Span.spans t.System.spans)

@@ -6,6 +6,7 @@
 module System = Resilix_system.System
 module Engine = Resilix_sim.Engine
 module Reincarnation = Resilix_core.Reincarnation
+module Span = Resilix_obs.Span
 module Status = Resilix_proto.Status
 
 let () =
@@ -29,14 +30,14 @@ let () =
   (* 4. Run for three simulated seconds and report what RS observed. *)
   System.run t ~until:3_000_000;
   List.iter
-    (fun e ->
+    (fun s ->
       Printf.printf "[%.3fs] defect in %s: %s (failure #%d)%s\n"
-        (float_of_int e.Reincarnation.detected_at /. 1e6)
-        e.Reincarnation.component
-        (Status.defect_name e.Reincarnation.defect)
-        e.Reincarnation.repetition
-        (match e.Reincarnation.recovered_at with
-        | Some r -> Printf.sprintf " -> recovered %.1f ms later" (float_of_int (r - e.Reincarnation.detected_at) /. 1e3)
+        (float_of_int s.Span.opened_at /. 1e6)
+        s.Span.component
+        (Status.defect_name s.Span.defect)
+        s.Span.repetition
+        (match Span.total_us s with
+        | Some us -> Printf.sprintf " -> recovered %.1f ms later" (float_of_int us /. 1e3)
         | None -> " -> NOT recovered"))
-    (Reincarnation.events t.System.rs);
+    (Span.spans t.System.spans);
   Printf.printf "driver up again: %b\n" (Reincarnation.service_up t.System.rs "blk.sata")

@@ -3,32 +3,33 @@ type t = int
 (* Slicing-by-8 (Intel's formulation): [tables] holds eight 256-entry
    tables back to back.  Table 0 is the classic bytewise table; entry
    [n] of table [k] is the CRC of byte [n] followed by [k] zero bytes,
-   so one step folds eight input bytes with eight lookups.  Built on
-   first use: a program that never computes a CRC never allocates them. *)
+   so one step folds eight input bytes with eight lookups.  Built when
+   the module initialises: a [lazy] would be forced concurrently by
+   campaign domains, and OCaml 5 raises [CamlinternalLazy.Undefined]
+   in all but one of them. *)
 let tables =
-  lazy
-    (let t = Array.make (8 * 256) 0 in
-     for n = 0 to 255 do
-       let c = ref n in
-       for _ = 0 to 7 do
-         if !c land 1 <> 0 then c := 0xEDB88320 lxor (!c lsr 1) else c := !c lsr 1
-       done;
-       t.(n) <- !c
-     done;
-     for k = 1 to 7 do
-       for n = 0 to 255 do
-         let prev = t.(((k - 1) * 256) + n) in
-         t.((k * 256) + n) <- (prev lsr 8) lxor t.(prev land 0xFF)
-       done
-     done;
-     t)
+  let t = Array.make (8 * 256) 0 in
+  for n = 0 to 255 do
+    let c = ref n in
+    for _ = 0 to 7 do
+      if !c land 1 <> 0 then c := 0xEDB88320 lxor (!c lsr 1) else c := !c lsr 1
+    done;
+    t.(n) <- !c
+  done;
+  for k = 1 to 7 do
+    for n = 0 to 255 do
+      let prev = t.(((k - 1) * 256) + n) in
+      t.((k * 256) + n) <- (prev lsr 8) lxor t.(prev land 0xFF)
+    done
+  done;
+  t
 
 let[@inline] get tab k i = Array.unsafe_get tab ((k lsl 8) + i)
 let start = 0xFFFFFFFF
 
 let update crc b ~off ~len =
   if off < 0 || len < 0 || off + len > Bytes.length b then invalid_arg "Crc32.update";
-  let tab = Lazy.force tables in
+  let tab = tables in
   let c = ref (crc land 0xFFFFFFFF) in
   let i = ref off in
   let stop8 = off + len - 8 in

@@ -12,17 +12,6 @@ module Event = Resilix_obs.Event
 module Metrics = Resilix_obs.Metrics
 module Span = Resilix_obs.Span
 
-(*@recovery-begin*)
-type recovery_event = {
-  component : string;
-  defect : Status.defect;
-  repetition : int;
-  detected_at : int;
-  mutable recovered_at : int option;
-  mutable degraded : bool; (* the breaker absorbed this failure instead of restarting *)
-}
-
-(*@recovery-end*)
 type service_status = Up | Restarting | Down | Degraded
 
 (*@recovery-begin*)
@@ -34,6 +23,16 @@ let failure_count_decay = 60_000_000
    in the policy script: scripts are a fresh child process per failure
    and cannot carry state across invocations. *)
 type breaker_state = B_closed | B_open | B_half_open
+
+(* A liveness probe: the heartbeat and the breaker's health probe.  A
+   request left unanswered when the next one is due is a miss. *)
+type probe = { mutable outstanding : bool; mutable misses : int }
+
+let fresh_probe () = { outstanding = false; misses = 0 }
+
+let reset_probe p =
+  p.outstanding <- false;
+  p.misses <- 0
 
 let breaker_state_name = function
   | B_closed -> "closed"
@@ -52,9 +51,8 @@ type breaker = {
   mutable bk_opened_at : int; (* time of the most recent trip *)
   mutable bk_degraded_since : int; (* first trip of the current degraded episode *)
   mutable bk_probe_started_at : int; (* when the probe incarnation came up *)
-  (* proactive health-probe machinery (between heartbeats) *)
-  mutable bk_hp_outstanding : bool;
-  mutable bk_hp_misses : int;
+  (* proactive health probe (between heartbeats) *)
+  bk_hp : probe;
   mutable bk_hp_cycle : int; (* heartbeat cycle already probed (hb_last_request) *)
   (* state-gauge handle, resolved on first transition (the gauge name
      embeds the service name) and bumped directly thereafter *)
@@ -71,8 +69,7 @@ let fresh_breaker config =
     bk_opened_at = 0;
     bk_degraded_since = 0;
     bk_probe_started_at = 0;
-    bk_hp_outstanding = false;
-    bk_hp_misses = 0;
+    bk_hp = fresh_probe ();
     bk_hp_cycle = 0;
     bk_gauge = None;
   }
@@ -87,8 +84,7 @@ type service = {
   mutable last_failure_at : int;
 (*@recovery-begin*)
   (* heartbeat machinery *)
-  mutable hb_outstanding : bool;
-  mutable hb_misses : int;
+  hb : probe;
   mutable hb_last_request : int;
   (* defect-class override for kills RS initiated itself *)
   mutable pending_defect : Status.defect option;
@@ -100,14 +96,6 @@ type service = {
   breaker : breaker option;
 }
 
-(* Instrument handles for RS's periodic paths, resolved once at [body]
-   startup (same pattern as the kernel's own counter record). *)
-type rs_ctrs = {
-  c_hp_misses : Metrics.counter;
-  c_hp_sent : Metrics.counter;
-  h_degraded_us : Metrics.histogram;
-}
-
 type t = {
   register_program : string -> (unit -> unit) -> unit;
   policies : (string, Policy.t) Hashtbl.t;
@@ -115,16 +103,16 @@ type t = {
   heartbeat_tick : int;
   term_grace : int;
   services : (string, service) Hashtbl.t;
-  mutable event_log : recovery_event list; (* newest first *)
   mutable script_counter : int;
   mutable reboots : int;
   spans : Span.t;
-  (* hot-path instrument handles, resolved once at [body] startup *)
-  mutable ctrs : rs_ctrs option;
+  c_hp_misses : Metrics.counter;
+  c_hp_sent : Metrics.counter;
+  h_degraded_us : Metrics.histogram;
 }
 
 let create ~register_program ?(policies = []) ?(complainers = []) ?(heartbeat_tick = 100_000)
-    ?(term_grace = 2_000_000) ?spans () =
+    ?(term_grace = 2_000_000) ~spans ~metrics () =
   let table = Hashtbl.create 8 in
   List.iter (fun (name, p) -> Hashtbl.replace table name p) policies;
   {
@@ -134,14 +122,14 @@ let create ~register_program ?(policies = []) ?(complainers = []) ?(heartbeat_ti
     heartbeat_tick;
     term_grace;
     services = Hashtbl.create 16;
-    event_log = [];
     script_counter = 0;
     reboots = 0;
-    spans = (match spans with Some s -> s | None -> Span.create ());
-    ctrs = None;
+    spans;
+    c_hp_misses = Metrics.counter metrics "rs.health_probe.misses";
+    c_hp_sent = Metrics.counter metrics "rs.health_probe.sent";
+    h_degraded_us = Metrics.histogram metrics "rs.degraded_us";
   }
 
-let events t = List.rev t.event_log
 let reboots t = t.reboots
 let spans t = t.spans
 
@@ -201,9 +189,16 @@ let breaker_stats t =
              :: acc)
        t.services [])
 
+(* A restart is a closed span that got as far as a respawn; a failure
+   the breaker absorbed closes at the trip without one. *)
+let restarted (s : Span.span) =
+  s.Span.closed_at <> None && List.mem_assoc Span.Respawn s.Span.marks
+
 let restarts_of t name =
   List.length
-    (List.filter (fun e -> String.equal e.component name && e.recovered_at <> None) t.event_log)
+    (List.filter
+       (fun s -> String.equal s.Span.component name && restarted s)
+       (Span.spans t.spans))
 
 let log fmt = Api.trace "rs" fmt
 
@@ -255,15 +250,10 @@ let start_process t service ~program =
       service.endpoint <- Some ep;
       service.pid <- pid;
       service.status <- Up;
-      service.hb_outstanding <- false;
-      service.hb_misses <- 0;
+      reset_probe service.hb;
       service.hb_last_request <- Api.now ();
       service.term_deadline <- None;
-      (match service.breaker with
-      | Some b ->
-          b.bk_hp_outstanding <- false;
-          b.bk_hp_misses <- 0
-      | None -> ());
+      Option.iter (fun b -> reset_probe b.bk_hp) service.breaker;
       Span.mark_component t.spans spec.Spec.name Span.Respawn ~now:(Api.now ());
       (* Publication is what triggers dependent recovery. *)
       ds_publish spec.Spec.name (Message.V_endpoint ep);
@@ -272,23 +262,21 @@ let start_process t service ~program =
       Ok (ep, pid)
 
 (*@recovery-begin*)
-let complete_recovery t service =
-  (match List.find_opt (fun e -> String.equal e.component service.spec.Spec.name) t.event_log with
-  | Some event when event.recovered_at = None -> event.recovered_at <- Some (Api.now ())
-  | Some _ | None -> ());
-  Span.close_component t.spans service.spec.Spec.name ~now:(Api.now ())
+(* The binary for the next incarnation: a pending dynamic update's, or
+   the spec's own. *)
+let take_program service =
+  let program = Option.value service.pending_program ~default:service.spec.Spec.program in
+  service.pending_program <- None;
+  program
 
 let restart_now t service =
-  let program =
-    match service.pending_program with Some p -> p | None -> service.spec.Spec.program
-  in
-  service.pending_program <- None;
+  let program = take_program service in
   (* The policy phase ends the moment the restart is actually ordered
      (directly or via the policy script's Rs_service_restart). *)
   Span.mark_component t.spans service.spec.Spec.name Span.Policy ~now:(Api.now ());
   match start_process t service ~program with
   | Ok _ ->
-      complete_recovery t service;
+      Span.close_component t.spans service.spec.Spec.name ~now:(Api.now ());
       Ok ()
   | Error e -> Error e
 
@@ -339,9 +327,6 @@ let breaker_trip t service b =
   b.bk_window <- [];
   service.status <- Degraded;
   service.endpoint <- None;
-  (match t.event_log with
-  | event :: _ when String.equal event.component name -> event.degraded <- true
-  | _ -> ());
   set_breaker_state t service b B_open;
   log "breaker for %s tripped (%d failures within %dus); degrading" name
     b.bk_config.Policy.trip_threshold b.bk_config.Policy.window_us;
@@ -385,10 +370,7 @@ let breaker_probe t service b =
   b.bk_probes <- b.bk_probes + 1;
   set_breaker_state t service b B_half_open;
   log "breaker for %s half-open: probing with a fresh incarnation" name;
-  let program =
-    match service.pending_program with Some p -> p | None -> service.spec.Spec.program
-  in
-  service.pending_program <- None;
+  let program = take_program service in
   service.status <- Restarting;
   match start_process t service ~program with
   | Ok _ -> b.bk_probe_started_at <- Api.now ()
@@ -408,16 +390,21 @@ let breaker_close t service b =
   let now = Api.now () in
   set_breaker_state t service b B_closed;
   b.bk_window <- [];
-  (match t.ctrs with
-  | Some c -> Metrics.observe c.h_degraded_us (now - b.bk_degraded_since)
-  | None -> Api.metric_observe "rs.degraded_us" (now - b.bk_degraded_since));
+  Metrics.observe t.h_degraded_us (now - b.bk_degraded_since);
   ds_publish (degraded_key name) (Message.V_int 0);
   ds_delete (degraded_key name);
-  log "breaker for %s closed after %dus degraded" name (now - b.bk_degraded_since);
-  (* The degraded episode counts as one (slow) completed recovery. *)
-  match List.find_opt (fun e -> String.equal e.component name) t.event_log with
-  | Some event when event.recovered_at = None -> event.recovered_at <- Some now
-  | Some _ | None -> ()
+  log "breaker for %s closed after %dus degraded" name (now - b.bk_degraded_since)
+
+(* Lift a parked service's degradation outright (stop, reboot), without
+   a probe: publish 0 first so subscribers see the clearing. *)
+let clear_degraded t service b =
+  if b.bk_state <> B_closed then begin
+    let name = service.spec.Spec.name in
+    ds_publish (degraded_key name) (Message.V_int 0);
+    ds_delete (degraded_key name);
+    set_breaker_state t service b B_closed
+  end;
+  b.bk_window <- []
 
 (* Launch the policy script in its own child process, mirroring the
    shell scripts of Sec. 5.2. *)
@@ -468,18 +455,7 @@ let initiate_recovery t service ~defect =
   service.last_failure_at <- Api.now ();
   service.status <- Restarting;
   service.endpoint <- None;
-  service.hb_outstanding <- false;
-  service.hb_misses <- 0;
-  t.event_log <-
-    {
-      component = spec.Spec.name;
-      defect;
-      repetition = service.failures;
-      detected_at = Api.now ();
-      recovered_at = None;
-      degraded = false;
-    }
-    :: t.event_log;
+  reset_probe service.hb;
   let span =
     Span.open_span t.spans ~component:spec.Spec.name ~defect ~repetition:service.failures
       ~now:(Api.now ())
@@ -547,6 +523,18 @@ let handle_sigchld t =
   in
   drain ()
 
+(* A probe went unanswered for a whole period; enough misses in a row
+   mean the component is stuck (defect class 4). *)
+let probe_missed service p ~what =
+  let name = service.spec.Spec.name in
+  p.misses <- p.misses + 1;
+  Api.emit ~level:Event.Warn "rs" (Event.Heartbeat_miss { component = name; misses = p.misses });
+  if p.misses >= service.spec.Spec.max_heartbeat_misses then begin
+    log "%s missed %d %s; killing for recovery" name p.misses what;
+    service.pending_defect <- Some Status.D_heartbeat;
+    ignore (pm_kill ~pid:service.pid ~signal:Signal.Sig_kill)
+  end
+
 (* Heartbeat + SIGTERM-grace bookkeeping, run every tick. *)
 let handle_tick t =
   let now = Api.now () in
@@ -568,21 +556,10 @@ let handle_tick t =
       (* Heartbeats (defect class 4). *)
       let period = service.spec.Spec.heartbeat_period in
       if service.status = Up && period > 0 && now - service.hb_last_request >= period then begin
-        if service.hb_outstanding then begin
-          service.hb_misses <- service.hb_misses + 1;
-          Api.emit ~level:Event.Warn "rs"
-            (Event.Heartbeat_miss
-               { component = service.spec.Spec.name; misses = service.hb_misses });
-          if service.hb_misses >= service.spec.Spec.max_heartbeat_misses then begin
-            log "%s missed %d heartbeats; killing for recovery" service.spec.Spec.name
-              service.hb_misses;
-            service.pending_defect <- Some Status.D_heartbeat;
-            ignore (pm_kill ~pid:service.pid ~signal:Signal.Sig_kill)
-          end
-        end;
+        if service.hb.outstanding then probe_missed service service.hb ~what:"heartbeats";
         match service.endpoint with
         | Some ep when service.status = Up ->
-            service.hb_outstanding <- true;
+            service.hb.outstanding <- true;
             service.hb_last_request <- now;
             (match Api.notify ep Message.N_heartbeat_request with
             | Ok () -> ()
@@ -615,51 +592,28 @@ let handle_tick t =
                 && service.hb_last_request > b.bk_hp_cycle
                 && now - service.hb_last_request >= period / 2
               then begin
-                if b.bk_hp_outstanding then begin
-                  b.bk_hp_misses <- b.bk_hp_misses + 1;
-                  (match t.ctrs with
-                  | Some c -> Metrics.incr c.c_hp_misses
-                  | None -> Api.metric_incr "rs.health_probe.misses");
-                  Api.emit ~level:Event.Warn "rs"
-                    (Event.Heartbeat_miss
-                       { component = service.spec.Spec.name; misses = b.bk_hp_misses });
-                  if b.bk_hp_misses >= service.spec.Spec.max_heartbeat_misses then begin
-                    log "%s missed %d health probes; killing for recovery"
-                      service.spec.Spec.name b.bk_hp_misses;
-                    service.pending_defect <- Some Status.D_heartbeat;
-                    ignore (pm_kill ~pid:service.pid ~signal:Signal.Sig_kill)
-                  end
+                if b.bk_hp.outstanding then begin
+                  Metrics.incr t.c_hp_misses;
+                  probe_missed service b.bk_hp ~what:"health probes"
                 end;
                 match service.endpoint with
                 | Some ep when service.status = Up ->
-                    b.bk_hp_outstanding <- true;
+                    b.bk_hp.outstanding <- true;
                     b.bk_hp_cycle <- service.hb_last_request;
-                    (match t.ctrs with
-                    | Some c -> Metrics.incr c.c_hp_sent
-                    | None -> Api.metric_incr "rs.health_probe.sent");
+                    Metrics.incr t.c_hp_sent;
                     ignore (Api.notify ep Message.N_health_probe)
                 | Some _ | None -> ()
               end))
     t.services;
   ignore (Api.alarm t.heartbeat_tick)
 
-let handle_heartbeat_reply t src =
+(* A heartbeat or health-probe reply from [src]: [probe_of] picks which
+   of the sender's probes it answers. *)
+let handle_probe_reply t src probe_of =
   Hashtbl.iter
     (fun _name service ->
-      match service.endpoint with
-      | Some ep when Endpoint.equal ep src ->
-          service.hb_outstanding <- false;
-          service.hb_misses <- 0
-      | Some _ | None -> ())
-    t.services
-
-let handle_health_reply t src =
-  Hashtbl.iter
-    (fun _name service ->
-      match (service.endpoint, service.breaker) with
-      | Some ep, Some b when Endpoint.equal ep src ->
-          b.bk_hp_outstanding <- false;
-          b.bk_hp_misses <- 0
+      match (service.endpoint, probe_of service) with
+      | Some ep, Some p when Endpoint.equal ep src -> reset_probe p
       | _ -> ())
     t.services
 
@@ -687,8 +641,7 @@ let handle_up t ~src spec =
           status = Down;
           failures = 0;
           last_failure_at = 0;
-          hb_outstanding = false;
-          hb_misses = 0;
+          hb = fresh_probe ();
           hb_last_request = 0;
           pending_defect = None;
           pending_program = None;
@@ -708,32 +661,28 @@ let handle_down t ~src name =
       service.status <- Down;
       if service.pid >= 0 then ignore (pm_kill ~pid:service.pid ~signal:Signal.Sig_kill);
       ds_delete name;
-      (* A deliberately stopped service is no longer degraded — clear
-         the record (publishing 0 first so subscribers see it). *)
-      (match service.breaker with
-      | Some b when b.bk_state <> B_closed ->
-          ds_publish (degraded_key name) (Message.V_int 0);
-          ds_delete (degraded_key name);
-          set_breaker_state t service b B_closed;
-          b.bk_window <- []
-      | Some _ | None -> ());
+      (* A deliberately stopped service is no longer degraded. *)
+      Option.iter (clear_degraded t service) service.breaker;
       rs_reply src (Ok ())
 
 (*@recovery-begin*)
+(* Kill a live service so SIGCHLD drives its recovery as [defect]. *)
+let kill_for_recovery ~src service defect =
+  service.pending_defect <- Some defect;
+  match pm_kill ~pid:service.pid ~signal:Signal.Sig_kill with
+  | Ok () ->
+      (* The old instance is gone the moment the kill lands; stop
+         advertising its endpoint so lookups wait for the fresh one. *)
+      service.status <- Restarting;
+      service.endpoint <- None;
+      rs_reply src (Ok ())
+  | Error e -> rs_reply src (Error e)
+
 let handle_restart t ~src name =
   match Hashtbl.find_opt t.services name with
   | None -> rs_reply src (Error Errno.E_noent)
   | Some service when service.status = Up ->
-      service.pending_defect <- Some Status.D_killed_by_user;
-      (match pm_kill ~pid:service.pid ~signal:Signal.Sig_kill with
-      | Ok () ->
-          (* The old instance is gone the moment the kill lands; stop
-             advertising its endpoint so lookups wait for the fresh
-             one. *)
-          service.status <- Restarting;
-          service.endpoint <- None;
-          rs_reply src (Ok ())
-      | Error e -> rs_reply src (Error e))
+      kill_for_recovery ~src service Status.D_killed_by_user
   | Some _ -> rs_reply src (Error Errno.E_busy)
 
 (* Dynamic update (defect class 6): ask the component to exit cleanly,
@@ -759,13 +708,7 @@ let handle_complain t ~src name reason =
     | None -> rs_reply src (Error Errno.E_noent)
     | Some service when service.status = Up ->
         log "complaint about %s: %s" name reason;
-        service.pending_defect <- Some Status.D_complaint;
-        (match pm_kill ~pid:service.pid ~signal:Signal.Sig_kill with
-        | Ok () ->
-            service.status <- Restarting;
-            service.endpoint <- None;
-            rs_reply src (Ok ())
-        | Error e -> rs_reply src (Error e))
+        kill_for_recovery ~src service Status.D_complaint
     | Some _ ->
         (* Already being recovered; the complaint is moot. *)
         rs_reply src (Ok ())
@@ -795,22 +738,16 @@ let handle_reboot t ~src =
     t.services;
   (* Phase 2: boot every service afresh with a clean slate. *)
   Hashtbl.iter
-    (fun name service ->
+    (fun _name service ->
       service.failures <- 0;
       service.pending_defect <- None;
       service.pending_program <- None;
       service.term_deadline <- None;
-      (match service.breaker with
-      | Some b ->
-          if b.bk_state <> B_closed then begin
-            ds_publish (degraded_key name) (Message.V_int 0);
-            ds_delete (degraded_key name)
-          end;
-          set_breaker_state t service b B_closed;
-          b.bk_window <- [];
-          b.bk_hp_outstanding <- false;
-          b.bk_hp_misses <- 0
-      | None -> ());
+      Option.iter
+        (fun b ->
+          clear_degraded t service b;
+          reset_probe b.bk_hp)
+        service.breaker;
       ignore (start_process t service ~program:service.spec.Spec.program))
     t.services;
   rs_reply src (Ok ())
@@ -831,21 +768,16 @@ let handle_lookup t ~src name =
 (* ------------------------------------------------------------------ *)
 
 let body t () =
-  t.ctrs <-
-    Some
-      {
-        c_hp_misses = Api.metric_counter "rs.health_probe.misses";
-        c_hp_sent = Api.metric_counter "rs.health_probe.sent";
-        h_degraded_us = Api.metric_histogram "rs.degraded_us";
-      };
   ignore (Api.alarm t.heartbeat_tick);
   let rec loop () =
     (match Api.receive Sysif.Any with
     | Error _ -> ()
     | Ok (Sysif.Rx_notify { kind = Message.N_sig Signal.Sig_chld; _ }) -> handle_sigchld t
     | Ok (Sysif.Rx_notify { kind = Message.N_alarm; _ }) -> handle_tick t
-    | Ok (Sysif.Rx_notify { src; kind = Message.N_heartbeat_reply }) -> handle_heartbeat_reply t src
-    | Ok (Sysif.Rx_notify { src; kind = Message.N_health_reply }) -> handle_health_reply t src
+    | Ok (Sysif.Rx_notify { src; kind = Message.N_heartbeat_reply }) ->
+        handle_probe_reply t src (fun s -> Some s.hb)
+    | Ok (Sysif.Rx_notify { src; kind = Message.N_health_reply }) ->
+        handle_probe_reply t src (fun s -> Option.map (fun b -> b.bk_hp) s.breaker)
     | Ok (Sysif.Rx_notify _) -> ()
     | Ok (Sysif.Rx_msg { src; body }) -> begin
         match body with

@@ -31,21 +31,7 @@
       RS also sends proactive [N_health_probe] notifications at the
       midpoint of each heartbeat cycle. *)
 
-module Status := Resilix_proto.Status
 module Endpoint := Resilix_proto.Endpoint
-
-(** One recovery, as recorded for the experiment harness. *)
-type recovery_event = {
-  component : string;
-  defect : Status.defect;
-  repetition : int;  (** failure count at detection time *)
-  detected_at : int;  (** virtual time of defect detection *)
-  mutable recovered_at : int option;  (** virtual time service was back up (None = not recovered) *)
-  mutable degraded : bool;
-      (** the breaker absorbed this failure (tripped or re-opened)
-          instead of restarting; [recovered_at] is then set only if a
-          later probe closed the breaker again *)
-}
 
 (** Circuit-breaker states (policy v2). *)
 type breaker_state = B_closed | B_open | B_half_open
@@ -77,7 +63,8 @@ val create :
   ?complainers:Endpoint.t list ->
   ?heartbeat_tick:int ->
   ?term_grace:int ->
-  ?spans:Resilix_obs.Span.t ->
+  spans:Resilix_obs.Span.t ->
+  metrics:Resilix_obs.Metrics.t ->
   unit ->
   t
 (** [register_program] installs policy-script bodies in the system's
@@ -87,20 +74,19 @@ val create :
     (typically VFS, MFS, INET).  [heartbeat_tick] is RS's internal
     polling period (default 100 ms); [term_grace] how long a SIGTERMed
     component gets before SIGKILL (default 2 s).  [spans] is the span
-    collector recoveries are recorded into (fresh by default; pass a
-    shared one so dependents can mark their re-open phase). *)
+    collector recoveries are recorded into (shared, so dependents can
+    mark their re-open phase); RS's counters and histograms live in
+    [metrics]. *)
 
 val body : t -> unit -> unit
 (** The process body; boot runs this at the well-known RS slot. *)
 
-val events : t -> recovery_event list
-(** All recoveries so far, oldest first. *)
-
 val spans : t -> Resilix_obs.Span.t
-(** The recovery span collector: one span per recovery, opened at
-    defect detection, phase-marked through policy / respawn /
-    republish, closed when the service is back up.  The MTTR data the
-    experiments consume. *)
+(** The recovery span collector, RS's only record of its recoveries:
+    one span per detected failure, opened at detection, phase-marked
+    through policy / respawn / republish, and closed when the service
+    is back up.  A failure the circuit breaker absorbs closes at the
+    trip with no [Respawn] mark.  Only RS opens spans. *)
 
 val service_up : t -> string -> bool
 (** Whether the named service is currently believed up. *)
@@ -118,8 +104,12 @@ val degraded_components : t -> string list
 val breaker_stats : t -> breaker_stat list
 (** One snapshot per breaker-guarded service, sorted by name. *)
 
+val restarted : Resilix_obs.Span.span -> bool
+(** The span ended in a restart: it is closed and carries a
+    [Respawn] mark (a breaker-absorbed span has none). *)
+
 val restarts_of : t -> string -> int
-(** Number of completed recoveries of the named service. *)
+(** Number of the named service's spans that ended in a restart. *)
 
 val reboots : t -> int
 (** Times a policy script resorted to a full system reboot. *)

@@ -142,7 +142,7 @@ let probe_slack_us = 1_000_000
 
 let breaker_rows t =
   let now = Engine.now t.System.engine in
-  let events = Reincarnation.events t.System.rs in
+  let spans = Span.spans t.System.spans in
   List.map
     (fun (b : Reincarnation.breaker_stat) ->
       {
@@ -154,9 +154,8 @@ let breaker_rows t =
         b_failures =
           List.length
             (List.filter
-               (fun (e : Reincarnation.recovery_event) ->
-                 String.equal e.Reincarnation.component b.Reincarnation.bs_component)
-               events);
+               (fun s -> String.equal s.Span.component b.Reincarnation.bs_component)
+               spans);
         b_overdue =
           (match b.Reincarnation.bs_state with
           | Reincarnation.B_open ->

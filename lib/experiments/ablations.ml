@@ -15,6 +15,8 @@ module Hwmap = Resilix_system.Hwmap
 module Status = Resilix_proto.Status
 module Fault = Resilix_vm.Fault
 module Dp8390 = Resilix_drivers.Netdriver_dp8390
+module Span = Resilix_obs.Span
+module Event = Resilix_obs.Event
 
 (* ------------------------------------------------------------------ *)
 (* Heartbeat period vs. detection latency                              *)
@@ -44,11 +46,10 @@ let heartbeat_trial ~seed ~period =
       System.start_services t [ spec ];
       started_at := Engine.now t.System.engine;
       ignore
-        (System.run_until t ~timeout:120_000_000 (fun () ->
-             Reincarnation.events t.System.rs <> []));
+        (System.run_until t ~timeout:120_000_000 (fun () -> Span.spans t.System.spans <> []));
       let detection =
-        match Reincarnation.events t.System.rs with
-        | e :: _ -> e.Reincarnation.detected_at - !started_at
+        match Span.spans t.System.spans with
+        | s :: _ -> s.Span.opened_at - !started_at
         | [] -> -1
       in
       { period_us = period; detection_us = detection })
@@ -103,11 +104,9 @@ let policy_trial ~window_us ~seed (label, policy_key, policies) =
       in
       System.start_services t [ spec ];
       System.run t ~until:(Engine.now t.System.engine + window_us);
-      let events = Reincarnation.events t.System.rs in
       {
         policy = label;
-        restarts =
-          List.length (List.filter (fun e -> e.Reincarnation.recovered_at <> None) events);
+        restarts = Reincarnation.restarts_of t.System.rs "svc.storm";
         state =
           (match Reincarnation.service_state t.System.rs "svc.storm" with
           | `Up -> "up (between crashes)"
@@ -198,20 +197,22 @@ let availability_trial ~faults ~inject_period ~seed (label, policy_key, extra_po
       let injected = ref 0 in
       let finished = ref false in
       (* The Sec. 7.2 watchdog: silent-but-disabling faults are cleared
-         by a user-requested restart (defect class 3). *)
+         by a user-requested restart (defect class 3).  The stall clock
+         runs only while the driver is up: backoff and parked time are
+         the policy's, and a fresh incarnation gets a full timeout. *)
       let last_rx = ref 0 and last_progress_at = ref 0 in
       let rec tick () =
         if !injected >= faults then finished := true
         else begin
           let now = Engine.now t.System.engine in
-          if !received > !last_rx then begin
+          if
+            !received > !last_rx
+            || Reincarnation.service_state t.System.rs "eth.dp8390" <> `Up
+          then begin
             last_rx := !received;
             last_progress_at := now
           end
-          else if
-            now - !last_progress_at > 1_500_000
-            && Reincarnation.service_state t.System.rs "eth.dp8390" = `Up
-          then begin
+          else if now - !last_progress_at > 1_500_000 then begin
             last_progress_at := now;
             match Kernel.find_by_name t.System.kernel "eth.dp8390" with
             | Some _ -> ignore (System.kill_service_once t ~target:"eth.dp8390")
@@ -232,15 +233,34 @@ let availability_trial ~faults ~inject_period ~seed (label, policy_key, extra_po
       System.run t ~until:(Engine.now t.System.engine + 5_000_000);
       let end_time = Engine.now t.System.engine in
       let horizon = end_time - started_at in
-      let events = Reincarnation.events t.System.rs in
-      (* Downtime is the measure of the union of [detection, recovery)
-         intervals: overlapping events (several defects detected while
-         the component is already down, e.g. watchdog kills during a
-         long backoff) must not be double-charged. *)
-      let interval_of (e : Reincarnation.recovery_event) =
-        let until = match e.Reincarnation.recovered_at with Some r -> r | None -> end_time in
-        (e.Reincarnation.detected_at, max e.Reincarnation.detected_at until)
+      let spans = Span.spans t.System.spans in
+      (* Breaker-close transitions, from the trace's typed records. *)
+      let closes =
+        List.filter_map
+          (fun (e : Trace.event) ->
+            match e.Trace.payload with
+            | Event.Breaker { component; to_state = "closed"; _ } -> Some (component, e.Trace.time)
+            | _ -> None)
+          (Trace.events t.System.trace)
       in
+      (* A failure is down from detection until its restart; one the
+         breaker absorbed, until the breaker next closes; one never
+         recovered, until the end of the run. *)
+      let interval_of (s : Span.span) =
+        let until =
+          match s.Span.closed_at with
+          | Some c when Reincarnation.restarted s -> c
+          | Some c ->
+              List.find_opt (fun (name, at) -> String.equal name s.Span.component && at >= c) closes
+              |> Option.fold ~none:end_time ~some:snd
+          | None -> end_time
+        in
+        (s.Span.opened_at, max s.Span.opened_at until)
+      in
+      (* Downtime is the measure of the union of those intervals:
+         overlapping failures (several defects detected while the
+         component is already down, e.g. watchdog kills during a long
+         backoff) must not be double-charged. *)
       let union_us evs =
         let sorted = List.sort compare (List.map interval_of evs) in
         let total, last_hi =
@@ -253,7 +273,7 @@ let availability_trial ~faults ~inject_period ~seed (label, policy_key, extra_po
         ignore last_hi;
         total
       in
-      let downtime = min (union_us events) horizon in
+      let downtime = min (union_us spans) horizon in
       let classes =
         [ Status.D_exit; Status.D_exception; Status.D_killed_by_user; Status.D_heartbeat;
           Status.D_complaint; Status.D_update ]
@@ -261,7 +281,7 @@ let availability_trial ~faults ~inject_period ~seed (label, policy_key, extra_po
       let by_class =
         List.filter_map
           (fun d ->
-            let of_class = List.filter (fun e -> e.Reincarnation.defect = d) events in
+            let of_class = List.filter (fun s -> s.Span.defect = d) spans in
             if of_class = [] then None
             else Some (Status.defect_name d, List.length of_class, min (union_us of_class) horizon))
           classes
@@ -269,9 +289,8 @@ let availability_trial ~faults ~inject_period ~seed (label, policy_key, extra_po
       {
         a_policy = label;
         a_injected = !injected;
-        a_crashes = List.length events;
-        a_restarts =
-          List.length (List.filter (fun e -> e.Reincarnation.recovered_at <> None) events);
+        a_crashes = List.length spans;
+        a_restarts = List.length (List.filter Reincarnation.restarted spans);
         a_downtime_us = downtime;
         a_horizon_us = horizon;
         a_availability =

@@ -46,9 +46,9 @@ val policy_comparison :
 type availability_row = {
   a_policy : string;
   a_injected : int;  (** faults applied to the driver *)
-  a_crashes : int;  (** recovery events detected by RS *)
-  a_restarts : int;  (** events that ended in a recovery *)
-  a_downtime_us : int;  (** summed detection-to-recovery time *)
+  a_crashes : int;  (** failures detected by RS (recovery spans) *)
+  a_restarts : int;  (** failures that ended in a restart *)
+  a_downtime_us : int;  (** union of the failures' detection-to-recovery intervals *)
   a_horizon_us : int;  (** measured window, injection start to probe *)
   a_availability : float;  (** percent of the horizon the driver was serving *)
   a_by_class : (string * int * int) list;
@@ -77,8 +77,9 @@ val availability_study :
     backoff, guarded give-up, circuit breaker) and each run is scored
     on availability — downtime from defect detection to recovery,
     split per defect class.  The breaker's parked (degraded) episodes
-    are charged as downtime, so the table shows the uptime-vs-churn
-    trade honestly. *)
+    are charged as downtime: a failure it absorbed counts until the
+    breaker next closes, so the table shows the uptime-vs-churn trade
+    honestly. *)
 
 type ipc_row = { operation : string; cost_us : float }
 

@@ -3,7 +3,6 @@ module Hwmap = Resilix_system.Hwmap
 module Engine = Resilix_sim.Engine
 module Kernel = Resilix_kernel.Kernel
 module Status = Resilix_proto.Status
-module Reincarnation = Resilix_core.Reincarnation
 module Fault = Resilix_vm.Fault
 module Nic8390 = Resilix_hw.Nic8390
 module Dp8390 = Resilix_drivers.Netdriver_dp8390
@@ -125,13 +124,12 @@ let run_shard ~shard ~faults ~seed ~inject_period ~wedge_prob ~has_master_reset 
     Nic8390.bios_reset t.System.nic_dp;
     System.run t ~until:(Engine.now t.System.engine + 5_000_000)
   end;
-  let all_events = Reincarnation.events t.System.rs in
   (* User-requested restarts (the watchdog) are experimenter resets,
      not detected crashes. *)
-  let events =
-    List.filter (fun e -> e.Reincarnation.defect <> Status.D_killed_by_user) all_events
+  let crashes =
+    List.filter (fun s -> s.Span.defect <> Status.D_killed_by_user) (Span.spans t.System.spans)
   in
-  let count p = List.length (List.filter p events) in
+  let count p = List.length (List.filter p crashes) in
   (* Per-shard gauges: merged into min/max/last distributions across
      shards in the campaign-level report. *)
   Metrics.set_named t.System.metrics "sec72.shard.user_resets" !user_resets;
@@ -141,16 +139,16 @@ let run_shard ~shard ~faults ~seed ~inject_period ~wedge_prob ~has_master_reset 
     outcome =
       {
         injected = !injected;
-        crashes = List.length events;
-        panics = count (fun e -> e.Reincarnation.defect = Status.D_exit);
-        exceptions = count (fun e -> e.Reincarnation.defect = Status.D_exception);
-        heartbeats = count (fun e -> e.Reincarnation.defect = Status.D_heartbeat);
+        crashes = List.length crashes;
+        panics = count (fun s -> s.Span.defect = Status.D_exit);
+        exceptions = count (fun s -> s.Span.defect = Status.D_exception);
+        heartbeats = count (fun s -> s.Span.defect = Status.D_heartbeat);
         other =
-          count (fun e ->
-              match e.Reincarnation.defect with
+          count (fun s ->
+              match s.Span.defect with
               | Status.D_exit | Status.D_exception | Status.D_heartbeat -> false
               | _ -> true);
-        recovered = count (fun e -> e.Reincarnation.recovered_at <> None);
+        recovered = count (fun s -> s.Span.closed_at <> None);
         user_resets = !user_resets;
         bios_resets = !bios_resets;
         by_fault_type =

@@ -58,8 +58,6 @@ type inode = { mode : int; size : int; nlinks : int; zones : int array }
 
 let zone_slots = direct_zones + 2
 
-let empty_inode = { mode = 0; size = 0; nlinks = 0; zones = Array.make zone_slots 0 }
-
 let encode_inode ino =
   let b = Bytes.make inode_size '\000' in
   set_u32 b 0 ino.mode;

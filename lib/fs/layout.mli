@@ -68,9 +68,6 @@ type inode = {
   zones : int array;  (** 7 direct, then indirect, then double-indirect *)
 }
 
-val empty_inode : inode
-(** All zeros. *)
-
 val encode_inode : inode -> bytes
 (** 64 bytes. *)
 

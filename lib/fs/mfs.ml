@@ -19,19 +19,18 @@ type t = {
   parked : (Endpoint.t * Message.t) Queue.t;
       (* requests that arrived while we were stalled on a dead driver *)
   spans : Resilix_obs.Span.t;
-  (* outage-counter handle, resolved once at [body] startup *)
-  mutable c_outages : Metrics.counter option;
+  c_outages : Metrics.counter;
 }
 
-let create ~driver_key ?(minor = 0) ?(cache_slots = default_cache_slots) ?spans () =
+let create ~driver_key ?(minor = 0) ?(cache_slots = default_cache_slots) ~spans ~metrics () =
   {
     driver_key;
     minor;
     cache_slots;
     cache = None;
     parked = Queue.create ();
-    spans = (match spans with Some s -> s | None -> Resilix_obs.Span.create ());
-    c_outages = None;
+    spans;
+    c_outages = Metrics.counter metrics "mfs.driver.outages";
   }
 
 let reissued_ios t = match t.cache with Some c -> Cache.reissued c | None -> 0
@@ -87,9 +86,7 @@ let wait_new_driver t dead_ep =
         | Ok (Sysif.Rx_notify _) | Error _ -> wait ())
   in
   Api.trace "mfs" "disk driver %s died; waiting for reincarnation" t.driver_key;
-  (match t.c_outages with
-  | Some c -> Metrics.incr c
-  | None -> Api.metric_incr "mfs.driver.outages");
+  Metrics.incr t.c_outages;
   let ep = wait () in
   Api.trace "mfs" "disk driver %s is back as %s; redoing pending I/O" t.driver_key
     (Endpoint.to_string ep);
@@ -464,7 +461,6 @@ let handle_truncate fs ~ino =
 (* ------------------------------------------------------------------ *)
 
 let body t () =
-  t.c_outages <- Some (Api.metric_counter "mfs.driver.outages");
   (* Subscribe to block-driver updates before anything can fail. *)
   ignore (Api.sendrec Wellknown.ds (Message.Ds_subscribe { pattern = "blk.*" }));
   (* Wait for the driver to appear. *)

@@ -13,9 +13,17 @@ type t
 (** Shared handle for introspection. *)
 
 val create :
-  driver_key:string -> ?minor:int -> ?cache_slots:int -> ?spans:Resilix_obs.Span.t -> unit -> t
+  driver_key:string ->
+  ?minor:int ->
+  ?cache_slots:int ->
+  spans:Resilix_obs.Span.t ->
+  metrics:Resilix_obs.Metrics.t ->
+  unit ->
+  t
 (** [driver_key] is the stable service name of the block driver
-    (e.g. ["blk.sata"]). *)
+    (e.g. ["blk.sata"]); [spans] is the system-wide collector MFS marks
+    its driver's re-open phase in, and [metrics] holds MFS's outage
+    counter. *)
 
 val body : t -> unit -> unit
 (** The process body; boot runs this at the well-known MFS slot. *)

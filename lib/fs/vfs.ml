@@ -16,12 +16,12 @@ type file_kind =
 
 type open_file = { kind : file_kind; mutable pos : int }
 
-(* Counter handles resolved once at [body] startup; bumping a handle
-   skips the by-name registry lookup on the request path. *)
+(* Counter handles resolved once at [create]; bumping a handle skips
+   the by-name registry lookup on the request path. *)
 type ctrs = { c_degraded_rejects : Metrics.counter; c_stale_endpoints : Metrics.counter }
 
 type t = {
-  mutable ctrs : ctrs option;
+  ctrs : ctrs;
   chardevs : (string, string * int) Hashtbl.t; (* path -> (ds key, minor) *)
   fds : (int * int * int, open_file) Hashtbl.t; (* (owner slot, owner gen, fd) *)
   mutable next_fd : int;
@@ -30,10 +30,14 @@ type t = {
   degraded_drivers : (string, unit) Hashtbl.t; (* ds key -> breaker open *)
 }
 
-let create ?(chardevs = []) () =
+let create ?(chardevs = []) ~metrics () =
   let t =
     {
-      ctrs = None;
+      ctrs =
+        {
+          c_degraded_rejects = Metrics.counter metrics "vfs.chardev.degraded_rejects";
+          c_stale_endpoints = Metrics.counter metrics "vfs.chardev.stale_endpoints";
+        };
       chardevs = Hashtbl.create 8;
       fds = Hashtbl.create 32;
       next_fd = 3;
@@ -56,9 +60,7 @@ let degraded_prefix = "degraded."
 
 let driver_degraded t key =
   if Hashtbl.mem t.degraded_drivers key then begin
-    (match t.ctrs with
-    | Some c -> Metrics.incr c.c_degraded_rejects
-    | None -> Api.metric_incr "vfs.chardev.degraded_rejects");
+    Metrics.incr t.ctrs.c_degraded_rejects;
     true
   end
   else false
@@ -113,9 +115,7 @@ let chardev_request t key msg =
       | Ok _ -> Error Errno.E_io
       | Error (Errno.E_dead_src_dst | Errno.E_bad_endpoint) -> (
           t.chardev_errors <- t.chardev_errors + 1;
-          (match t.ctrs with
-          | Some c -> Metrics.incr c.c_stale_endpoints
-          | None -> Api.metric_incr "vfs.chardev.stale_endpoints");
+          Metrics.incr t.ctrs.c_stale_endpoints;
           (* Refresh the endpoint for the *next* operation; this one
              fails upward. *)
           match resolve_driver t key ~fresh:true with
@@ -323,12 +323,6 @@ let handle_ioctl t ~src ~fd ~op ~arg =
   | Some _ -> Error Errno.E_inval
 
 let body t () =
-  t.ctrs <-
-    Some
-      {
-        c_degraded_rejects = Api.metric_counter "vfs.chardev.degraded_rejects";
-        c_stale_endpoints = Api.metric_counter "vfs.chardev.stale_endpoints";
-      };
   (* Watch for breaker-driven degradation markers (policy v2). *)
   ignore (Api.sendrec Wellknown.ds (Message.Ds_subscribe { pattern = "degraded.*" }));
   let rec loop () =

@@ -16,9 +16,10 @@
 type t
 (** Shared handle for introspection. *)
 
-val create : ?chardevs:(string * (string * int)) list -> unit -> t
+val create : ?chardevs:(string * (string * int)) list -> metrics:Resilix_obs.Metrics.t -> unit -> t
 (** [chardevs] maps device paths to [(stable service name, minor)],
-    e.g. [("/dev/audio", ("chr.audio", 0))]. *)
+    e.g. [("/dev/audio", ("chr.audio", 0))]; VFS's counters live in
+    [metrics]. *)
 
 val body : t -> unit -> unit
 (** The process body; boot runs this at the well-known VFS slot. *)

@@ -65,9 +65,9 @@ type driver = {
   mutable degraded : bool;
 }
 
-(* Counter handles resolved once at [body] startup so per-event bumps
-   skip the by-name registry lookup (the kernel does the same for its
-   own counters). *)
+(* Counter handles resolved once at [create] so per-event bumps skip
+   the by-name registry lookup (the kernel does the same for its own
+   counters). *)
 type ctrs = {
   c_degraded_rejects : Metrics.counter;
   c_tx_postponed : Metrics.counter;
@@ -78,7 +78,7 @@ type t = {
   local_ip : int;
   gateway_mac : int;
   driver_key : string;
-  mutable ctrs : ctrs option;
+  ctrs : ctrs;
   mutable socks : sock array;
   mutable free_socks : int list; (* free slot ids; O(1) alloc at C10K scale *)
   conns : (int * int * int, conn) Hashtbl.t; (* remote ip, remote port, local port *)
@@ -93,12 +93,17 @@ type t = {
 
 let tx_queue_cap = 256
 
-let create ~local_ip ~gateway_mac ~driver_key ?spans () =
+let create ~local_ip ~gateway_mac ~driver_key ~spans ~metrics () =
   {
     local_ip;
     gateway_mac;
     driver_key;
-    ctrs = None;
+    ctrs =
+      {
+        c_degraded_rejects = Metrics.counter metrics "inet.degraded_rejects";
+        c_tx_postponed = Metrics.counter metrics "inet.tx.postponed";
+        c_accept_refused = Metrics.counter metrics "inet.accept_refused";
+      };
     socks = Array.make 64 S_free;
     (* slot 0 stays unused so 0 is never a valid descriptor *)
     free_socks = List.init 63 (fun i -> i + 1);
@@ -120,7 +125,7 @@ let create ~local_ip ~gateway_mac ~driver_key ?spans () =
       };
     next_ephemeral = 40000;
     outage_queued = 0;
-    spans = (match spans with Some s -> s | None -> Resilix_obs.Span.create ());
+    spans;
   }
 
 let driver_generation t = t.drv.generation
@@ -133,9 +138,7 @@ let driver_degraded t = t.drv.degraded
    connections keep their state; TCP retransmission resupplies them if
    the driver ever comes back. *)
 let degraded_reject t src reply_msg =
-  (match t.ctrs with
-  | Some c -> Metrics.incr c.c_degraded_rejects
-  | None -> Api.metric_incr "inet.degraded_rejects");
+  Metrics.incr t.ctrs.c_degraded_rejects;
   ignore (Api.send src reply_msg)
 
 let log fmt = Api.trace "inet" fmt
@@ -164,9 +167,7 @@ let rec pump_tx t =
               t.drv.tx_grant <- None;
               t.drv.up <- false;
               t.outage_queued <- t.outage_queued + 1;
-              (match t.ctrs with
-              | Some c -> Metrics.incr c.c_tx_postponed
-              | None -> Api.metric_incr "inet.tx.postponed");
+              Metrics.incr t.ctrs.c_tx_postponed;
               Queue.push frame t.drv.tx_queue)
     end
   | Some _ | None -> ()
@@ -442,9 +443,7 @@ let handle_packet t (frame : Wire.frame) =
                   (* Backlog full: refuse the SYN outright so the
                      client fails fast instead of parking in a queue
                      the server will never drain at storm rates. *)
-                  (match t.ctrs with
-                  | Some c -> Metrics.incr c.c_accept_refused
-                  | None -> Api.metric_incr "inet.accept_refused");
+                  Metrics.incr t.ctrs.c_accept_refused;
                   emit_packet t ~dst_ip:frame.Wire.packet.src_ip
                     (Wire.Tcp
                        {
@@ -763,13 +762,6 @@ let handle_alarm t =
   rearm_alarm t
 
 let body t () =
-  t.ctrs <-
-    Some
-      {
-        c_degraded_rejects = Api.metric_counter "inet.degraded_rejects";
-        c_tx_postponed = Api.metric_counter "inet.tx.postponed";
-        c_accept_refused = Api.metric_counter "inet.accept_refused";
-      };
   (* Subscribe to Ethernet driver updates (Sec. 5.3: "the network
      server subscribes ... by registering the expression 'eth.*'"). *)
   ignore (Api.sendrec Wellknown.ds (Message.Ds_subscribe { pattern = "eth.*" }));

@@ -21,11 +21,18 @@ type t
 (** Shared handle for introspection. *)
 
 val create :
-  local_ip:int -> gateway_mac:int -> driver_key:string -> ?spans:Resilix_obs.Span.t -> unit -> t
+  local_ip:int ->
+  gateway_mac:int ->
+  driver_key:string ->
+  spans:Resilix_obs.Span.t ->
+  metrics:Resilix_obs.Metrics.t ->
+  unit ->
+  t
 (** [driver_key] is the stable name of the Ethernet driver to bind
     (e.g. ["eth.rtl8139"]); [gateway_mac] is where off-link traffic is
-    framed to (the peer).  Pass the system-wide [spans] collector so
-    INET can mark the re-open phase of its driver's recovery spans. *)
+    framed to (the peer).  [spans] is the system-wide collector INET
+    marks the re-open phase of its driver's recovery spans in; INET's
+    counters live in [metrics]. *)
 
 val body : t -> unit -> unit
 (** The process body; boot runs this at the well-known INET slot. *)

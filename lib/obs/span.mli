@@ -3,10 +3,10 @@
     A span is opened by the reincarnation server the instant a defect
     is detected and closed when the component has been respawned and
     republished; in between, each recovery phase is marked with its
-    virtual timestamp.  The closed spans of a run give per-component
-    MTTR distributions, broken down by phase — this is the data behind
-    the paper's recovery-latency figures, replacing the hand-rolled
-    [detected_at]/[recovered_at] pairs. *)
+    virtual timestamp.  Spans are RS's only record of its recoveries:
+    the closed spans of a run give per-component MTTR distributions,
+    broken down by phase, and the failure counts and crash splits of
+    the experiments. *)
 
 module Status := Resilix_proto.Status
 

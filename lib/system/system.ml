@@ -276,7 +276,7 @@ let boot ?(opts = default_opts) () =
       ~register_program:(Kernel.register_program kernel)
       ~policies:opts.policies
       ~complainers:[ Wellknown.vfs; Wellknown.mfs; Wellknown.inet ]
-      ~heartbeat_tick:opts.heartbeat_tick ~spans ()
+      ~heartbeat_tick:opts.heartbeat_tick ~spans ~metrics ()
   in
   let vfs =
     Resilix_fs.Vfs.create
@@ -286,15 +286,15 @@ let boot ?(opts = default_opts) () =
           ("/dev/printer", ("chr.printer", 0));
           ("/dev/cd", ("chr.cd", 0));
         ]
-      ()
+      ~metrics ()
   in
-  let mfs = Resilix_fs.Mfs.create ~driver_key:"blk.sata" ~spans () in
+  let mfs = Resilix_fs.Mfs.create ~driver_key:"blk.sata" ~spans ~metrics () in
   let gateway_mac =
     if String.equal opts.inet_driver "eth.dp8390" then Hwmap.dp_peer_mac else Hwmap.rtl_peer_mac
   in
   let inet =
     Resilix_net.Inet.create ~local_ip:Hwmap.local_ip ~gateway_mac ~driver_key:opts.inet_driver
-      ~spans ()
+      ~spans ~metrics ()
   in
   Kernel.spawn_wellknown kernel ~ep:Wellknown.pm ~name:Wellknown.name_pm
     ~priv:

@@ -14,11 +14,14 @@ module Event = Resilix_obs.Event
 module Metrics = Resilix_obs.Metrics
 module Policy = Resilix_core.Policy
 module Reincarnation = Resilix_core.Reincarnation
+module Span = Resilix_obs.Span
 module Service = Resilix_core.Service
 module Data_store = Resilix_datastore.Data_store
 module Fslib = Resilix_apps.Fslib
 module Scenario = Resilix_dst.Scenario
 module Invariant = Resilix_dst.Invariant
+module Ablations = Resilix_experiments.Ablations
+module Status = Resilix_proto.Status
 
 let boot ?policies () =
   let opts =
@@ -86,8 +89,17 @@ let test_trip_at_threshold () =
     (Data_store.lookup t.System.ds "svc.panicky" = None);
   (* Only the failures up to the trip are recorded: the breaker bounds
      churn, it does not restart a parked component. *)
-  Alcotest.(check int) "exactly threshold failures" 2
-    (List.length (Reincarnation.events t.System.rs))
+  let spans = Span.spans t.System.spans in
+  Alcotest.(check int) "exactly threshold failures" 2 (List.length spans);
+  Alcotest.(check int) "only the first failure restarted" 1
+    (Reincarnation.restarts_of t.System.rs "svc.panicky");
+  match List.rev spans with
+  | absorbed :: _ ->
+      Alcotest.(check bool) "absorbed span closed at the trip" true
+        (absorbed.Span.closed_at <> None);
+      Alcotest.(check bool) "absorbed span never respawned" false
+        (List.mem_assoc Span.Respawn absorbed.Span.marks)
+  | [] -> Alcotest.fail "no spans"
 
 (* The failure window slides: failures spaced wider than [window_us]
    never accumulate to the threshold, so the breaker stays closed and
@@ -318,6 +330,21 @@ let test_vfs_returns_e_degraded () =
   Alcotest.(check bool) "driver parked at the end" true
     (Reincarnation.service_state t.System.rs "chr.audio" = `Degraded)
 
+(* The availability ablation's stall watchdog runs only while the
+   driver is up: a half-open probe incarnation gets a full timeout
+   instead of being killed by the clock left running while it was
+   parked, so the breaker row charges no failure to the "user". *)
+let test_availability_watchdog_spares_probes () =
+  match List.rev (Ablations.availability_trials ()) with
+  | [] -> Alcotest.fail "no availability trials"
+  | trial :: _ ->
+      let row = trial.Resilix_harness.Trial.run () in
+      Alcotest.(check string) "last row is the breaker" "breaker (circuit breaker)"
+        row.Ablations.a_policy;
+      let user = Status.defect_name Status.D_killed_by_user in
+      Alcotest.(check bool) "no killed-by-user failures" false
+        (List.exists (fun (cls, _, _) -> String.equal cls user) row.Ablations.a_by_class)
+
 let tests =
   [
     Alcotest.test_case "breaker trips at threshold" `Quick test_trip_at_threshold;
@@ -328,4 +355,6 @@ let tests =
     Alcotest.test_case "policy actions traced" `Quick test_policy_action_trace;
     Alcotest.test_case "flaky scenario parks degraded" `Quick test_flaky_scenario_parks;
     Alcotest.test_case "vfs fails fast with E_degraded" `Quick test_vfs_returns_e_degraded;
+    Alcotest.test_case "availability watchdog spares probes" `Quick
+      test_availability_watchdog_spares_probes;
   ]

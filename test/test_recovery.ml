@@ -15,6 +15,7 @@ module Status = Resilix_proto.Status
 module Wellknown = Resilix_proto.Wellknown
 module Policy = Resilix_core.Policy
 module Reincarnation = Resilix_core.Reincarnation
+module Span = Resilix_obs.Span
 module Service = Resilix_core.Service
 module Data_store = Resilix_datastore.Data_store
 
@@ -48,7 +49,7 @@ let panicky_program () =
   Api.sleep 10_000;
   Api.panic "deliberate inconsistency"
 
-let defects_of rs = List.map (fun e -> e.Reincarnation.defect) (Reincarnation.events rs)
+let defects_of spans = List.map (fun s -> s.Span.defect) (Span.spans spans)
 
 let test_heartbeat_detection () =
   let t = boot () in
@@ -60,7 +61,7 @@ let test_heartbeat_detection () =
   System.start_services t [ spec ];
   (* The service never answers a single heartbeat. *)
   System.run t ~until:(Engine.now t.System.engine + 5_000_000);
-  let ds = defects_of t.System.rs in
+  let ds = defects_of t.System.spans in
   Alcotest.(check bool) "heartbeat defect detected" true (List.mem Status.D_heartbeat ds);
   Alcotest.(check bool) "service was restarted" true
     (Reincarnation.restarts_of t.System.rs "svc.stuck" >= 1)
@@ -74,7 +75,7 @@ let test_docile_service_stays_up () =
   in
   System.start_services t [ spec ];
   System.run t ~until:(Engine.now t.System.engine + 5_000_000);
-  Alcotest.(check int) "no spurious recoveries" 0 (List.length (Reincarnation.events t.System.rs));
+  Alcotest.(check int) "no spurious recoveries" 0 (List.length (Span.spans t.System.spans));
   Alcotest.(check bool) "still up" true (Reincarnation.service_up t.System.rs "svc.docile")
 
 let test_exponential_backoff () =
@@ -86,14 +87,14 @@ let test_exponential_backoff () =
   in
   System.start_services t [ spec ];
   System.run t ~until:(Engine.now t.System.engine + 16_000_000);
-  let events = Reincarnation.events t.System.rs in
+  let events = Span.spans t.System.spans in
   Alcotest.(check bool)
     (Printf.sprintf "several failures recorded (%d)" (List.length events))
     true
     (List.length events >= 3);
   (* Fig. 2: sleep (1 << (repetition - 1)) between detection and
      restart, so inter-failure gaps must grow roughly geometrically. *)
-  let times = List.map (fun e -> e.Reincarnation.detected_at) events in
+  let times = List.map (fun e -> e.Span.opened_at) events in
   let rec gaps = function a :: (b :: _ as rest) -> (b - a) :: gaps rest | _ -> [] in
   (match gaps times with
   | g1 :: g2 :: _ ->
@@ -106,7 +107,7 @@ let test_exponential_backoff () =
   List.iter
     (fun e ->
       Alcotest.(check bool) "defect class is exit/panic" true
-        (e.Reincarnation.defect = Status.D_exit))
+        (e.Span.defect = Status.D_exit))
     events
 
 let test_policy_gives_up () =
@@ -187,18 +188,18 @@ let test_dynamic_update () =
   Alcotest.(check bool) "refresh accepted" true !refresh_ok;
   Alcotest.(check int) "old version first" 1 !v_before;
   Alcotest.(check int) "new version after update" 2 !v_after;
-  let events = Reincarnation.events t.System.rs in
+  let events = Span.spans t.System.spans in
   Alcotest.(check bool) "defect class is dynamic update" true
-    (List.exists (fun e -> e.Reincarnation.defect = Status.D_update) events);
+    (List.exists (fun e -> e.Span.defect = Status.D_update) events);
   (* Updates skip the backoff: recovery must be fast. *)
   (match events with
   | [ e ] -> (
-      match e.Reincarnation.recovered_at with
+      match e.Span.closed_at with
       | Some r ->
           Alcotest.(check bool)
-            (Printf.sprintf "no backoff before update restart (%dus)" (r - e.Reincarnation.detected_at))
+            (Printf.sprintf "no backoff before update restart (%dus)" (r - e.Span.opened_at))
             true
-            (r - e.Reincarnation.detected_at < 500_000)
+            (r - e.Span.opened_at < 500_000)
       | None -> Alcotest.fail "update recovery not completed")
   | _ -> Alcotest.fail "expected exactly one recovery event")
 
@@ -228,8 +229,8 @@ let test_user_restart () =
   | _ -> Alcotest.fail "missing endpoints");
   Alcotest.(check bool) "defect class is killed-by-user" true
     (List.exists
-       (fun e -> e.Reincarnation.defect = Status.D_killed_by_user)
-       (Reincarnation.events t.System.rs))
+       (fun e -> e.Span.defect = Status.D_killed_by_user)
+       (Span.spans t.System.spans))
 
 let test_crash_script_storm () =
   (* The Sec. 7.1 crash script, against a docile service, for many
@@ -261,7 +262,7 @@ let test_exception_defect_class () =
   System.start_services t [ spec ];
   System.run t ~until:(Engine.now t.System.engine + 2_000_000);
   Alcotest.(check bool) "CPU/MMU exception defect recorded" true
-    (List.mem Status.D_exception (defects_of t.System.rs))
+    (List.mem Status.D_exception (defects_of t.System.spans))
 
 (* A service that ignores SIGTERM: a dynamic update must escalate to
    SIGKILL after the grace period ("followed by a SIGKILL signal, if
@@ -296,9 +297,9 @@ let test_sigterm_escalates_to_sigkill () =
   | _ -> Alcotest.fail "refresh was not accepted");
   Alcotest.(check bool) "service is up on the new binary" true
     (Reincarnation.service_up t.System.rs "svc.stubborn");
-  let events = Reincarnation.events t.System.rs in
+  let events = Span.spans t.System.spans in
   Alcotest.(check bool) "exactly one update recovery" true
-    (match events with [ e ] -> e.Reincarnation.defect = Status.D_update | _ -> false);
+    (match events with [ e ] -> e.Span.defect = Status.D_update | _ -> false);
   (* The escalation is visible as a typed policy decision. *)
   Alcotest.(check bool) "SIGKILL escalation recorded" true
     (Resilix_sim.Trace.query t.System.trace ~pred:(fun e ->

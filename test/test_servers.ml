@@ -16,6 +16,7 @@ module Status = Resilix_proto.Status
 module Wellknown = Resilix_proto.Wellknown
 module Data_store = Resilix_datastore.Data_store
 module Reincarnation = Resilix_core.Reincarnation
+module Span = Resilix_obs.Span
 module Service = Resilix_core.Service
 module Driver_lib = Resilix_drivers.Driver_lib
 
@@ -260,15 +261,15 @@ let test_complaint_defect_class () =
   System.run t ~until:(Resilix_sim.Engine.now t.System.engine + 3_000_000);
   let complaints =
     List.filter
-      (fun e -> e.Reincarnation.defect = Status.D_complaint)
-      (Reincarnation.events t.System.rs)
+      (fun s -> s.Span.defect = Status.D_complaint)
+      (Span.spans t.System.spans)
   in
   Alcotest.(check bool) "at least one complaint recorded" true (List.length complaints >= 1);
   (* The liar keeps lying after every replacement, so the last event
      may still be mid-recovery; at least one full replace must have
      completed. *)
   Alcotest.(check bool) "complained-about driver was replaced" true
-    (List.exists (fun e -> e.Reincarnation.recovered_at <> None) complaints)
+    (List.exists (fun s -> s.Span.closed_at <> None) complaints)
 
 let test_complaint_requires_authority () =
   let t = boot () in

@@ -253,7 +253,7 @@ let test_service_down_and_duplicate_up () =
   Alcotest.(check bool) "service stays down (no recovery)" false
     (Reincarnation.service_up t.System.rs "blk.sata");
   Alcotest.(check int) "no recovery event for a deliberate stop" 0
-    (List.length (Reincarnation.events t.System.rs))
+    (List.length (Resilix_obs.Span.spans t.System.spans))
 
 let tests =
   [
