@@ -19,17 +19,22 @@ let register t ~base ~len handler =
   if List.exists (overlaps claim) t.claims then invalid_arg "Bus.register: overlapping port range";
   t.claims <- claim :: t.claims
 
-let find t port = List.find_opt (fun c -> port >= c.base && port < c.base + c.len) t.claims
+(* Route one access to the claim covering [port], or answer
+   [unclaimed].  A plain walk: this runs on every port access, and a
+   [List.find_opt] predicate would allocate a closure and an option. *)
+let rec route claims port access ~unclaimed =
+  match claims with
+  | [] -> unclaimed
+  | c :: rest ->
+      if port >= c.base && port < c.base + c.len then c.handler ~reg:(port - c.base) access
+      else route rest port access ~unclaimed
+
+let floating_read = Ok 0xFFFF_FFFF
+let dropped_write = Ok 0
 
 let io t op =
   match op with
-  | `In port -> (
-      match find t port with
-      | Some c -> c.handler ~reg:(port - c.base) Read
-      | None -> Ok 0xFFFF_FFFF)
-  | `Out (port, value) -> (
-      match find t port with
-      | Some c -> c.handler ~reg:(port - c.base) (Write value)
-      | None -> Ok 0)
+  | `In port -> route t.claims port Read ~unclaimed:floating_read
+  | `Out (port, value) -> route t.claims port (Write value) ~unclaimed:dropped_write
 
 let attach t kernel = Resilix_kernel.Kernel.set_io_handler kernel (io t)

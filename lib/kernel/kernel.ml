@@ -470,6 +470,31 @@ let do_safecopy t (caller : proc) ~dir ~owner ~grant_id ~grant_off ~local_addr ~
                 Ok ()
               with Memory.Fault _ -> Error Errno.E_range))
 
+(* Resume a scheduled syscall's caller [k] with [v] after [cost]: in
+   place when the resume would be the engine's next event anyway
+   (DESIGN.md §6k), otherwise through the queue.  Only a [Running]
+   caller inlines: a fiber that [do_kill] unwinds keeps its blocked
+   state, and the kernel carries on after the unwind.  The resumes stay
+   in tail position so a long run of inlined returns does not grow the
+   host stack. *)
+let ret_after t proc k ~cost v =
+  let open Effect.Deep in
+  if proc.state == Running && Engine.advance_inline t.engine ~after:cost then
+    match proc.kill_pending with
+    | Some status ->
+        proc.kill_pending <- None;
+        discontinue k (Sysif.Killed_exn status)
+    | None -> continue k v
+  else
+    let abort e = discontinue k e in
+    make_runnable t proc ~cost ~abort (fun () -> continue k v)
+
+(* The common case: a plain syscall's cost. *)
+let ret t proc k v = ret_after t proc k ~cost:t.costs.syscall v
+
+(* Privilege gate for kernel calls. *)
+let kcall_denied proc op = not (Sysif.kcall_allowed proc.kcall_mask op)
+
 (* Start a fiber for [proc] running [body], scheduled [delay] from now. *)
 let rec start_fiber t proc ~delay body =
   let open Effect.Deep in
@@ -494,39 +519,32 @@ let rec start_fiber t proc ~delay body =
 and handle_syscall : type a. t -> proc -> a Sysif.syscall -> (a, unit) Effect.Deep.continuation -> unit =
  fun t proc op k ->
   let open Effect.Deep in
-  let self_ep = ep_of_proc proc in
-  (* Immediate (free) operations resume synchronously. *)
-  let ret_now (v : a) = continue k v in
-  (* Scheduled operations resume after [cost]. *)
-  let ret ?(cost = t.costs.syscall) (v : a) =
-    let abort e = discontinue k e in
-    make_runnable t proc ~cost ~abort (fun () -> continue k v)
-  in
-  (* Privilege gate for kernel calls. *)
-  let kcall_denied () = not (Sysif.kcall_allowed proc.kcall_mask op) in
+  (* Immediate (free) operations resume synchronously with [continue];
+     scheduled ones through [ret]/[ret_after].  No local closures: this
+     runs for every syscall. *)
   match op with
-  | Sysif.Now -> ret_now (Engine.now t.engine)
-  | Sysif.Self -> ret_now self_ep
-  | Sysif.My_memory -> ret_now proc.memory
-  | Sysif.My_args -> ret_now proc.p_args
-  | Sysif.My_name -> ret_now proc.p_name
-  | Sysif.Random n -> ret_now (Rng.int t.rng n)
+  | Sysif.Now -> continue k (Engine.now t.engine)
+  | Sysif.Self -> continue k (ep_of_proc proc)
+  | Sysif.My_memory -> continue k proc.memory
+  | Sysif.My_args -> continue k proc.p_args
+  | Sysif.My_name -> continue k proc.p_name
+  | Sysif.Random n -> continue k (Rng.int t.rng n)
   | Sysif.Obs_emit (level, subsystem, payload) ->
       Trace.emit_event t.trace ~now:(Engine.now t.engine) ~level subsystem payload;
-      ret_now ()
+      continue k ()
   | Sysif.Metric_add (name, n) ->
       Metrics.add_named t.metrics name n;
-      ret_now ()
+      continue k ()
   | Sysif.Metric_observe (name, v) ->
       Metrics.observe_named t.metrics name v;
-      ret_now ()
+      continue k ()
   | Sysif.Metric_set (name, v) ->
       Metrics.set_named t.metrics name v;
-      ret_now ()
-  | Sysif.Metric_counter name -> ret_now (Metrics.counter t.metrics name)
-  | Sysif.Metric_gauge name -> ret_now (Metrics.gauge t.metrics name)
-  | Sysif.Metric_histogram name -> ret_now (Metrics.histogram t.metrics name)
-  | Sysif.Yield cost -> ret ~cost ()
+      continue k ()
+  | Sysif.Metric_counter name -> continue k (Metrics.counter t.metrics name)
+  | Sysif.Metric_gauge name -> continue k (Metrics.gauge t.metrics name)
+  | Sysif.Metric_histogram name -> continue k (Metrics.histogram t.metrics name)
+  | Sysif.Yield cost -> ret_after t proc k ~cost:(max 0 cost) ()
   | Sysif.Sleep d ->
       let abort e = discontinue k e in
       let event = Engine.schedule t.engine ~after:(max 0 d) (fun () ->
@@ -546,13 +564,14 @@ and handle_syscall : type a. t -> proc -> a Sysif.syscall -> (a, unit) Effect.De
       | Lookup_stale ->
           kemit t ~level:Trace.Warn
             (Event.Ipc
-               { kind = Event.Send; src = self_ep; dst; errno = Some Errno.E_dead_src_dst });
-          ret (Error Errno.E_dead_src_dst)
-      | Lookup_bad -> ret (Error Errno.E_bad_endpoint)
+               { kind = Event.Send; src = ep_of_proc proc; dst; errno = Some Errno.E_dead_src_dst });
+          ret t proc k (Error Errno.E_dead_src_dst)
+      | Lookup_bad -> ret t proc k (Error Errno.E_bad_endpoint)
       | Lookup_ok dst_proc ->
-          if dst_proc.slot = proc.slot then ret (Error Errno.E_inval)
-          else if not (ipc_allowed t proc dst_proc) then ret (Error Errno.E_no_perm)
-          else if try_deliver t ~src_proc:proc ~dst:dst_proc msg then ret ~cost:t.costs.ipc (Ok ())
+          if dst_proc.slot = proc.slot then ret t proc k (Error Errno.E_inval)
+          else if not (ipc_allowed t proc dst_proc) then ret t proc k (Error Errno.E_no_perm)
+          else if try_deliver t ~src_proc:proc ~dst:dst_proc msg then
+            ret_after t proc k ~cost:t.costs.ipc (Ok ())
           else begin
             Queue.push proc.slot dst_proc.senders;
             proc.state <-
@@ -570,12 +589,12 @@ and handle_syscall : type a. t -> proc -> a Sysif.syscall -> (a, unit) Effect.De
       | Lookup_stale ->
           kemit t ~level:Trace.Warn
             (Event.Ipc
-               { kind = Event.Sendrec; src = self_ep; dst; errno = Some Errno.E_dead_src_dst });
-          ret (Error Errno.E_dead_src_dst)
-      | Lookup_bad -> ret (Error Errno.E_bad_endpoint)
+               { kind = Event.Sendrec; src = ep_of_proc proc; dst; errno = Some Errno.E_dead_src_dst });
+          ret t proc k (Error Errno.E_dead_src_dst)
+      | Lookup_bad -> ret t proc k (Error Errno.E_bad_endpoint)
       | Lookup_ok dst_proc ->
-          if dst_proc.slot = proc.slot then ret (Error Errno.E_inval)
-          else if not (ipc_allowed t proc dst_proc) then ret (Error Errno.E_no_perm)
+          if dst_proc.slot = proc.slot then ret t proc k (Error Errno.E_inval)
+          else if not (ipc_allowed t proc dst_proc) then ret t proc k (Error Errno.E_no_perm)
           else if try_deliver t ~src_proc:proc ~dst:dst_proc msg then
             (* Message handed over; now wait for the reply. *)
             proc.state <-
@@ -603,27 +622,28 @@ and handle_syscall : type a. t -> proc -> a Sysif.syscall -> (a, unit) Effect.De
       | Lookup_stale ->
           kemit t ~level:Trace.Warn
             (Event.Ipc
-               { kind = Event.Async_send; src = self_ep; dst; errno = Some Errno.E_dead_src_dst });
-          ret (Error Errno.E_dead_src_dst)
-      | Lookup_bad -> ret (Error Errno.E_bad_endpoint)
+               { kind = Event.Async_send; src = ep_of_proc proc; dst; errno = Some Errno.E_dead_src_dst });
+          ret t proc k (Error Errno.E_dead_src_dst)
+      | Lookup_bad -> ret t proc k (Error Errno.E_bad_endpoint)
       | Lookup_ok dst_proc ->
-          if not (ipc_allowed t proc dst_proc) then ret (Error Errno.E_no_perm)
-          else if try_deliver t ~src_proc:proc ~dst:dst_proc msg then ret ~cost:t.costs.ipc (Ok ())
+          if not (ipc_allowed t proc dst_proc) then ret t proc k (Error Errno.E_no_perm)
+          else if try_deliver t ~src_proc:proc ~dst:dst_proc msg then
+            ret_after t proc k ~cost:t.costs.ipc (Ok ())
           else begin
             Metrics.incr t.ctr.c_async_messages;
-            Queue.push (self_ep, msg) dst_proc.async_in;
-            ret (Ok ())
+            Queue.push (ep_of_proc proc, msg) dst_proc.async_in;
+            ret t proc k (Ok ())
           end
     end
   | Sysif.Notify (dst, kind) -> begin
       match lookup_ep t dst with
-      | Lookup_stale -> ret (Error Errno.E_dead_src_dst)
-      | Lookup_bad -> ret (Error Errno.E_bad_endpoint)
+      | Lookup_stale -> ret t proc k (Error Errno.E_dead_src_dst)
+      | Lookup_bad -> ret t proc k (Error Errno.E_bad_endpoint)
       | Lookup_ok dst_proc ->
-          if not (ipc_allowed t proc dst_proc) then ret (Error Errno.E_no_perm)
+          if not (ipc_allowed t proc dst_proc) then ret t proc k (Error Errno.E_no_perm)
           else begin
-            deliver_notify t ~src:self_ep ~dst:dst_proc kind;
-            ret ~cost:t.costs.notify (Ok ())
+            deliver_notify t ~src:(ep_of_proc proc) ~dst:dst_proc kind;
+            ret_after t proc k ~cost:t.costs.notify (Ok ())
           end
     end
   | Sysif.Receive filter -> begin
@@ -637,9 +657,9 @@ and handle_syscall : type a. t -> proc -> a Sysif.syscall -> (a, unit) Effect.De
             else match lookup_ep t e with Lookup_ok _ -> false | Lookup_stale | Lookup_bad -> true)
       in
       match try_complete_receive t proc filter with
-      | Some rx -> ret ~cost:t.costs.ipc (Ok rx)
+      | Some rx -> ret_after t proc k ~cost:t.costs.ipc (Ok rx)
       | None ->
-          if stale_source then ret (Error Errno.E_dead_src_dst)
+          if stale_source then ret t proc k (Error Errno.E_dead_src_dst)
           else
             proc.state <-
               Recv_wait
@@ -651,51 +671,53 @@ and handle_syscall : type a. t -> proc -> a Sysif.syscall -> (a, unit) Effect.De
                 }
     end
   | Sysif.Safecopy { dir; owner; grant; grant_off; local_addr; len } ->
-      if kcall_denied () then ret (Error Errno.E_no_perm)
+      if kcall_denied proc op then ret t proc k (Error Errno.E_no_perm)
+      else if len < 0 then ret_after t proc k ~cost:t.costs.copy_base (Error Errno.E_range)
       else
         let cost = t.costs.copy_base + (len / t.costs.copy_bytes_per_us) in
-        ret ~cost (do_safecopy t proc ~dir ~owner ~grant_id:grant ~grant_off ~local_addr ~len)
+        ret_after t proc k ~cost
+          (do_safecopy t proc ~dir ~owner ~grant_id:grant ~grant_off ~local_addr ~len)
   | Sysif.Grant_create { for_; base; len; access } ->
-      if kcall_denied () then ret (Error Errno.E_no_perm)
+      if kcall_denied proc op then ret t proc k (Error Errno.E_no_perm)
       else if base < 0 || len < 0 || base + len > Memory.size proc.memory then
-        ret (Error Errno.E_range)
+        ret t proc k (Error Errno.E_range)
       else begin
         let id = proc.next_grant in
         proc.next_grant <- proc.next_grant + 1;
         Hashtbl.replace proc.grants id { for_; base; len; access };
-        ret (Ok id)
+        ret t proc k (Ok id)
       end
   | Sysif.Grant_revoke id ->
-      if kcall_denied () then ret (Error Errno.E_no_perm)
+      if kcall_denied proc op then ret t proc k (Error Errno.E_no_perm)
       else begin
         Hashtbl.remove proc.grants id;
-        ret (Ok ())
+        ret t proc k (Ok ())
       end
   | Sysif.Devio_in port ->
-      if kcall_denied () then ret (Error Errno.E_no_perm)
-      else if not (Privilege.allows_port proc.priv port) then ret (Error Errno.E_no_perm)
+      if kcall_denied proc op then ret t proc k (Error Errno.E_no_perm)
+      else if not (Privilege.allows_port proc.priv port) then ret t proc k (Error Errno.E_no_perm)
       else begin
         Metrics.incr t.ctr.c_devios;
-        ret ~cost:t.costs.devio (t.io_handler (`In port))
+        ret_after t proc k ~cost:t.costs.devio (t.io_handler (`In port))
       end
   | Sysif.Devio_out (port, value) ->
-      if kcall_denied () then ret (Error Errno.E_no_perm)
-      else if not (Privilege.allows_port proc.priv port) then ret (Error Errno.E_no_perm)
+      if kcall_denied proc op then ret t proc k (Error Errno.E_no_perm)
+      else if not (Privilege.allows_port proc.priv port) then ret t proc k (Error Errno.E_no_perm)
       else begin
         Metrics.incr t.ctr.c_devios;
         match t.io_handler (`Out (port, value)) with
-        | Ok _ -> ret ~cost:t.costs.devio (Ok ())
-        | Error e -> ret ~cost:t.costs.devio (Error e)
+        | Ok _ -> ret_after t proc k ~cost:t.costs.devio (Ok ())
+        | Error e -> ret_after t proc k ~cost:t.costs.devio (Error e)
       end
   | Sysif.Irq_register line ->
-      if kcall_denied () then ret (Error Errno.E_no_perm)
-      else if not (Privilege.allows_irq proc.priv line) then ret (Error Errno.E_no_perm)
+      if kcall_denied proc op then ret t proc k (Error Errno.E_no_perm)
+      else if not (Privilege.allows_irq proc.priv line) then ret t proc k (Error Errno.E_no_perm)
       else begin
         Hashtbl.replace t.irq_table line proc.slot;
-        ret (Ok ())
+        ret t proc k (Ok ())
       end
   | Sysif.Alarm delay ->
-      if kcall_denied () then ret (Error Errno.E_no_perm)
+      if kcall_denied proc op then ret t proc k (Error Errno.E_no_perm)
       else begin
         (match proc.alarm with Some h -> Engine.cancel h | None -> ());
         proc.alarm <- None;
@@ -706,61 +728,62 @@ and handle_syscall : type a. t -> proc -> a Sysif.syscall -> (a, unit) Effect.De
                    proc.alarm <- None;
                    if proc.state <> Dead then
                      deliver_notify t ~src:Wellknown.hardware ~dst:proc Message.N_alarm));
-        ret (Ok ())
+        ret t proc k (Ok ())
       end
   | Sysif.Iommu_map grant_id ->
-      if kcall_denied () then ret (Error Errno.E_no_perm)
+      if kcall_denied proc op then ret t proc k (Error Errno.E_no_perm)
       else begin
         match Hashtbl.find_opt proc.grants grant_id with
-        | None -> ret (Error Errno.E_no_perm)
+        | None -> ret t proc k (Error Errno.E_no_perm)
         | Some g ->
-            if not (Endpoint.equal g.for_ Wellknown.hardware) then ret (Error Errno.E_no_perm)
+            if not (Endpoint.equal g.for_ Wellknown.hardware) then ret t proc k (Error Errno.E_no_perm)
             else begin
               let handle = t.next_dma_handle in
               t.next_dma_handle <- t.next_dma_handle + 1;
               Hashtbl.replace t.iommu handle
                 { owner_slot = proc.slot; owner_gen = proc.gen; grant_id };
-              ret (Ok handle)
+              ret t proc k (Ok handle)
             end
       end
   | Sysif.Iommu_unmap handle ->
-      if kcall_denied () then ret (Error Errno.E_no_perm)
+      if kcall_denied proc op then ret t proc k (Error Errno.E_no_perm)
       else begin
         (match Hashtbl.find_opt t.iommu handle with
         | Some e when e.owner_slot = proc.slot -> Hashtbl.remove t.iommu handle
         | Some _ | None -> ());
-        ret (Ok ())
+        ret t proc k (Ok ())
       end
   | Sysif.Proc_create { name; program; args; priv; mem_kb } ->
-      if kcall_denied () then ret (Error Errno.E_no_perm)
-      else ret ~cost:t.costs.spawn (spawn_dynamic t ~name ~program ~args ~priv ~mem_kb)
+      if kcall_denied proc op then ret t proc k (Error Errno.E_no_perm)
+      else
+        ret_after t proc k ~cost:t.costs.spawn (spawn_dynamic t ~name ~program ~args ~priv ~mem_kb)
   | Sysif.Proc_kill (target, signal) ->
-      if kcall_denied () then ret (Error Errno.E_no_perm)
+      if kcall_denied proc op then ret t proc k (Error Errno.E_no_perm)
       else begin
         match lookup_ep t target with
-        | Lookup_stale -> ret (Error Errno.E_dead_src_dst)
-        | Lookup_bad -> ret (Error Errno.E_bad_endpoint)
+        | Lookup_stale -> ret t proc k (Error Errno.E_dead_src_dst)
+        | Lookup_bad -> ret t proc k (Error Errno.E_bad_endpoint)
         | Lookup_ok target_proc -> (
             match signal with
             | Signal.Sig_kill | Signal.Sig_segv | Signal.Sig_ill ->
                 do_kill t target_proc (Status.Killed signal);
-                ret (Ok ())
+                ret t proc k (Ok ())
             | Signal.Sig_term | Signal.Sig_chld ->
-                deliver_notify t ~src:self_ep ~dst:target_proc (Message.N_sig signal);
-                ret (Ok ()))
+                deliver_notify t ~src:(ep_of_proc proc) ~dst:target_proc (Message.N_sig signal);
+                ret t proc k (Ok ()))
       end
   | Sysif.Reap_exit ->
-      if kcall_denied () then ret None else ret (Queue.take_opt t.exit_queue)
+      if kcall_denied proc op then ret t proc k None else ret t proc k (Queue.take_opt t.exit_queue)
   | Sysif.Privctl (target, priv) ->
-      if kcall_denied () then ret (Error Errno.E_no_perm)
+      if kcall_denied proc op then ret t proc k (Error Errno.E_no_perm)
       else begin
         match lookup_ep t target with
-        | Lookup_stale -> ret (Error Errno.E_dead_src_dst)
-        | Lookup_bad -> ret (Error Errno.E_bad_endpoint)
+        | Lookup_stale -> ret t proc k (Error Errno.E_dead_src_dst)
+        | Lookup_bad -> ret t proc k (Error Errno.E_bad_endpoint)
         | Lookup_ok target_proc ->
             target_proc.priv <- priv;
             target_proc.kcall_mask <- Sysif.kcall_mask priv.Privilege.kcalls;
-            ret (Ok ())
+            ret t proc k (Ok ())
       end
 
 (* ------------------------------------------------------------------ *)

@@ -43,5 +43,11 @@ let driver ~ipc_to ~io_ports ~irqs =
   }
 
 let allows a name = match a with All -> true | Only names -> List.mem name names
-let allows_port t p = List.exists (fun (lo, hi) -> p >= lo && p <= hi) t.io_ports
+(* A plain walk: the kernel checks this on every port access, and a
+   [List.exists] predicate would allocate a closure per call. *)
+let rec port_in_ranges p = function
+  | [] -> false
+  | (lo, hi) :: rest -> (p >= lo && p <= hi) || port_in_ranges p rest
+
+let allows_port t p = port_in_ranges p t.io_ports
 let allows_irq t i = List.mem i t.irqs

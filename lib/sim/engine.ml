@@ -84,7 +84,19 @@ type t = {
   mutable cand_seqs : int array;
   mutable cand_fires : (unit -> unit) array;
   mutable cand_handles : handle array;
+  (* What the active driving loop ([run] or [run_until]) checks before
+     it fires one more event, read by [advance_inline]: events it may
+     still fire, the latest instant it fires at, the clock at which it
+     gives up, and its stop predicate.  [budget] is 0 outside a loop
+     and during a bare [step], so nothing inlines there. *)
+  mutable budget : int;
+  mutable stop : Time.t;
+  mutable deadline : Time.t;
+  mutable halt : unit -> bool;
+  mutable inlined : int; (* events fired by [advance_inline] *)
 }
+
+let never () = false
 
 let create ?(policy = Fifo) () =
   {
@@ -100,6 +112,11 @@ let create ?(policy = Fifo) () =
     cand_seqs = [||];
     cand_fires = [||];
     cand_handles = [||];
+    budget = 0;
+    stop = max_int;
+    deadline = max_int;
+    halt = never;
+    inlined = 0;
   }
 
 let now t = t.clock
@@ -319,25 +336,90 @@ let step_fifo t =
     end
   end
 
-let step t = match t.policy with Seeded _ | Scripted _ -> step_choice t | Fifo -> step_fifo t
+let step_any t = match t.policy with Seeded _ | Scripted _ -> step_choice t | Fifo -> step_fifo t
+
+(* Run [f] as the active driving loop with the given limits, restoring
+   the enclosing loop's (if any) afterwards. *)
+let with_drive t ~budget ~stop ~deadline ~halt f =
+  let b = t.budget and s = t.stop and d = t.deadline and h = t.halt in
+  let restore () =
+    t.budget <- b;
+    t.stop <- s;
+    t.deadline <- d;
+    t.halt <- h
+  in
+  t.budget <- budget;
+  t.stop <- stop;
+  t.deadline <- deadline;
+  t.halt <- halt;
+  match f () with
+  | r ->
+      restore ();
+      r
+  | exception e ->
+      restore ();
+      raise e
+
+let step t = with_drive t ~budget:0 ~stop:max_int ~deadline:max_int ~halt:never (fun () -> step_any t)
 
 let run ?until ?max_events t =
-  let fired = ref 0 in
-  (* [next_key] reads the head's instant in place (no allocation); the
-     removal happens inside [step]. *)
-  let continue () =
-    (match max_events with Some m -> !fired < m | None -> true)
-    && has_pending t
-    &&
-    match until with
-    | Some stop -> Time.compare (next_key t) stop <= 0
-    | None -> true
+  let stop = match until with Some s -> s | None -> max_int in
+  let budget = match max_events with Some m -> m | None -> max_int in
+  (* The budget is charged before the event fires, so an event that
+     inlines its successor ([advance_inline]) sees what is left. *)
+  let left =
+    with_drive t ~budget ~stop ~deadline:max_int ~halt:never (fun () ->
+        (* [next_key] reads the head's instant in place (no allocation);
+           the removal happens inside [step_any]. *)
+        while t.budget > 0 && has_pending t && next_key t <= stop do
+          t.budget <- t.budget - 1;
+          ignore (step_any t)
+        done;
+        t.budget)
   in
-  while continue () do
-    ignore (step t);
-    incr fired
-  done;
-  let stopped_by_budget = match max_events with Some m -> !fired >= m | None -> false in
+  let stopped_by_budget = left <= 0 in
   match until with
   | Some stop when (not stopped_by_budget) && Time.compare t.clock stop < 0 -> t.clock <- stop
   | Some _ | None -> ()
+
+let run_until t ~deadline pred =
+  with_drive t ~budget:max_int ~stop:max_int ~deadline ~halt:pred (fun () ->
+      let rec loop () =
+        if pred () then true
+        else if t.clock >= deadline then false
+        else if step_any t then loop ()
+        else pred ()
+      in
+      loop ())
+
+(* Are the wheel buckets for instants [i..at] all empty? *)
+let rec buckets_empty wheel i at =
+  i > at
+  ||
+  let b = Array.unsafe_get wheel (i land wheel_mask) in
+  b.b_head = b.b_len && buckets_empty wheel (i + 1) at
+
+(* How far ahead of the clock [advance_inline] scans the wheel; a
+   longer delay while the wheel holds entries is left to the queue. *)
+let inline_scan_limit = 64
+
+let advance_inline t ~after =
+  let at = t.clock + after in
+  if
+    at >= t.clock (* neither a negative delay nor an overflow *)
+    && t.budget > 0
+    && at <= t.stop
+    && t.clock < t.deadline
+    && (Heap.is_empty t.overflow || Heap.min_key t.overflow > at)
+    && (t.ring_count = 0 || (after < inline_scan_limit && buckets_empty t.wheel t.clock at))
+    && not (t.halt ())
+  then begin
+    t.budget <- t.budget - 1;
+    t.seq <- t.seq + 1;
+    t.clock <- at;
+    t.inlined <- t.inlined + 1;
+    true
+  end
+  else false
+
+let inline_counts t = (t.inlined, t.seq - t.inlined)

@@ -65,12 +65,39 @@ val cancel : handle -> unit
 val step : t -> bool
 (** Runs the single earliest pending event (under a non-[Fifo] policy,
     the candidate the policy chooses).  Returns [false] when the
-    queue is empty. *)
+    queue is empty.  Nothing inlines ({!advance_inline}) during a bare
+    [step]. *)
 
 val run : ?until:Time.t -> ?max_events:int -> t -> unit
 (** [run t] executes events until the queue is empty, [until] is
     reached (clock stops exactly at [until]), or [max_events] have
-    fired.  Defaults: no time bound, no event bound. *)
+    fired.  Defaults: no time bound, no event bound.  Inlined events
+    count against [max_events]. *)
+
+val run_until : t -> deadline:Time.t -> (unit -> bool) -> bool
+(** [run_until t ~deadline pred] fires events one at a time, checking
+    [pred] before each: [true] as soon as [pred ()] holds, [false] once
+    the clock has reached [deadline] first, and [pred ()] when the
+    queue empties. *)
+
+val advance_inline : t -> after:Time.t -> bool
+(** [advance_inline t ~after] fires, in place, an event that the caller
+    would otherwise schedule [after] from now and that would be the
+    very next event of the active driving loop ({!run} or {!run_until}).
+    It succeeds only when that loop would fire one more event at
+    [now + after] (its time bound, event budget, deadline and stop
+    predicate, checked as the loop checks them) and no entry, live or
+    cancelled, sits in the queue at any instant in [\[now, now + after\]]
+    (a bounded scan; when in doubt it refuses).  On success the event
+    is forced, so no decision is recorded; it consumes the sequence
+    number {!schedule} would have used, moves the clock to
+    [now + after] and counts against the loop's budget, and the caller
+    must then do the event's work and return straight to the loop.
+    Returns [false], changing nothing, otherwise. *)
+
+val inline_counts : t -> int * int
+(** [(inlined, queued)]: events fired by {!advance_inline} and events
+    scheduled through the queue, since creation. *)
 
 val pending : t -> int
 (** Number of events waiting (under [Fifo], including cancelled ones

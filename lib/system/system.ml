@@ -367,14 +367,7 @@ let spawn_app t ~name ?(priv = Privilege.app) ?(mem_kb = 256) body =
 let run ?until ?max_events t = Engine.run ?until ?max_events t.engine
 
 let run_until t ?(timeout = 60_000_000) pred =
-  let deadline = Engine.now t.engine + timeout in
-  let rec step () =
-    if pred () then true
-    else if Engine.now t.engine >= deadline then false
-    else if Engine.step t.engine then step ()
-    else pred ()
-  in
-  step ()
+  Engine.run_until t.engine ~deadline:(Engine.now t.engine + timeout) pred
 
 let start_services t specs =
   let done_flag = ref false in

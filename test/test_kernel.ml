@@ -785,6 +785,234 @@ let prop_privctl_updates_gate =
       in
       !seen_before = expect before && !seen_after = expect after)
 
+(* ------------------------------------------------------------------ *)
+(* Syscall returns without an engine event                             *)
+(* ------------------------------------------------------------------ *)
+
+let test_yield_negative_cost () =
+  let engine, kernel = make_kernel () in
+  let elapsed = ref (-1) in
+  let _p =
+    spawn kernel "yielder" (fun () ->
+        let t0 = Api.now () in
+        Api.yield ~cost:(-5) ();
+        elapsed := Api.now () - t0)
+  in
+  Engine.run engine;
+  Alcotest.(check int) "a negative cost is clamped to zero" 0 !elapsed
+
+let test_safecopy_negative_len () =
+  let engine, kernel = make_kernel () in
+  let result = ref None and elapsed = ref (-1) in
+  let _p =
+    spawn kernel "copier" (fun () ->
+        let t0 = Api.now () in
+        result :=
+          Some
+            (Api.safecopy_from ~owner:(Api.self ()) ~grant:0 ~grant_off:0 ~local_addr:0
+               ~len:(-10_000));
+        elapsed := Api.now () - t0)
+  in
+  Engine.run engine;
+  Alcotest.(check (option (result unit errno)))
+    "negative length rejected" (Some (Error Errno.E_range)) !result;
+  Alcotest.(check int) "charged the base copy cost" Kernel.default_costs.Kernel.copy_base !elapsed
+
+(* A kernel running three processes whose syscall returns are mostly
+   each other's only competition: two mix back-to-back yields with port
+   reads and writes, one sleeps in between, and all three start at the
+   same instant.  With [~crowd:false] only the first runs, so nearly
+   every return inlines.  Every return is logged as (process, call,
+   time). *)
+let burst_kernel ?policy ?(crowd = true) () =
+  let engine = Engine.create ?policy () in
+  let kernel = Kernel.create ~engine ~trace:(Trace.create ()) ~rng:(Rng.create ~seed:1) () in
+  Kernel.set_io_handler kernel (function `In p -> Ok p | `Out _ -> Ok 0);
+  let log = ref [] in
+  let worker name ops =
+    ignore
+      (spawn kernel name (fun () ->
+           List.iteri
+             (fun i op ->
+               (match op with
+               | `Yield c -> Api.yield ~cost:c ()
+               | `In p -> ignore (Api.devio_in p)
+               | `Out p -> ignore (Api.devio_out p 1)
+               | `Sleep d -> Api.sleep d);
+               log := (name, i, Api.now ()) :: !log)
+             ops))
+  in
+  let words n = List.concat (List.init n (fun i -> [ `In (0x300 + (i mod 4)); `Out 0x304 ])) in
+  worker "a" (List.concat [ List.init 40 (fun i -> `Yield (1 + (i mod 3))); words 30 ]);
+  if crowd then begin
+    worker "b" (List.concat [ words 20; List.init 30 (fun _ -> `Yield 1); words 10 ]);
+    worker "c" (List.init 12 (fun i -> if i mod 2 = 0 then `Sleep 7 else `Yield 2))
+  end;
+  (engine, kernel, log)
+
+let log_checksum =
+  List.fold_left
+    (fun acc (name, i, at) -> ((acc * 31) + Hashtbl.hash name + (i * 7) + at) land 0xFFFFFFF)
+    0
+
+(* The workers start once their spawn cost has elapsed. *)
+let burst_start = Kernel.default_costs.Kernel.spawn
+
+let burst_state (engine, _, log) = (Engine.now engine, Engine.pending engine, List.rev !log)
+
+let burst_state_t =
+  Alcotest.(triple int int (list (triple string int int)))
+
+let test_inline_path_taken () =
+  let ((engine, _, _) as b) = burst_kernel () in
+  Engine.run engine;
+  let inlined, queued = Engine.inline_counts engine in
+  let _, _, log = burst_state b in
+  Alcotest.(check int) "every call returned" (100 + 90 + 12) (List.length log);
+  (* The equivalence tests below lean on this workload taking both
+     paths. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "both paths taken (%d inlined, %d queued)" inlined queued)
+    true
+    (inlined > 0 && inlined < List.length log)
+
+let prop_max_events_matches_steps =
+  QCheck.Test.make ~name:"run ~max_events:m = m bare steps" ~count:60
+    QCheck.(int_range 0 260)
+    (fun m ->
+      let ((e1, _, _) as run) = burst_kernel () in
+      Engine.run e1 ~max_events:m;
+      let ((e2, _, _) as stepped) = burst_kernel () in
+      for _ = 1 to m do
+        ignore (Engine.step e2)
+      done;
+      burst_state run = burst_state stepped)
+
+(* How many bare steps leave the clock at or before [stop]. *)
+let steps_within stop =
+  let engine, _, _ = burst_kernel () in
+  let rec count n = if Engine.step engine && Engine.now engine <= stop then count (n + 1) else n in
+  count 0
+
+let prop_until_never_overshoots =
+  QCheck.Test.make ~name:"run ~until:T stops at T, as stepping does" ~count:60
+    QCheck.(int_range (burst_start - 10) (burst_start + 310))
+    (fun stop ->
+      let ((e1, _, log) as run) = burst_kernel () in
+      Engine.run e1 ~until:stop;
+      let ((e2, _, _) as stepped) = burst_kernel () in
+      for _ = 1 to steps_within stop do
+        ignore (Engine.step e2)
+      done;
+      let clock, pending, entries = burst_state run and _, pending', entries' = burst_state stepped in
+      clock = stop
+      && List.for_all (fun (_, _, at) -> at <= stop) !log
+      && pending = pending' && entries = entries')
+
+(* [Engine.run_until] against the loop it replaces, one bare step at a
+   time, with the stop predicate or the deadline landing mid-burst. *)
+let step_until engine ~deadline pred =
+  let rec loop () =
+    if pred () then true
+    else if Engine.now engine >= deadline then false
+    else if Engine.step engine then loop ()
+    else pred ()
+  in
+  loop ()
+
+let test_run_until_mid_burst () =
+  List.iter
+    (fun (crowd, returns, deadline) ->
+      let outcome drive =
+        let ((engine, _, log) as b) = burst_kernel ~crowd () in
+        let pred () = List.length !log >= returns in
+        let ok = drive engine ~deadline pred in
+        (ok, burst_state b)
+      in
+      let ok, state = outcome (fun e ~deadline p -> Engine.run_until e ~deadline p) in
+      let ok', state' = outcome step_until in
+      let label = Printf.sprintf "crowd %b, %d returns or t=%d" crowd returns deadline in
+      Alcotest.(check bool) (label ^ ": outcome") ok' ok;
+      Alcotest.check burst_state_t (label ^ ": state") state' state)
+    [
+      (true, 1, max_int);
+      (true, 57, max_int);
+      (true, 150, max_int);
+      (true, 1000, max_int);
+      (true, 1000, burst_start + 45);
+      (true, 1000, burst_start + 131);
+      (false, 33, max_int);
+      (false, 1000, burst_start + 45);
+      (false, 1000, burst_start + 131);
+    ]
+
+let test_self_kill_then_inline_return () =
+  let engine, kernel = make_kernel () in
+  let after_kill = ref false and status = ref None in
+  let victim =
+    spawn kernel "victim" (fun () ->
+        ignore (Api.proc_kill (Api.self ()) Signal.Sig_kill);
+        after_kill := true)
+  in
+  Engine.run engine;
+  let inlined, _ = Engine.inline_counts engine in
+  let _reaper =
+    spawn kernel "reaper" (fun () ->
+        match Api.reap_exit () with
+        | Some (ep, _, st) when Endpoint.equal ep victim -> status := Some st
+        | Some _ | None -> ())
+  in
+  Engine.run engine;
+  Alcotest.(check bool) "the kill's return was inlined" true (inlined >= 1);
+  Alcotest.(check bool) "nothing ran after the kill" false !after_kill;
+  Alcotest.(check bool) "ended as Killed" true (!status = Some (Status.Killed Signal.Sig_kill))
+
+(* A fiber that catches the kill unwinding it and keeps making syscalls
+   runs inside the killer's [Proc_kill]; none of its returns may inline,
+   or the killer's own return would move. *)
+let test_kill_unwind_keeps_queue () =
+  let outcome drive =
+    let engine, kernel = make_kernel () in
+    let log = ref [] in
+    let note who = log := (who, Api.now ()) :: !log in
+    let victim =
+      spawn kernel "victim" (fun () ->
+          try ignore (Api.receive Sysif.Any)
+          with Sysif.Killed_exn _ ->
+            for _ = 1 to 5 do
+              Api.yield ();
+              note "victim"
+            done)
+    in
+    let _killer =
+      spawn kernel "killer" (fun () ->
+          Api.sleep 10;
+          ignore (Api.proc_kill victim Signal.Sig_kill);
+          note "killer";
+          Api.yield ();
+          note "killer")
+    in
+    drive engine;
+    (Engine.now engine, List.rev !log)
+  in
+  let run = outcome (fun e -> Engine.run e) in
+  let stepped = outcome (fun e -> while Engine.step e do () done) in
+  Alcotest.(check (pair int (list (pair string int)))) "run = stepping" stepped run
+
+(* Pinned from the queue-only engine, before syscall returns could
+   inline: inlining a forced event records no decision and consumes the
+   same sequence number, so the seeded schedule is unchanged. *)
+let test_seeded_trace_pinned () =
+  let ((engine, _, log) as b) = burst_kernel ~policy:(Engine.Seeded 42) () in
+  Engine.run engine;
+  let clock, _, _ = burst_state b in
+  let decisions = Array.to_list (Engine.decisions engine) in
+  Alcotest.(check int) "final clock" 3299 clock;
+  Alcotest.(check (list int)) "decisions" 
+    [ 2; 0; 1; 1; 1; 1; 1; 0; 1; 0; 1; 1; 1; 1; 0; 1; 0; 1; 0; 0; 0; 2; 0; 0; 1; 1; 1; 0; 0; 0; 1; 0; 0; 0; 1; 1; 1; 1; 0; 1; 1; 1 ]
+    decisions;
+  Alcotest.(check int) "log checksum" 51512443 (log_checksum (List.rev !log))
+
 let tests =
   [
     Alcotest.test_case "rendezvous send/receive" `Quick test_rendezvous_send_receive;
@@ -817,4 +1045,13 @@ let tests =
     QCheck_alcotest.to_alcotest prop_many_processes_all_messages_delivered;
     QCheck_alcotest.to_alcotest prop_kcall_mask_matches_whitelist;
     QCheck_alcotest.to_alcotest prop_privctl_updates_gate;
+    Alcotest.test_case "yield with a negative cost" `Quick test_yield_negative_cost;
+    Alcotest.test_case "safecopy with a negative length" `Quick test_safecopy_negative_len;
+    Alcotest.test_case "inline and queued returns both taken" `Quick test_inline_path_taken;
+    QCheck_alcotest.to_alcotest prop_max_events_matches_steps;
+    QCheck_alcotest.to_alcotest prop_until_never_overshoots;
+    Alcotest.test_case "run_until stops mid-burst as stepping does" `Quick test_run_until_mid_burst;
+    Alcotest.test_case "self kill, then inline return" `Quick test_self_kill_then_inline_return;
+    Alcotest.test_case "kill unwind keeps the queue" `Quick test_kill_unwind_keeps_queue;
+    Alcotest.test_case "seeded trace pinned" `Quick test_seeded_trace_pinned;
   ]

@@ -122,12 +122,24 @@ let test_errno_strings () =
      let strings = List.map Errno.to_string all in
      List.length (List.sort_uniq String.compare strings) = List.length all)
 
+(* [allows_port] is a hand-written walk; it must agree with the
+   definition over the range list. *)
+let prop_allows_port_matches_ranges =
+  QCheck.Test.make ~name:"allows_port = exists over inclusive ranges" ~count:500
+    QCheck.(
+      pair (small_list (pair (int_range 0 200) (int_range 0 200))) (int_range (-5) 205))
+    (fun (ranges, port) ->
+      let priv = { Privilege.none with Privilege.io_ports = ranges } in
+      Privilege.allows_port priv port
+      = List.exists (fun (lo, hi) -> port >= lo && port <= hi) ranges)
+
 let tests =
   [
     Alcotest.test_case "endpoint identity" `Quick test_endpoint_identity;
     Alcotest.test_case "exit status -> defect class" `Quick test_defect_classification;
     Alcotest.test_case "defect numbers match Sec. 5.1" `Quick test_defect_numbers_match_paper;
     Alcotest.test_case "privilege allow lists" `Quick test_privilege_allows;
+    QCheck_alcotest.to_alcotest prop_allows_port_matches_ranges;
     Alcotest.test_case "driver least authority" `Quick test_driver_privileges_are_least_authority;
     Alcotest.test_case "server privileges" `Quick test_server_privileges;
     Alcotest.test_case "spec defaults" `Quick test_spec_defaults;

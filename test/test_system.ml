@@ -255,9 +255,49 @@ let test_service_down_and_duplicate_up () =
   Alcotest.(check int) "no recovery event for a deliberate stop" 0
     (List.length (Resilix_obs.Span.spans t.System.spans))
 
+(* [System.run_until] against the loop it replaced, one bare
+   [Engine.step] at a time (no inline returns), on a booted machine
+   with the DP8390 driver up: the predicate turns true in the middle of
+   an application's yield burst, so the inline path must stop exactly
+   where stepping does. *)
+let test_run_until_mid_burst () =
+  let outcome drive =
+    let t, _ = boot_with_net ~file_mb:1 () in
+    System.start_services t [ System.spec_dp8390 () ];
+    let returns = ref 0 in
+    ignore
+      (System.spawn_app t ~name:"burst" (fun () ->
+           for i = 1 to 2_000 do
+             Resilix_kernel.Sysif.Api.yield ~cost:(1 + (i mod 3)) ();
+             incr returns
+           done));
+    let ok = drive t (fun () -> !returns >= 1_234) in
+    let engine = t.System.engine in
+    (ok, Engine.now engine, Engine.pending engine, !returns)
+  in
+  let stepped t pred =
+    let engine = t.System.engine in
+    let deadline = Engine.now engine + 60_000_000 in
+    let rec loop () =
+      if pred () then true
+      else if Engine.now engine >= deadline then false
+      else if Engine.step engine then loop ()
+      else pred ()
+    in
+    loop ()
+  in
+  let ok, clock, pending, returns = outcome (fun t pred -> System.run_until t pred) in
+  let ok', clock', pending', returns' = outcome stepped in
+  Alcotest.(check bool) "predicate reached" ok' ok;
+  Alcotest.(check int) "same stopping clock" clock' clock;
+  Alcotest.(check int) "same queue" pending' pending;
+  Alcotest.(check int) "stopped on the predicate's return" 1_234 returns;
+  Alcotest.(check int) "same returns" returns' returns
+
 let tests =
   [
     Alcotest.test_case "boot and start services" `Quick test_boot_and_services;
+    Alcotest.test_case "run_until stops mid-burst as stepping does" `Quick test_run_until_mid_burst;
     Alcotest.test_case "inbound TCP listen/accept" `Quick test_inbound_tcp_accept;
     Alcotest.test_case "floppy raw sector I/O" `Quick test_floppy_raw_io;
     Alcotest.test_case "service down / duplicate up" `Quick test_service_down_and_duplicate_up;
