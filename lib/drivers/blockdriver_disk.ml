@@ -1,8 +1,6 @@
 module Api = Resilix_kernel.Sysif.Api
-module Sysif = Resilix_kernel.Sysif
 module Errno = Resilix_proto.Errno
 module Isa = Resilix_vm.Isa
-module Interp = Resilix_vm.Interp
 
 let image_origin = 0x1000
 let data_buf = 0x10000
@@ -49,59 +47,19 @@ let image_info ~base =
   let img = image ~base in
   (Image.origin img, Image.insn_count img)
 
-let parse_args () =
-  match Api.args () with
-  | [ base; irq ] -> (int_of_string base, int_of_string irq)
-  | _ -> Api.panic "disk: expected args [base; irq]"
-
 type inflight = { src : Resilix_proto.Endpoint.t; grant : int; len : int; write : bool }
 
 let program () =
-  let base, irq = parse_args () in
-  let programs = Image.load (image ~base) in
-  (* Resolve every program once; [exec] then costs no lookup. *)
-  let handle name = (name, Image.find programs name) in
-  let p_init = handle "init"
-  and p_status = handle "status"
-  and p_io = handle "io"
-  and p_isr = handle "isr" in
-  let regs = Array.make 8 0 in
-  let exec (name, program) ~r1 ~r2 ~r3 ~r4 =
-    Array.fill regs 0 8 0;
-    regs.(1) <- r1;
-    regs.(2) <- r2;
-    regs.(3) <- r3;
-    regs.(4) <- r4;
-    match Interp.run program ~regs with
-    | r0 -> r0
-    | exception Interp.Check_failed { detail; _ } ->
-        Api.panic (Printf.sprintf "disk: consistency check failed in %s: %s" name detail)
-    | exception Interp.Io_failed { port } ->
-        Api.panic (Printf.sprintf "disk: unexpected I/O failure on port %d in %s" port name)
-  in
-  (match Api.irq_register irq with
-  | Ok () -> ()
-  | Error _ -> Api.panic "disk: cannot register IRQ");
-  let h_data =
-    match
-      Api.grant_create ~for_:Resilix_proto.Wellknown.hardware ~base:data_buf ~len:max_request
-        ~access:Sysif.Read_write
-    with
-    | Error _ -> Api.panic "disk: grant_create failed"
-    | Ok g -> (
-        match Api.iommu_map g with Ok h -> h | Error _ -> Api.panic "disk: iommu_map failed")
-  in
-  ignore (exec p_init ~r1:0 ~r2:0 ~r3:0 ~r4:0);
+  let vm = Image.boot ~driver:"disk" image in
+  let p_init = Image.program vm "init"
+  and p_status = Image.program vm "status"
+  and p_io = Image.program vm "io"
+  and p_isr = Image.program vm "isr" in
+  let h_data = Image.dma_buffer vm ~addr:data_buf ~len:max_request in
+  ignore (Image.exec vm p_init);
   (* Disks take a long time to come back after a reset (spin-up +
      IDENTIFY); poll the status register like a real driver. *)
-  let rec wait_ready () =
-    let bits = exec p_status ~r1:0 ~r2:0 ~r3:0 ~r4:0 in
-    if bits land 1 <> 0 then begin
-      Api.sleep 10_000;
-      wait_ready ()
-    end
-  in
-  wait_ready ();
+  Image.wait_ready vm p_status ~busy:1;
   let inflight = ref None in
   let start ~src ~grant ~pos ~len ~write =
     if pos < 0 || len <= 0 || len > max_request || pos mod sector <> 0 || len mod sector <> 0 then
@@ -111,7 +69,7 @@ let program () =
       let proceed () =
         inflight := Some { src; grant; len; write };
         let cmd = if write then 0x30 else 0x20 in
-        ignore (exec p_io ~r1:(pos / sector) ~r2:(len / sector) ~r3:h_data ~r4:cmd);
+        ignore (Image.exec vm p_io ~r1:(pos / sector) ~r2:(len / sector) ~r3:h_data ~r4:cmd);
         Driver_lib.No_reply
       in
       if write then begin
@@ -135,12 +93,12 @@ let program () =
           else start ~src ~grant ~pos ~len ~write:true);
       dh_irq =
         (fun ~line:_ ->
-          let bits = exec p_isr ~r1:0 ~r2:0 ~r3:0 ~r4:0 in
+          let bits = Image.exec vm p_isr in
           match !inflight with
           | None -> ()
           | Some { src; grant; len; write } ->
               inflight := None;
-              if bits land isr_err <> 0 then Api.panic "disk: device reported an error"
+              if bits land isr_err <> 0 then Image.fail vm "device reported an error"
               else if bits land isr_done <> 0 then
                 if write then Driver_lib.reply src (Ok len)
                 else begin

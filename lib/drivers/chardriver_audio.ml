@@ -2,7 +2,6 @@ module Api = Resilix_kernel.Sysif.Api
 module Memory = Resilix_kernel.Memory
 module Errno = Resilix_proto.Errno
 module Isa = Resilix_vm.Isa
-module Interp = Resilix_vm.Interp
 
 let image_origin = 0x1000
 let stage_buf = 0x4000
@@ -45,41 +44,14 @@ let code ~base =
 
 let image ~base = Image.assemble ~origin:image_origin (code ~base)
 
-let image_info ~base =
-  let img = image ~base in
-  (Image.origin img, Image.insn_count img)
-
-let parse_args () =
-  match Api.args () with
-  | [ base; irq ] -> (int_of_string base, int_of_string irq)
-  | _ -> Api.panic "audio: expected args [base; irq]"
-
 let program () =
-  let base, irq = parse_args () in
-  let programs = Image.load (image ~base) in
-  (* Resolve every program once; [exec] then costs no lookup. *)
-  let handle name = (name, Image.find programs name) in
-  let p_init = handle "init"
-  and p_level = handle "level"
-  and p_feed = handle "feed"
-  and p_ctrl = handle "ctrl"
-  and p_ack = handle "ack" in
-  let regs = Array.make 8 0 in
-  let exec (name, program) ~r1 ~r2 =
-    Array.fill regs 0 8 0;
-    regs.(1) <- r1;
-    regs.(2) <- r2;
-    match Interp.run program ~regs with
-    | r0 -> r0
-    | exception Interp.Check_failed { detail; _ } ->
-        Api.panic (Printf.sprintf "audio: consistency check failed in %s: %s" name detail)
-    | exception Interp.Io_failed { port } ->
-        Api.panic (Printf.sprintf "audio: unexpected I/O failure on port %d" port)
-  in
-  (match Api.irq_register irq with
-  | Ok () -> ()
-  | Error _ -> Api.panic "audio: cannot register IRQ");
-  ignore (exec p_init ~r1:0 ~r2:0);
+  let vm = Image.boot ~driver:"audio" image in
+  let p_init = Image.program vm "init"
+  and p_level = Image.program vm "level"
+  and p_feed = Image.program vm "feed"
+  and p_ctrl = Image.program vm "ctrl"
+  and p_ack = Image.program vm "ack" in
+  ignore (Image.exec vm p_init);
   let mem = Api.memory () in
   let spool = Queue.create () in
   let spooled = ref 0 in
@@ -88,7 +60,7 @@ let program () =
   let pump () =
     let continue = ref true in
     while !continue && not (Queue.is_empty spool) do
-      let level = exec p_level ~r1:0 ~r2:0 in
+      let level = Image.exec vm p_level in
       let room = fifo_cap - level in
       if room < 4 then continue := false
       else begin
@@ -97,7 +69,7 @@ let program () =
         if take = 0 then continue := false
         else begin
           Memory.blit_in mem ~addr:stage_buf ~src:chunk ~src_off:0 ~len:take;
-          ignore (exec p_feed ~r1:stage_buf ~r2:((take + 3) / 4));
+          ignore (Image.exec vm p_feed ~r1:stage_buf ~r2:((take + 3) / 4));
           spooled := !spooled - take;
           if take = Bytes.length chunk then ignore (Queue.pop spool)
           else begin
@@ -130,7 +102,7 @@ let program () =
                 spooled := !spooled + len;
                 if not !playing then begin
                   playing := true;
-                  ignore (exec p_ctrl ~r1:1 ~r2:0)
+                  ignore (Image.exec vm p_ctrl ~r1:1)
                 end;
                 pump ();
                 Driver_lib.Reply (Ok len)
@@ -140,16 +112,16 @@ let program () =
           match op with
           | "start" ->
               playing := true;
-              ignore (exec p_ctrl ~r1:1 ~r2:0);
+              ignore (Image.exec vm p_ctrl ~r1:1);
               Driver_lib.Reply (Ok 0)
           | "stop" ->
               playing := false;
-              ignore (exec p_ctrl ~r1:0 ~r2:0);
+              ignore (Image.exec vm p_ctrl);
               Driver_lib.Reply (Ok 0)
           | _ -> Driver_lib.Reply (Error Errno.E_inval));
       dh_irq =
         (fun ~line:_ ->
-          ignore (exec p_ack ~r1:0 ~r2:0);
+          ignore (Image.exec vm p_ack);
           pump ());
     }
   in

@@ -10,8 +10,5 @@
 val program : unit -> unit
 (** The driver binary; args are [base; irq] as decimal strings. *)
 
-val image_info : base:int -> int * int
-(** [(origin, insn_count)] of the loaded code image. *)
-
 val memory_kb : int
 (** Address-space size the driver needs. *)

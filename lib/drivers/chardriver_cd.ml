@@ -1,8 +1,6 @@
 module Api = Resilix_kernel.Sysif.Api
-module Sysif = Resilix_kernel.Sysif
 module Errno = Resilix_proto.Errno
 module Isa = Resilix_vm.Isa
-module Interp = Resilix_vm.Interp
 
 let image_origin = 0x1000
 let data_buf = 0x10000
@@ -42,49 +40,14 @@ let code ~base =
 
 let image ~base = Image.assemble ~origin:image_origin (code ~base)
 
-let image_info ~base =
-  let img = image ~base in
-  (Image.origin img, Image.insn_count img)
-
-let parse_args () =
-  match Api.args () with
-  | [ base; irq ] -> (int_of_string base, int_of_string irq)
-  | _ -> Api.panic "cd: expected args [base; irq]"
-
 let program () =
-  let base, irq = parse_args () in
-  let programs = Image.load (image ~base) in
-  (* Resolve every program once; [exec] then costs no lookup. *)
-  let handle name = (name, Image.find programs name) in
-  let p_init = handle "init"
-  and p_cmd = handle "cmd"
-  and p_burn = handle "burn"
-  and p_isr = handle "isr" in
-  let regs = Array.make 8 0 in
-  let exec (name, program) ~r1 ~r2 =
-    Array.fill regs 0 8 0;
-    regs.(1) <- r1;
-    regs.(2) <- r2;
-    match Interp.run program ~regs with
-    | r0 -> r0
-    | exception Interp.Check_failed { detail; _ } ->
-        Api.panic (Printf.sprintf "cd: consistency check failed in %s: %s" name detail)
-    | exception Interp.Io_failed { port } ->
-        Api.panic (Printf.sprintf "cd: unexpected I/O failure on port %d" port)
-  in
-  (match Api.irq_register irq with
-  | Ok () -> ()
-  | Error _ -> Api.panic "cd: cannot register IRQ");
-  ignore (exec p_init ~r1:0 ~r2:0);
-  let h_data =
-    match
-      Api.grant_create ~for_:Resilix_proto.Wellknown.hardware ~base:data_buf ~len:max_block
-        ~access:Sysif.Read_write
-    with
-    | Error _ -> Api.panic "cd: grant_create failed"
-    | Ok g -> (
-        match Api.iommu_map g with Ok h -> h | Error _ -> Api.panic "cd: iommu_map failed")
-  in
+  let vm = Image.boot ~driver:"cd" image in
+  let p_init = Image.program vm "init"
+  and p_cmd = Image.program vm "cmd"
+  and p_burn = Image.program vm "burn"
+  and p_isr = Image.program vm "isr" in
+  ignore (Image.exec vm p_init);
+  let h_data = Image.dma_buffer vm ~addr:data_buf ~len:max_block in
   let inflight = ref None in
   let handlers =
     {
@@ -93,10 +56,10 @@ let program () =
         (fun ~src:_ ~minor:_ ~op ~arg:_ ->
           match op with
           | "burn_start" ->
-              ignore (exec p_cmd ~r1:0x01 ~r2:0);
+              ignore (Image.exec vm p_cmd ~r1:0x01);
               Driver_lib.Reply (Ok 0)
           | "burn_finish" ->
-              ignore (exec p_cmd ~r1:0x02 ~r2:0);
+              ignore (Image.exec vm p_cmd ~r1:0x02);
               Driver_lib.Reply (Ok 0)
           | _ -> Driver_lib.Reply (Error Errno.E_inval));
       dh_write =
@@ -109,12 +72,12 @@ let program () =
             | Error e -> Driver_lib.Reply (Error e)
             | Ok () ->
                 inflight := Some (src, len);
-                ignore (exec p_burn ~r1:len ~r2:h_data);
+                ignore (Image.exec vm p_burn ~r1:len ~r2:h_data);
                 Driver_lib.No_reply
           end);
       dh_irq =
         (fun ~line:_ ->
-          let bits = exec p_isr ~r1:0 ~r2:0 in
+          let bits = Image.exec vm p_isr in
           match !inflight with
           | None ->
               (* An error interrupt outside a burn (e.g. the gap

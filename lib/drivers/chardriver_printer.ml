@@ -2,7 +2,6 @@ module Api = Resilix_kernel.Sysif.Api
 module Memory = Resilix_kernel.Memory
 module Errno = Resilix_proto.Errno
 module Isa = Resilix_vm.Isa
-module Interp = Resilix_vm.Interp
 
 let image_origin = 0x1000
 let stage_buf = 0x4000
@@ -53,42 +52,15 @@ let code ~base =
 
 let image ~base = Image.assemble ~origin:image_origin (code ~base)
 
-let image_info ~base =
-  let img = image ~base in
-  (Image.origin img, Image.insn_count img)
-
-let parse_args () =
-  match Api.args () with
-  | [ base; irq ] -> (int_of_string base, int_of_string irq)
-  | _ -> Api.panic "printer: expected args [base; irq]"
-
 type job = { src : Resilix_proto.Endpoint.t; data : bytes; mutable off : int }
 
 let program () =
-  let base, irq = parse_args () in
-  let programs = Image.load (image ~base) in
-  (* Resolve every program once; [exec] then costs no lookup. *)
-  let handle name = (name, Image.find programs name) in
-  let p_init = handle "init"
-  and p_level = handle "level"
-  and p_feed = handle "feed"
-  and p_ack = handle "ack" in
-  let regs = Array.make 8 0 in
-  let exec (name, program) ~r1 ~r2 =
-    Array.fill regs 0 8 0;
-    regs.(1) <- r1;
-    regs.(2) <- r2;
-    match Interp.run program ~regs with
-    | r0 -> r0
-    | exception Interp.Check_failed { detail; _ } ->
-        Api.panic (Printf.sprintf "printer: consistency check failed in %s: %s" name detail)
-    | exception Interp.Io_failed { port } ->
-        Api.panic (Printf.sprintf "printer: unexpected I/O failure on port %d" port)
-  in
-  (match Api.irq_register irq with
-  | Ok () -> ()
-  | Error _ -> Api.panic "printer: cannot register IRQ");
-  ignore (exec p_init ~r1:0 ~r2:0);
+  let vm = Image.boot ~driver:"printer" image in
+  let p_init = Image.program vm "init"
+  and p_level = Image.program vm "level"
+  and p_feed = Image.program vm "feed"
+  and p_ack = Image.program vm "ack" in
+  ignore (Image.exec vm p_init);
   let mem = Api.memory () in
   let current = ref None in
   (* Feed as much of the current job as the FIFO can take; reply when
@@ -97,13 +69,13 @@ let program () =
     match !current with
     | None -> ()
     | Some job ->
-        let level = exec p_level ~r1:0 ~r2:0 in
+        let level = Image.exec vm p_level in
         let room = fifo_cap - level in
         let remaining = Bytes.length job.data - job.off in
         let take = min room remaining in
         if take > 0 then begin
           Memory.blit_in mem ~addr:stage_buf ~src:job.data ~src_off:job.off ~len:take;
-          ignore (exec p_feed ~r1:stage_buf ~r2:take);
+          ignore (Image.exec vm p_feed ~r1:stage_buf ~r2:take);
           job.off <- job.off + take
         end;
         if job.off >= Bytes.length job.data then begin
@@ -129,7 +101,7 @@ let program () =
           end);
       dh_irq =
         (fun ~line:_ ->
-          ignore (exec p_ack ~r1:0 ~r2:0);
+          ignore (Image.exec vm p_ack);
           pump ());
     }
   in

@@ -1,5 +1,6 @@
 module Api = Resilix_kernel.Sysif.Api
 module Sysif = Resilix_kernel.Sysif
+module Memory = Resilix_kernel.Memory
 module Endpoint = Resilix_proto.Endpoint
 module Errno = Resilix_proto.Errno
 module Message = Resilix_proto.Message
@@ -45,75 +46,118 @@ let handle_common_notify ~src ~kind ~on_irq ~on_alarm =
   | Message.N_sig _ | Message.N_heartbeat_reply | Message.N_health_reply | Message.N_ds_update ->
       ()
 
-let run_dev handlers =
+(* The receive loop both protocols share: notifications go to
+   [handle_common_notify], requests to [handle]. *)
+let serve ~on_irq ~on_alarm handle =
   (* One requests counter per driver, resolved to a handle once so the
      hot loop neither formats the name nor looks it up per message. *)
   let c_requests = Api.metric_counter (Printf.sprintf "driver.%s.requests" (Api.name ())) in
   let rec loop () =
     (match Api.receive Sysif.Any with
     | Error _ -> ()
-    | Ok (Sysif.Rx_notify { src; kind }) ->
-        handle_common_notify ~src ~kind ~on_irq:handlers.dh_irq ~on_alarm:handlers.dh_alarm
-    | Ok (Sysif.Rx_msg { src; body }) -> begin
+    | Ok (Sysif.Rx_notify { src; kind }) -> handle_common_notify ~src ~kind ~on_irq ~on_alarm
+    | Ok (Sysif.Rx_msg { src; body }) ->
         Metrics.incr c_requests;
-        match body with
-        | Message.Dev_open { minor } -> reply src (handlers.dh_open ~minor)
-        | Message.Dev_close { minor } -> reply src (handlers.dh_close ~minor)
-        | Message.Dev_read { minor; pos; grant; len } -> begin
-            match handlers.dh_read ~src ~minor ~pos ~grant ~len with
-            | Reply r -> reply src r
-            | No_reply -> ()
-          end
-        | Message.Dev_write { minor; pos; grant; len } -> begin
-            match handlers.dh_write ~src ~minor ~pos ~grant ~len with
-            | Reply r -> reply src r
-            | No_reply -> ()
-          end
-        | Message.Dev_ioctl { minor; op; arg } -> begin
-            match handlers.dh_ioctl ~src ~minor ~op ~arg with
-            | Reply r -> reply src r
-            | No_reply -> ()
-          end
-        | _ -> reply src (Error Errno.E_inval)
-      end);
+        handle src body);
     loop ()
   in
   loop ()
 
-type net_handlers = {
-  nh_conf : src:Endpoint.t -> mode:Message.dl_mode -> (int, Errno.t) result;
-  nh_writev : src:Endpoint.t -> grant:int -> len:int -> unit;
-  nh_readv : src:Endpoint.t -> grant:int -> len:int -> unit;
-  nh_getstat : src:Endpoint.t -> int * int * int;
-  nh_irq : line:int -> unit;
-}
+let run_dev handlers =
+  let deferred src = function Reply r -> reply src r | No_reply -> () in
+  serve ~on_irq:handlers.dh_irq ~on_alarm:handlers.dh_alarm (fun src -> function
+    | Message.Dev_open { minor } -> reply src (handlers.dh_open ~minor)
+    | Message.Dev_close { minor } -> reply src (handlers.dh_close ~minor)
+    | Message.Dev_read { minor; pos; grant; len } ->
+        deferred src (handlers.dh_read ~src ~minor ~pos ~grant ~len)
+    | Message.Dev_write { minor; pos; grant; len } ->
+        deferred src (handlers.dh_write ~src ~minor ~pos ~grant ~len)
+    | Message.Dev_ioctl { minor; op; arg } -> deferred src (handlers.dh_ioctl ~src ~minor ~op ~arg)
+    | _ -> reply src (Error Errno.E_inval))
+
+let nic_tx_buf = 0x4000
+let nic_rx_buf = 0x4800
+let nic_buf_size = 2048
+let max_frame = 1514
+
+(* Interrupt bits both NIC images' [isr] programs report. *)
+let isr_rx = 0x1
+let isr_tx = 0x4
+let isr_err = 0x8
+let stash_cap = 32
 
 let task_reply dst ~sent ~received ~read_len =
   ignore (Api.asend dst (Message.Dl_task_reply { flags = { sent; received }; read_len }))
 
-let run_net handlers =
-  let c_requests = Api.metric_counter (Printf.sprintf "driver.%s.requests" (Api.name ())) in
-  let rec loop () =
-    (match Api.receive Sysif.Any with
-    | Error _ -> ()
-    | Ok (Sysif.Rx_notify { src; kind }) ->
-        handle_common_notify ~src ~kind ~on_irq:handlers.nh_irq ~on_alarm:(fun () -> ())
-    | Ok (Sysif.Rx_msg { src; body }) -> begin
-        Metrics.incr c_requests;
-        match body with
-        | Message.Dl_conf { mode } -> begin
-            match handlers.nh_conf ~src ~mode with
-            | Ok mac -> ignore (Api.asend src (Message.Dl_conf_reply { mac; result = Ok () }))
-            | Error e ->
-                ignore (Api.asend src (Message.Dl_conf_reply { mac = 0; result = Error e }))
-          end
-        | Message.Dl_writev { grant; len } -> handlers.nh_writev ~src ~grant ~len
-        | Message.Dl_readv { grant; len } -> handlers.nh_readv ~src ~grant ~len
-        | Message.Dl_getstat ->
-            let frames_rx, frames_tx, errors = handlers.nh_getstat ~src in
-            ignore (Api.asend src (Message.Dl_stat_reply { frames_rx; frames_tx; errors }))
-        | _ -> ignore (Api.send src (Message.Err_reply Errno.E_inval))
-      end);
-    loop ()
+let run_nic vm ~tx_r2 ~setup_r1 ~setup_r2 ~on_rx =
+  let p_reset = Image.program vm "reset"
+  and p_cmdstat = Image.program vm "cmdstat"
+  and p_setup = Image.program vm "setup"
+  and p_tx = Image.program vm "tx"
+  and p_isr = Image.program vm "isr"
+  and p_txack = Image.program vm "txack" in
+  let mem = Api.memory () in
+  (* Mutable driver state; all lost (by design) on a crash. *)
+  let inet = ref None in
+  let rx_slot = ref None (* (src, grant, maxlen) posted by INET *) in
+  let stash = Queue.create () in
+  let tx_busy = ref false in
+  let tx_queue = Queue.create () in
+  let deliver_rx () =
+    match (!rx_slot, Queue.is_empty stash) with
+    | Some (src, grant, maxlen), false ->
+        let frame = Queue.pop stash in
+        let len = min (Bytes.length frame) maxlen in
+        Memory.blit_in mem ~addr:nic_rx_buf ~src:frame ~src_off:0 ~len;
+        rx_slot := None;
+        (* An error means the network server restarted underneath us;
+           the frame is dropped. *)
+        if Result.is_ok (Api.safecopy_to ~owner:src ~grant ~grant_off:0 ~local_addr:nic_rx_buf ~len)
+        then task_reply src ~sent:false ~received:true ~read_len:len
+    | (Some _ | None), _ -> ()
   in
-  loop ()
+  let push frame =
+    if Queue.length stash < stash_cap then Queue.push frame stash;
+    deliver_rx ()
+  in
+  let start_tx (src, grant, len) =
+    match Api.safecopy_from ~owner:src ~grant ~grant_off:0 ~local_addr:nic_tx_buf ~len with
+    | Error _ -> () (* requester is gone *)
+    | Ok () ->
+        tx_busy := true;
+        ignore (Image.exec vm p_tx ~r1:len ~r2:tx_r2)
+  in
+  let conf (mode : Message.dl_mode) =
+    ignore (Image.exec vm p_reset);
+    (* The chip takes real time to come out of reset. *)
+    Image.wait_ready vm p_cmdstat ~busy:0x10;
+    ignore (Image.exec vm p_setup ~r1:setup_r1 ~r2:setup_r2 ~r3:(if mode.promisc then 1 else 0));
+    Image.reg vm 5 lor (Image.reg vm 6 lsl 32)
+  in
+  let on_irq ~line:_ =
+    let bits = Image.exec vm p_isr in
+    if bits land isr_err <> 0 then Image.fail vm "device reported an error";
+    if bits land isr_rx <> 0 then on_rx push;
+    if bits land isr_tx <> 0 then begin
+      ignore (Image.exec vm p_txack);
+      tx_busy := false;
+      Option.iter (fun dst -> task_reply dst ~sent:true ~received:false ~read_len:0) !inet;
+      Option.iter start_tx (Queue.take_opt tx_queue)
+    end
+  in
+  serve ~on_irq ~on_alarm:ignore (fun src -> function
+    | Message.Dl_conf { mode } ->
+        inet := Some src;
+        let mac = conf mode in
+        ignore (Api.asend src (Message.Dl_conf_reply { mac; result = Ok () }))
+    | Message.Dl_writev { grant; len } ->
+        if len <= 0 || len > max_frame then
+          Image.fail vm "network server sent a bogus frame length"
+        else if !tx_busy then Queue.push (src, grant, len) tx_queue
+        else start_tx (src, grant, len)
+    | Message.Dl_readv { grant; len } ->
+        rx_slot := Some (src, grant, len);
+        deliver_rx ()
+    | Message.Dl_getstat ->
+        ignore (Api.asend src (Message.Dl_stat_reply { frames_rx = 0; frames_tx = 0; errors = 0 }))
+    | _ -> ignore (Api.send src (Message.Err_reply Errno.E_inval)))

@@ -10,11 +10,11 @@
     Two loops are provided: the block/character device loop (MINIX
     [Dev_*] protocol, synchronous replies or deferred completion) and
     the network driver loop (MINIX [DL_*] protocol, asynchronous
-    replies). *)
+    replies), which also owns everything the two Ethernet drivers
+    share.  The driver-VM side of a driver lives in {!Image}. *)
 
 module Errno := Resilix_proto.Errno
 module Endpoint := Resilix_proto.Endpoint
-module Message := Resilix_proto.Message
 
 (** Outcome of a device request handler. *)
 type outcome =
@@ -44,18 +44,31 @@ val run_dev : dev_handlers -> 'a
 (** The block/character driver main loop.  Never returns (the process
     exits via SIGTERM or dies). *)
 
-(** Handlers for a network driver (asynchronous [DL_*] protocol). *)
-type net_handlers = {
-  nh_conf : src:Endpoint.t -> mode:Message.dl_mode -> (int, Errno.t) result;
-      (** (re)initialize the hardware; returns the MAC address *)
-  nh_writev : src:Endpoint.t -> grant:int -> len:int -> unit;
-  nh_readv : src:Endpoint.t -> grant:int -> len:int -> unit;
-  nh_getstat : src:Endpoint.t -> int * int * int;  (** rx, tx, errors *)
-  nh_irq : line:int -> unit;
-}
+(** {1 Network drivers}
 
-val task_reply : Endpoint.t -> sent:bool -> received:bool -> read_len:int -> unit
-(** Asynchronous completion notification to the network server. *)
+    Both Ethernet drivers stage frames in the same two buffers of
+    their address space and load images exporting the same six
+    programs: [reset], [cmdstat] (bit 0x10 = reset in progress),
+    [setup] (MAC returned in r5/r6), [tx] (r1 = length), [isr]
+    (pending bits: 0x1 rx, 0x4 tx done, 0x8 error) and [txack]. *)
 
-val run_net : net_handlers -> 'a
-(** The network driver main loop.  Never returns. *)
+val nic_tx_buf : int
+val nic_rx_buf : int
+val nic_buf_size : int
+val max_frame : int
+
+val run_nic :
+  Image.vm ->
+  tx_r2:int ->
+  setup_r1:int ->
+  setup_r2:int ->
+  on_rx:((bytes -> unit) -> unit) ->
+  'a
+(** The network driver main loop (MINIX [DL_*] protocol, asynchronous
+    replies).  It owns the INET endpoint, the posted receive slot, a
+    32-frame receive stash, the transmit queue, bring-up on [Dl_conf]
+    (reset, poll, [setup] with r1/r2 = [setup_r1]/[setup_r2] and r3 =
+    promiscuous) and the interrupt dispatch.  [tx] runs with r2 =
+    [tx_r2] (a buffer address or a DMA handle).  On a receive
+    interrupt it calls [on_rx push]; the driver reads its frames out
+    of the device and hands each to [push].  Never returns. *)

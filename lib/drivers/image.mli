@@ -1,9 +1,16 @@
-(** Helper for laying out a driver's VM programs as one contiguous
-    code image ("text segment") in its address space.
+(** A driver's VM programs and the runtime that runs them.
 
-    Keeping all programs contiguous matters for fault injection: the
-    injector mutates a random instruction of the whole image, exactly
-    like the binary-mutation injectors the paper builds on. *)
+    The programs are laid out as one contiguous code image ("text
+    segment") in the driver's address space.  Keeping them contiguous
+    matters for fault injection: the injector mutates a random
+    instruction of the whole image, exactly like the binary-mutation
+    injectors the paper builds on.
+
+    The rest is the device-independent part of every VM driver: boot
+    from the [base; irq] arguments, program handles, the register-file
+    call with its panics, reset polling and DMA buffers.  A driver
+    file keeps only its register map, its programs and its
+    device-specific request handling. *)
 
 type t
 (** An assembled multi-program image. *)
@@ -17,12 +24,39 @@ val origin : t -> int
 val insn_count : t -> int
 (** Total encoded instructions across all programs. *)
 
-val load : t -> (string * Resilix_vm.Interp.program) list
-(** Copy the image into the calling process's memory and return the
-    per-program handles, each with its own decode cache.  Must run
-    inside a fiber; a driver calls it once per incarnation. *)
+(** {1 Driver-VM runtime} *)
 
-val find : (string * Resilix_vm.Interp.program) list -> string -> Resilix_vm.Interp.program
-(** Look up a loaded program by name.  A linear search: drivers
-    resolve their handles once, right after {!load}, not per call.
+type vm
+(** One driver incarnation's loaded image and register file. *)
+
+type program
+(** A loaded program, with its own decode cache. *)
+
+val boot : driver:string -> (base:int -> t) -> vm
+(** Parse the [base; irq] arguments, copy [image ~base] into the
+    calling process's memory and register the IRQ, in that order.
+    [driver] prefixes every panic.  Must run inside a fiber; a driver
+    calls it once per incarnation. *)
+
+val program : vm -> string -> program
+(** Resolve a program by name (once, not per call).
     @raise Invalid_argument if absent. *)
+
+val exec : ?r1:int -> ?r2:int -> ?r3:int -> ?r4:int -> vm -> program -> int
+(** Run a program with r1..r4 as given (default 0) and every other
+    register zeroed; returns r0.  A failed consistency check or port
+    access panics ["<driver>: ... in <program>"]. *)
+
+val reg : vm -> int -> int
+(** Register [i] as the last {!exec} left it. *)
+
+val wait_ready : vm -> program -> busy:int -> unit
+(** Run a status program every 10 ms until none of the [busy] bits
+    is set in its result. *)
+
+val dma_buffer : vm -> addr:int -> len:int -> int
+(** Grant the device access to [len] bytes at [addr] and map them
+    through the IOMMU; returns the DMA handle. *)
+
+val fail : vm -> string -> 'a
+(** Panic with ["<driver>: msg"]. *)

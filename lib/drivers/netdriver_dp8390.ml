@@ -1,15 +1,13 @@
 module Api = Resilix_kernel.Sysif.Api
 module Memory = Resilix_kernel.Memory
-module Message = Resilix_proto.Message
 module Isa = Resilix_vm.Isa
-module Interp = Resilix_vm.Interp
 
 let image_origin = 0x1000
-let tx_buf = 0x4000
-let rx_buf = 0x4800
-let buf_size = 2048
 let memory_kb = 32
-let max_frame = 1514
+let tx_buf = Driver_lib.nic_tx_buf
+let rx_buf = Driver_lib.nic_rx_buf
+let buf_size = Driver_lib.nic_buf_size
+let max_frame = Driver_lib.max_frame
 
 let r_id = 0
 let r_cmd = 1
@@ -21,10 +19,7 @@ let r_rxlen = 6
 let r_rxdone = 7
 let r_maclo = 8
 let r_machi = 9
-
-let isr_rx = 0x1
 let isr_tx = 0x4
-let isr_err = 0x8
 
 let code ~base =
   let p i = base + i in
@@ -133,128 +128,16 @@ let image_info ~base =
   let img = image ~base in
   (Image.origin img, Image.insn_count img)
 
-let parse_args () =
-  match Api.args () with
-  | [ base; irq ] -> (int_of_string base, int_of_string irq)
-  | _ -> Api.panic "dp8390: expected args [base; irq]"
-
 let program () =
-  let base, irq = parse_args () in
-  let programs = Image.load (image ~base) in
-  (* Resolve every program once; [exec] then costs no lookup. *)
-  let handle name = (name, Image.find programs name) in
-  let p_tx = handle "tx"
-  and p_rx = handle "rx"
-  and p_reset = handle "reset"
-  and p_cmdstat = handle "cmdstat"
-  and p_setup = handle "setup"
-  and p_isr = handle "isr"
-  and p_txack = handle "txack" in
-  let regs = Array.make 8 0 in
-  let exec (name, program) ~r1 ~r2 ~r3 =
-    Array.fill regs 0 8 0;
-    regs.(1) <- r1;
-    regs.(2) <- r2;
-    regs.(3) <- r3;
-    match Interp.run program ~regs with
-    | r0 -> Ok r0
-    | exception Interp.Check_failed { detail; _ } ->
-        Api.panic (Printf.sprintf "dp8390: consistency check failed in %s: %s" name detail)
-    | exception Interp.Io_failed { port } ->
-        Api.panic (Printf.sprintf "dp8390: unexpected I/O failure on port %d in %s" port name)
-  in
-  (match Api.irq_register irq with
-  | Ok () -> ()
-  | Error _ -> Api.panic "dp8390: cannot register IRQ");
+  let vm = Image.boot ~driver:"dp8390" image in
+  let p_rx = Image.program vm "rx" in
   let mem = Api.memory () in
-  let inet = ref None in
-  let rx_slot = ref None in
-  let stash = Queue.create () in
-  let stash_cap = 32 in
-  let tx_busy = ref false in
-  let tx_queue = Queue.create () in
-  let deliver_rx () =
-    match (!rx_slot, Queue.is_empty stash) with
-    | Some (src, grant, maxlen), false ->
-        let frame = Queue.pop stash in
-        let len = min (Bytes.length frame) maxlen in
-        Memory.blit_in mem ~addr:rx_buf ~src:frame ~src_off:0 ~len;
-        (match Api.safecopy_to ~owner:src ~grant ~grant_off:0 ~local_addr:rx_buf ~len with
-        | Ok () ->
-            rx_slot := None;
-            Driver_lib.task_reply src ~sent:false ~received:true ~read_len:len
-        | Error _ -> rx_slot := None)
-    | (Some _ | None), _ -> ()
+  (* Drain every frame the device has buffered. *)
+  let rec on_rx push =
+    match Image.exec vm p_rx ~r2:rx_buf with
+    | 0 -> ()
+    | len ->
+        push (Memory.read mem ~addr:rx_buf ~len:(min len max_frame));
+        on_rx push
   in
-  let start_tx ~src ~grant ~len =
-    match Api.safecopy_from ~owner:src ~grant ~grant_off:0 ~local_addr:tx_buf ~len with
-    | Error _ -> ()
-    | Ok () ->
-        tx_busy := true;
-        ignore (exec p_tx ~r1:len ~r2:tx_buf ~r3:0)
-  in
-  let pump_rx () =
-    (* Drain every frame the device has buffered. *)
-    let continue = ref true in
-    while !continue do
-      match exec p_rx ~r1:0 ~r2:rx_buf ~r3:0 with
-      | Ok 0 | Error _ -> continue := false
-      | Ok len ->
-          let len = min len max_frame in
-          let frame = Memory.read mem ~addr:rx_buf ~len in
-          if Queue.length stash < stash_cap then Queue.push frame stash;
-          deliver_rx ()
-    done
-  in
-  let handlers =
-    {
-      Driver_lib.nh_conf =
-        (fun ~src ~mode ->
-          inet := Some src;
-          let promisc = if mode.Message.promisc then 1 else 0 in
-          match exec p_reset ~r1:0 ~r2:0 ~r3:0 with
-          | Error e -> Error e
-          | Ok _ -> (
-              let rec wait_ready () =
-                match exec p_cmdstat ~r1:0 ~r2:0 ~r3:0 with
-                | Ok bits when bits land 0x10 <> 0 ->
-                    Api.sleep 10_000;
-                    wait_ready ()
-                | other -> other
-              in
-              match wait_ready () with
-              | Error e -> Error e
-              | Ok _ -> (
-                  match exec p_setup ~r1:0 ~r2:0 ~r3:promisc with
-                  | Ok _ -> Ok (regs.(5) lor (regs.(6) lsl 32))
-                  | Error e -> Error e)));
-      nh_writev =
-        (fun ~src ~grant ~len ->
-          if len <= 0 || len > max_frame then Api.panic "dp8390: bogus frame length"
-          else if !tx_busy then Queue.push (src, grant, len) tx_queue
-          else start_tx ~src ~grant ~len);
-      nh_readv =
-        (fun ~src ~grant ~len ->
-          rx_slot := Some (src, grant, len);
-          deliver_rx ());
-      nh_getstat = (fun ~src:_ -> (0, 0, 0));
-      nh_irq =
-        (fun ~line:_ ->
-          match exec p_isr ~r1:0 ~r2:0 ~r3:0 with
-          | Error _ -> ()
-          | Ok bits ->
-              if bits land isr_err <> 0 then Api.panic "dp8390: device reported an error";
-              if bits land isr_rx <> 0 then pump_rx ();
-              if bits land isr_tx <> 0 then begin
-                ignore (exec p_txack ~r1:0 ~r2:0 ~r3:0);
-                tx_busy := false;
-                (match !inet with
-                | Some dst -> Driver_lib.task_reply dst ~sent:true ~received:false ~read_len:0
-                | None -> ());
-                match Queue.take_opt tx_queue with
-                | Some (src, grant, len) -> start_tx ~src ~grant ~len
-                | None -> ()
-              end);
-    }
-  in
-  Driver_lib.run_net handlers
+  Driver_lib.run_nic vm ~tx_r2:tx_buf ~setup_r1:0 ~setup_r2:0 ~on_rx

@@ -80,13 +80,6 @@ let make ~name ?(targets = []) ?(default_faults = 0)
 (* Helpers for scenario bodies                                         *)
 (* ------------------------------------------------------------------ *)
 
-let image_of_target = function
-  | "eth.rtl8139" ->
-      Some (Resilix_drivers.Netdriver_rtl8139.image_info ~base:Hwmap.rtl8139_base)
-  | "eth.dp8390" -> Some (Resilix_drivers.Netdriver_dp8390.image_info ~base:Hwmap.dp8390_base)
-  | "blk.sata" -> Some (Resilix_drivers.Blockdriver_disk.image_info ~base:Hwmap.sata_base)
-  | _ -> None
-
 (* Schedule every plan entry on the machine's engine.  An entry only
    "applies" when its target has a live process at fire time (kills on
    a mid-restart service miss, exactly like the paper's crash script);
@@ -108,14 +101,9 @@ let apply_plan t plan =
                      incr expected_spans
                  | Error _ -> ())
              | Fault_plan.Inject fi -> (
-                 match image_of_target e.target with
-                 | None -> ()
-                 | Some image -> (
-                     match
-                       System.inject_fault t ~target:e.target ~image Fault.all.(fi)
-                     with
-                     | Some _ -> incr applied
-                     | None -> ())))))
+                 match System.inject_fault t ~target:e.target Fault.all.(fi) with
+                 | Some _ -> incr applied
+                 | None -> ()))))
     plan;
   (applied, expected_spans)
 

@@ -14,7 +14,6 @@ module Reincarnation = Resilix_core.Reincarnation
 module Hwmap = Resilix_system.Hwmap
 module Status = Resilix_proto.Status
 module Fault = Resilix_vm.Fault
-module Dp8390 = Resilix_drivers.Netdriver_dp8390
 module Span = Resilix_obs.Span
 module Event = Resilix_obs.Event
 
@@ -193,7 +192,6 @@ let availability_trial ~faults ~inject_period ~seed (label, policy_key, extra_po
       in
       System.run t ~until:(Engine.now t.System.engine + 1_000_000);
       let started_at = Engine.now t.System.engine in
-      let image = Dp8390.image_info ~base:Hwmap.dp8390_base in
       let injected = ref 0 in
       let finished = ref false in
       (* The Sec. 7.2 watchdog: silent-but-disabling faults are cleared
@@ -221,7 +219,7 @@ let availability_trial ~faults ~inject_period ~seed (label, policy_key, extra_po
           (match Kernel.find_by_name t.System.kernel "eth.dp8390" with
           | Some _ ->
               let ft = Fault.random_type t.System.rng in
-              (match System.inject_fault t ~target:"eth.dp8390" ~image ft with
+              (match System.inject_fault t ~target:"eth.dp8390" ft with
               | Some _ -> incr injected
               | None -> ())
           | None -> ());

@@ -5,7 +5,6 @@ module Kernel = Resilix_kernel.Kernel
 module Status = Resilix_proto.Status
 module Fault = Resilix_vm.Fault
 module Nic8390 = Resilix_hw.Nic8390
-module Dp8390 = Resilix_drivers.Netdriver_dp8390
 module Rng = Resilix_sim.Rng
 module Metrics = Resilix_obs.Metrics
 module Span = Resilix_obs.Span
@@ -62,7 +61,6 @@ let run_shard ~shard ~faults ~seed ~inject_period ~wedge_prob ~has_master_reset 
       ~dst_mac:Hwmap.dp8390_mac ~dst_port:9 ~src_port:7777 ~payload_len:700 ~interval:10_000
   in
   System.run t ~until:(Engine.now t.System.engine + 1_000_000);
-  let image = Dp8390.image_info ~base:Hwmap.dp8390_base in
   let injected = ref 0 in
   let bios_resets = ref 0 in
   let user_resets = ref 0 in
@@ -105,7 +103,7 @@ let run_shard ~shard ~faults ~seed ~inject_period ~wedge_prob ~has_master_reset 
       (match Kernel.find_by_name t.System.kernel "eth.dp8390" with
       | Some _ ->
           let ft = Fault.random_type t.System.rng in
-          (match System.inject_fault t ~target:"eth.dp8390" ~image ft with
+          (match System.inject_fault t ~target:"eth.dp8390" ft with
           | Some _ ->
               incr injected;
               Hashtbl.replace type_counts (Fault.to_string ft)

@@ -416,10 +416,19 @@ let kill_service_once t ~target =
   | Some ep -> Kernel.kill t.kernel ep (Resilix_proto.Status.Killed Signal.Sig_kill)
   | None -> Error Errno.E_noent
 
-let inject_fault t ~target ~image:(origin, insn_count) ftype =
-  match Kernel.find_by_name t.kernel target with
-  | None -> None
-  | Some ep -> (
+(* The drivers a fault can be injected into: the code image each one
+   loads, as (origin, instruction count). *)
+let fault_images =
+  [
+    ("eth.rtl8139", Resilix_drivers.Netdriver_rtl8139.image_info ~base:Hwmap.rtl8139_base);
+    ("eth.dp8390", Resilix_drivers.Netdriver_dp8390.image_info ~base:Hwmap.dp8390_base);
+    ("blk.sata", Resilix_drivers.Blockdriver_disk.image_info ~base:Hwmap.sata_base);
+  ]
+
+let inject_fault t ~target ftype =
+  match (List.assoc_opt target fault_images, Kernel.find_by_name t.kernel target) with
+  | None, _ | _, None -> None
+  | Some (origin, insn_count), Some ep -> (
       match Kernel.proc_memory t.kernel ep with
       | None -> None
       | Some mem -> Resilix_vm.Fault.inject t.rng mem ~base:origin ~insn_count ftype)

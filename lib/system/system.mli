@@ -124,8 +124,9 @@ val start_crash_script : t -> target:string -> interval:int -> ?count:int -> uni
 val kill_service_once : t -> target:string -> (unit, Errno.t) result
 (** Immediately SIGKILL the named service's current process. *)
 
-val inject_fault :
-  t -> target:string -> image:int * int -> Resilix_vm.Fault.fault_type -> string option
-(** Mutate the running driver's loaded code image (Sec. 7.2).
-    [image] is the (origin, instruction count) from the driver's
-    [image_info]. *)
+val inject_fault : t -> target:string -> Resilix_vm.Fault.fault_type -> string option
+(** Mutate the running driver's loaded code image (Sec. 7.2) and
+    describe the mutation.  [None] when [target] is not one of the
+    fault-injection targets ([eth.rtl8139], [eth.dp8390], [blk.sata]),
+    has no live process, or offers no instruction the fault type
+    applies to. *)

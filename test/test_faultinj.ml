@@ -11,7 +11,6 @@ module Status = Resilix_proto.Status
 module Reincarnation = Resilix_core.Reincarnation
 module Fault = Resilix_vm.Fault
 module Sockets = Resilix_apps.Sockets
-module Dp8390 = Resilix_drivers.Netdriver_dp8390
 
 let boot_dp () =
   let opts =
@@ -75,11 +74,10 @@ let test_inject_until_crash_and_recover () =
   System.run t ~until:(Engine.now t.System.engine + 1_000_000);
   let before_crash = !received in
   Alcotest.(check bool) "traffic flowing before injection" true (before_crash > 10);
-  let image = Dp8390.image_info ~base:Hwmap.dp8390_base in
   let injected = ref 0 in
   let rec inject_round () =
     if Reincarnation.restarts_of t.System.rs "eth.dp8390" = 0 && !injected < 500 then begin
-      ignore (System.inject_fault t ~target:"eth.dp8390" ~image (Fault.random_type t.System.rng));
+      ignore (System.inject_fault t ~target:"eth.dp8390" (Fault.random_type t.System.rng));
       incr injected;
       ignore (Engine.schedule t.System.engine ~after:100_000 inject_round)
     end
@@ -104,10 +102,9 @@ let test_inject_until_crash_and_recover () =
 let test_each_fault_type_applies () =
   let t = boot_dp () in
   System.run t ~until:(Engine.now t.System.engine + 500_000);
-  let image = Dp8390.image_info ~base:Hwmap.dp8390_base in
   Array.iter
     (fun ft ->
-      match System.inject_fault t ~target:"eth.dp8390" ~image ft with
+      match System.inject_fault t ~target:"eth.dp8390" ft with
       | Some _ -> ()
       | None -> Alcotest.fail (Fault.to_string ft ^ " found no target instruction"))
     Fault.all

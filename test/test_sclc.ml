@@ -64,6 +64,49 @@ let test_fig9_totals_sane () =
       Alcotest.(check int) (name ^ " recovery LoC") 0 row.Resilix_experiments.Fig9.recovery)
     [ "Process manager"; "Microkernel"; "RAM disk" ]
 
+(* EXPERIMENTS.md's Fig. 9 table must be what [resilix fig9] counts
+   now, row by row: a change that moves code between components
+   regenerates the table with it.  The doc is a declared dependency of
+   this test, so editing it re-runs the check. *)
+let fig9_doc_rows root =
+  let lines =
+    In_channel.with_open_text (Filename.concat root "EXPERIMENTS.md") In_channel.input_all
+    |> String.split_on_char '\n'
+  in
+  let rec section = function
+    | [] -> Alcotest.fail "no Fig. 9 section in EXPERIMENTS.md"
+    | l :: rest -> if String.starts_with ~prefix:"## Fig. 9" l then rest else section rest
+  in
+  let rec table = function
+    | l :: rest when not (String.starts_with ~prefix:"|" l) -> table rest
+    | rows -> rows
+  in
+  let rec take = function
+    | l :: rest when String.starts_with ~prefix:"|" l -> l :: take rest
+    | _ -> []
+  in
+  let cells l = List.map String.trim (String.split_on_char '|' l) in
+  match take (table (section lines)) with
+  | _header :: _rule :: rows ->
+      List.map
+        (fun l ->
+          match cells l with
+          | "" :: component :: loc :: recovery :: _ ->
+              (component, (int_of_string loc, int_of_string recovery))
+          | _ -> Alcotest.fail ("malformed Fig. 9 row: " ^ l))
+        rows
+  | _ -> Alcotest.fail "no Fig. 9 table in EXPERIMENTS.md"
+
+let test_fig9_table_current () =
+  let root = Option.get (Sclc.find_repo_root ()) in
+  let measured =
+    List.map
+      (fun r -> Resilix_experiments.Fig9.(r.component, (r.total, r.recovery)))
+      (Resilix_experiments.Fig9.run ~root ())
+  in
+  Alcotest.(check (list (pair string (pair int int))))
+    "EXPERIMENTS.md Fig. 9 rows (component, (LoC, recovery))" measured (fig9_doc_rows root)
+
 let tests =
   [
     Alcotest.test_case "blank lines and comments skipped" `Quick test_blank_and_comments;
@@ -75,4 +118,5 @@ let tests =
     Alcotest.test_case "bare markers are not code" `Quick test_marker_lines_not_code;
     Alcotest.test_case "repo root discovery" `Quick test_find_repo_root;
     Alcotest.test_case "fig9 component accounting" `Quick test_fig9_totals_sane;
+    Alcotest.test_case "fig9 table in EXPERIMENTS.md is current" `Quick test_fig9_table_current;
   ]

@@ -233,16 +233,20 @@ let test_pm_kill_unknown_pid () =
 (* A protocol-violating network driver: it claims to have received a
    frame of an impossible length, which INET reports to RS. *)
 let liar_program () =
-  Driver_lib.run_net
-    {
-      Driver_lib.nh_conf = (fun ~src:_ ~mode:_ -> Ok 0x4242);
-      nh_writev = (fun ~src:_ ~grant:_ ~len:_ -> ());
-      nh_readv =
-        (fun ~src ~grant:_ ~len:_ ->
-          Driver_lib.task_reply src ~sent:false ~received:true ~read_len:999_999);
-      nh_getstat = (fun ~src:_ -> (0, 0, 0));
-      nh_irq = (fun ~line:_ -> ());
-    }
+  let rec loop () =
+    (match Api.receive Sysif.Any with
+    | Ok (Sysif.Rx_notify { kind = Message.N_sig Signal.Sig_term; _ }) -> Api.exit (Status.Exited 0)
+    | Ok (Sysif.Rx_msg { src; body = Message.Dl_conf _ }) ->
+        ignore (Api.asend src (Message.Dl_conf_reply { mac = 0x4242; result = Ok () }))
+    | Ok (Sysif.Rx_msg { src; body = Message.Dl_readv _ }) ->
+        ignore
+          (Api.asend src
+             (Message.Dl_task_reply
+                { flags = { sent = false; received = true }; read_len = 999_999 }))
+    | _ -> ());
+    loop ()
+  in
+  loop ()
 
 let test_complaint_defect_class () =
   let opts =

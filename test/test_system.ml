@@ -11,6 +11,8 @@ module Peer = Resilix_net.Peer
 module Filegen = Resilix_net.Filegen
 module Wget = Resilix_apps.Wget
 module Dd = Resilix_apps.Dd
+module Trace = Resilix_sim.Trace
+module Fnv = Resilix_checksum.Fnv
 
 let file_seed = 1234
 
@@ -294,6 +296,125 @@ let test_run_until_mid_burst () =
   Alcotest.(check int) "stopped on the predicate's return" 1_234 returns;
   Alcotest.(check int) "same returns" returns' returns
 
+(* The driver trace golden: a short run through all six VM drivers (a
+   request to each, one SIGKILL and recovery each, one injected fault
+   in each NIC).  Every rendered trace event and every observability
+   line (which carries the kernel's per-call counters) is folded into
+   one FNV digest, and the exit statuses are listed in full.  The
+   values were recorded before the drivers shared one driver-VM
+   runtime: a change here is a change in what a driver does — its
+   kernel-call order, the registers its programs run with, or a panic
+   text. *)
+let driver_tour ~seed ~inet_driver specs workload =
+  let opts =
+    {
+      System.default_opts with
+      System.seed;
+      inet_driver;
+      disk_mb = 8;
+      peer_files = [ ("f.bin", (1_048_576, file_seed)) ];
+      fs_files = [ ("data.bin", 262_144) ];
+    }
+  in
+  let t = System.boot ~opts () in
+  System.start_services t specs;
+  let at after f = ignore (Engine.schedule t.System.engine ~after f) in
+  let kill target () = ignore (System.kill_service_once t ~target) in
+  let inject target () =
+    let applied = System.inject_fault t ~target (Resilix_vm.Fault.random_type t.System.rng) in
+    Alcotest.(check bool) ("fault applied to " ^ target) true (Option.is_some applied)
+  in
+  let app name body = ignore (System.spawn_app t ~name body) in
+  workload t ~at ~kill ~inject ~app;
+  System.run t ~until:(Engine.now t.System.engine + 3_000_000);
+  let events = Trace.events t.System.trace in
+  let lines = List.map (Format.asprintf "%a" Trace.pp_event) events @ System.obs_lines t in
+  let digest = List.fold_left Fnv.update_string Fnv.start lines in
+  let exits =
+    List.filter_map
+      (fun (e : Trace.event) ->
+        match e.payload with
+        | Resilix_obs.Event.Exit { name; status; _ } ->
+            Some
+              (match status with
+              | Status.Exited code -> Printf.sprintf "%s: exited %d" name code
+              | Status.Panicked msg -> Printf.sprintf "%s: panicked: %s" name msg
+              | Status.Killed signal ->
+                  name ^ ": killed by " ^ Resilix_proto.Signal.to_string signal)
+        | _ -> None)
+      events
+  in
+  (Fnv.to_hex digest, exits)
+
+let test_driver_trace_pinned () =
+  let module Mp3 = Resilix_apps.Mp3_player in
+  let module Lpd = Resilix_apps.Lpd in
+  let module Cdburn = Resilix_apps.Cdburn in
+  let specs =
+    System.[ spec_rtl8139 (); spec_sata (); spec_audio (); spec_printer (); spec_cd () ]
+  in
+  let digest, exits =
+    driver_tour ~seed:1 ~inet_driver:"eth.rtl8139" specs (fun _ ~at ~kill ~inject ~app ->
+        app "wget"
+          (Wget.make ~server:Hwmap.rtl_peer_ip ~port:80 ~file:"f.bin" (Wget.fresh_result ()));
+        app "dd" (Dd.make ~path:"/data.bin" (Dd.fresh_result ()));
+        app "mp3" (Mp3.make ~song_bytes:40_000 (Mp3.fresh_result ()));
+        app "lpd" (Lpd.make ~jobs:[ String.make 6_000 'x' ] (Lpd.fresh_result ()));
+        app "cdburn" (Cdburn.make ~data:(String.make 40_000 'c') (Cdburn.fresh_result ()));
+        at 20_000 (kill "blk.sata");
+        at 50_000 (inject "eth.rtl8139");
+        at 60_000 (kill "chr.cd");
+        at 200_000 (kill "chr.audio");
+        at 300_000 (kill "chr.printer");
+        at 400_000 (kill "eth.rtl8139"))
+  in
+  Alcotest.(check string) "rtl8139/sata/audio/printer/cd digest" "28f096bab4116147" digest;
+  Alcotest.(check (list string))
+    "rtl8139/sata/audio/printer/cd exits"
+    [
+      "service-setup: exited 0";
+      "blk.sata: killed by SIGKILL";
+      "policy#blk.sata#1: exited 0";
+      "chr.cd: killed by SIGKILL";
+      "policy#chr.cd#2: exited 0";
+      "chr.audio: killed by SIGKILL";
+      "eth.rtl8139: killed by SIGILL";
+      "policy#chr.audio#3: exited 0";
+      "policy#eth.rtl8139#4: exited 0";
+      "chr.printer: killed by SIGKILL";
+      "policy#chr.printer#5: exited 0";
+      "eth.rtl8139: killed by SIGKILL";
+      "policy#eth.rtl8139#6: exited 0";
+      "lpd: exited 0";
+      "cdburn: exited 0";
+      "dd: exited 0";
+      "mp3: exited 0";
+      "wget: exited 0";
+    ]
+    exits;
+  let digest, exits =
+    driver_tour ~seed:3 ~inet_driver:"eth.dp8390" [ System.spec_dp8390 () ]
+      (fun t ~at ~kill ~inject ~app ->
+        app "udp-sink" (Resilix_apps.Udp_sink.make ~ack_every:8 ~port:9 (ref 0));
+        let _stop =
+          Peer.start_udp_stream t.System.dp_peer ~dst_ip:Hwmap.local_ip ~dst_mac:Hwmap.dp8390_mac
+            ~dst_port:9 ~src_port:7777 ~payload_len:700 ~interval:10_000
+        in
+        at 300_000 (inject "eth.dp8390");
+        at 1_500_000 (kill "eth.dp8390"))
+  in
+  Alcotest.(check string) "dp8390 digest" "230f260f9150f503" digest;
+  Alcotest.(check (list string))
+    "dp8390 exits"
+    [
+      "service-setup: exited 0";
+      "eth.dp8390: panicked: dp8390: consistency check failed in rx: r3 = 184, expected 0";
+      "policy#eth.dp8390#1: exited 0";
+      "eth.dp8390: killed by SIGKILL";
+      "policy#eth.dp8390#2: exited 0";
+    ]
+    exits
+
 let tests =
   [
     Alcotest.test_case "boot and start services" `Quick test_boot_and_services;
@@ -306,4 +427,5 @@ let tests =
     Alcotest.test_case "dd (no faults)" `Quick test_dd_clean;
     Alcotest.test_case "dd with driver kills" `Quick test_dd_with_driver_kills;
     Alcotest.test_case "file write/read roundtrip" `Quick test_file_write_read_roundtrip;
+    Alcotest.test_case "driver trace pinned" `Quick test_driver_trace_pinned;
   ]

@@ -559,6 +559,101 @@ let test_disassembler () =
   Bytes.set image 0 '\xEE';
   Alcotest.(check string) "illegal rendering" "<illegal 0xEE>" (Isa.disassemble_one image ~index:0)
 
+(* The driver-VM runtime ({!Resilix_drivers.Image}) in a bare kernel:
+   [body] runs as driver "t" with the given argv and port range, and
+   the test reads how the process ended. *)
+module Image = Resilix_drivers.Image
+
+let runtime_run ?(args = [ "0"; "1" ]) ?(ports = (0, 0xFFFF)) body =
+  let engine, kernel = make_kernel () in
+  Kernel.register_program kernel "t" body;
+  let priv = { all_priv with Privilege.io_ports = [ ports ] } in
+  (match Kernel.spawn_dynamic kernel ~name:"t" ~program:"t" ~args ~priv ~mem_kb:64 with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.fail "spawn");
+  Engine.run engine ~until:60_000_000;
+  List.filter_map
+    (fun e ->
+      match e.Trace.payload with
+      | Resilix_obs.Event.Exit { name = "t"; status; _ } -> Some status
+      | _ -> None)
+    (Trace.events (Kernel.trace kernel))
+
+let one_program name code ~base:_ = Image.assemble ~origin:0x1000 [ (name, code) ]
+
+(* Boot a one-program image ("p") and run it once. *)
+let boot_and_exec code () =
+  let vm = Image.boot ~driver:"t" (one_program "p" code) in
+  ignore (Image.exec vm (Image.program vm "p"))
+
+let check_exit name expected statuses =
+  Alcotest.(check (list string))
+    name [ expected ]
+    (List.map (Format.asprintf "%a" Resilix_proto.Status.pp_exit_status) statuses)
+
+let test_runtime_check_panics () =
+  check_exit "panic text"
+    {|(Status.Panicked "t: consistency check failed in p: r0 = 5, expected 6")|}
+    (runtime_run (boot_and_exec Isa.[ Movi (R0, 5); Chkeq (R0, 6); Ret ]))
+
+let test_runtime_port_panics () =
+  check_exit "panic text"
+    {|(Status.Panicked "t: unexpected I/O failure on port 512 in p")|}
+    (runtime_run ~ports:(0x100, 0x10F) (boot_and_exec Isa.[ In (R0, 0x200); Ret ]))
+
+let test_runtime_args_panic () =
+  check_exit "panic text" {|(Status.Panicked "t: expected args [base; irq]")|}
+    (runtime_run ~args:[] (boot_and_exec Isa.[ Ret ]))
+
+(* [exec] passes r1..r4, zeroes every other register, and leaves the
+   register file readable through [reg]. *)
+let test_runtime_exec_registers () =
+  let sum = ref 0 and r5 = ref 0 in
+  let statuses =
+    runtime_run (fun () ->
+        let image ~base:_ =
+          Image.assemble ~origin:0x1000
+            Isa.
+              [
+                ("dirty", [ Movi (R5, 99); Movi (R6, 7); Movi (R7, 3); Ret ]);
+                ( "sum",
+                  [ Mov (R0, R1); Add (R0, R2); Add (R0, R3); Add (R0, R4); Add (R0, R5); Add (R0, R6);
+                    Add (R0, R7); Ret ] );
+              ]
+        in
+        let vm = Image.boot ~driver:"t" image in
+        ignore (Image.exec vm (Image.program vm "dirty") ~r1:1);
+        r5 := Image.reg vm 5;
+        sum := Image.exec vm (Image.program vm "sum") ~r1:1 ~r2:2 ~r3:3 ~r4:4)
+  in
+  check_exit "clean exit" "(Status.Exited 0)" statuses;
+  Alcotest.(check int) "reg reads the last exec" 99 !r5;
+  Alcotest.(check int) "r1..r4 passed, the rest zeroed" 10 !sum
+
+(* [wait_ready] polls every 10 ms until the busy bits clear: the status
+   program here counts its calls in memory and reports busy (r0 <> 0)
+   for the first two. *)
+let test_runtime_wait_ready () =
+  let polls = ref 0 and waited = ref 0 in
+  let statuses =
+    runtime_run (fun () ->
+        let status =
+          Isa.
+            [
+              Movi (R1, 0x8000); Load (R2, R1, 0); Addi (R2, 1); Store (R1, 0, R2); Movi (R0, 3);
+              Sub (R0, R2); Ret;
+            ]
+        in
+        let vm = Image.boot ~driver:"t" (one_program "status" status) in
+        let start = Api.now () in
+        Image.wait_ready vm (Image.program vm "status") ~busy:0x3;
+        waited := Api.now () - start;
+        polls := Image.reg vm 2)
+  in
+  check_exit "clean exit" "(Status.Exited 0)" statuses;
+  Alcotest.(check int) "returned on the third poll" 3 !polls;
+  Alcotest.(check bool) "slept between polls" true (!waited >= 20_000)
+
 let tests =
   [
     Alcotest.test_case "arithmetic loop" `Quick test_arithmetic;
@@ -581,4 +676,9 @@ let tests =
     Alcotest.test_case "store into own image takes effect" `Quick test_store_into_own_image;
     Alcotest.test_case "opcode corrupted after caching: SIGILL" `Quick
       test_corrupted_cached_opcode_sigill;
+    Alcotest.test_case "runtime: failed check panics" `Quick test_runtime_check_panics;
+    Alcotest.test_case "runtime: denied port panics" `Quick test_runtime_port_panics;
+    Alcotest.test_case "runtime: missing args panic" `Quick test_runtime_args_panic;
+    Alcotest.test_case "runtime: exec registers" `Quick test_runtime_exec_registers;
+    Alcotest.test_case "runtime: wait_ready polls until ready" `Quick test_runtime_wait_ready;
   ]
