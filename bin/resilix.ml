@@ -80,7 +80,7 @@ let run_sec72 jobs progress seed faults shard_size hw metrics_out =
           let o =
             E.Sec72.run ?jobs
               ?on_progress:(progress_for progress "sec72")
-              ~faults ~seed ~wedge_prob ~has_master_reset:false ?shard_size ?obs ()
+              ~faults ~seed ~wedge_prob ?shard_size ?obs ()
           in
           E.Sec72.print label o;
           checked "sec7_2 crash-class split" (E.Sec72.ok o)))

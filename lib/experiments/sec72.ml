@@ -4,7 +4,7 @@ module Engine = Resilix_sim.Engine
 module Kernel = Resilix_kernel.Kernel
 module Status = Resilix_proto.Status
 module Fault = Resilix_vm.Fault
-module Nic8390 = Resilix_hw.Nic8390
+module Nic = Resilix_hw.Nic
 module Rng = Resilix_sim.Rng
 module Metrics = Resilix_obs.Metrics
 module Span = Resilix_obs.Span
@@ -37,7 +37,7 @@ type shard_result = {
    seed, so the campaign parallelizes without sharing any state.
    [shard] tags the shard's metric snapshot so campaign-level gauge
    merges resolve deterministically by shard index. *)
-let run_shard ~shard ~faults ~seed ~inject_period ~wedge_prob ~has_master_reset () =
+let run_shard ~shard ~faults ~seed ~inject_period ~wedge_prob () =
   let opts =
     {
       System.default_opts with
@@ -45,7 +45,6 @@ let run_shard ~shard ~faults ~seed ~inject_period ~wedge_prob ~has_master_reset 
       disk_mb = 8;
       inet_driver = "eth.dp8390";
       nic_wedge_prob = wedge_prob;
-      nic_has_master_reset = has_master_reset;
     }
   in
   let t = System.boot ~opts () in
@@ -94,9 +93,9 @@ let run_shard ~shard ~faults ~seed ~inject_period ~wedge_prob ~has_master_reset 
       (* A wedged card defeats driver-level recovery: the restarted
          driver keeps panicking on a dead device.  Perform the
          "low-level BIOS reset" the paper needed in those cases. *)
-      if Nic8390.wedged t.System.nic_dp then begin
+      if Nic.wedged t.System.nic_dp then begin
         incr bios_resets;
-        Nic8390.bios_reset t.System.nic_dp
+        Nic.bios_reset t.System.nic_dp
       end;
       (* Only inject into a live, settled driver (like injecting into
          the running driver on a live system). *)
@@ -117,9 +116,9 @@ let run_shard ~shard ~faults ~seed ~inject_period ~wedge_prob ~has_master_reset 
   ignore (System.run_until t ~timeout:(faults * inject_period * 4) (fun () -> !finished));
   (* Let the final crash (if any) recover. *)
   System.run t ~until:(Engine.now t.System.engine + 5_000_000);
-  if Nic8390.wedged t.System.nic_dp then begin
+  if Nic.wedged t.System.nic_dp then begin
     incr bios_resets;
-    Nic8390.bios_reset t.System.nic_dp;
+    Nic.bios_reset t.System.nic_dp;
     System.run t ~until:(Engine.now t.System.engine + 5_000_000)
   end;
   (* User-requested restarts (the watchdog) are experimenter resets,
@@ -159,7 +158,7 @@ let run_shard ~shard ~faults ~seed ~inject_period ~wedge_prob ~has_master_reset 
 let default_shard_size = 500
 
 let trials ?(faults = 12_500) ?(seed = 42) ?(inject_period = 20_000) ?(wedge_prob = 0.)
-    ?(has_master_reset = false) ?(shard_size = default_shard_size) () =
+    ?(shard_size = default_shard_size) () =
   if shard_size <= 0 then invalid_arg "Sec72.trials: shard_size must be positive";
   (* The shard layout depends only on [faults] and [shard_size] —
      never on the worker count — so any [jobs] value reproduces the
@@ -171,8 +170,7 @@ let trials ?(faults = 12_500) ?(seed = 42) ?(inject_period = 20_000) ?(wedge_pro
       Trial.make
         ~name:(Printf.sprintf "sec72/shard-%03d" i)
         ~seed:trial_seed
-        (run_shard ~shard:i ~faults:shard_faults ~seed:trial_seed ~inject_period ~wedge_prob
-           ~has_master_reset))
+        (run_shard ~shard:i ~faults:shard_faults ~seed:trial_seed ~inject_period ~wedge_prob))
 
 let empty_outcome =
   {
@@ -212,13 +210,12 @@ let merge_outcomes a b =
 let reduce results =
   List.fold_left (fun acc r -> merge_outcomes acc r.outcome) empty_outcome results
 
-let run ?jobs ?on_progress ?faults ?seed ?inject_period ?wedge_prob ?has_master_reset ?shard_size
-    ?obs () =
+let run ?jobs ?on_progress ?faults ?seed ?inject_period ?wedge_prob ?shard_size ?obs () =
   let results =
     Campaign.(
       values
         (run ?jobs ?on_progress
-           (trials ?faults ?seed ?inject_period ?wedge_prob ?has_master_reset ?shard_size ())))
+           (trials ?faults ?seed ?inject_period ?wedge_prob ?shard_size ())))
   in
   (match obs with
   | None -> ()

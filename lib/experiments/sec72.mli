@@ -50,7 +50,6 @@ val trials :
   ?seed:int ->
   ?inject_period:int ->
   ?wedge_prob:float ->
-  ?has_master_reset:bool ->
   ?shard_size:int ->
   unit ->
   shard_result Resilix_harness.Trial.t list
@@ -68,7 +67,6 @@ val run :
   ?seed:int ->
   ?inject_period:int ->
   ?wedge_prob:float ->
-  ?has_master_reset:bool ->
   ?shard_size:int ->
   ?obs:(string -> unit) ->
   unit ->

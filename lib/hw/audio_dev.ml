@@ -1,20 +1,17 @@
 module Engine = Resilix_sim.Engine
-module Rng = Resilix_sim.Rng
 module Kernel = Resilix_kernel.Kernel
 
+let ports = 6
 let isr_low_water = 0x1
 let isr_err = 0x8
 let drain_period = 10_000 (* us *)
+let fifo_cap = 16_384
+let low_water = fifo_cap / 4
 
 type t = {
   kernel : Resilix_kernel.Kernel.t;
   irq : int;
-  rng : Rng.t;
   byte_rate : int; (* bytes per second *)
-  fifo_cap : int;
-  low_water : int;
-  wedge_prob : float;
-  mutable wedged : bool;
   mutable playing : bool;
   mutable fifo : int; (* bytes buffered *)
   mutable isr : int;
@@ -25,81 +22,62 @@ type t = {
 
 let underruns t = t.underruns
 let bytes_played t = t.played
-let wedged t = t.wedged
-let engine t = Kernel.engine t.kernel
-
-let maybe_wedge t =
-  t.isr <- t.isr lor isr_err;
-  if Rng.bool t.rng t.wedge_prob then t.wedged <- true
+let fail t = t.isr <- t.isr lor isr_err
 
 (* Periodic drain: consume a period's worth of samples; count an
    underrun for each period the device was playing with an empty
    FIFO. *)
 let rec drain t =
   ignore
-    (Engine.schedule (engine t) ~after:drain_period (fun () ->
-         if not t.wedged then begin
-           if t.playing then begin
-             let want = t.byte_rate * drain_period / 1_000_000 in
-             let take = min t.fifo want in
-             t.fifo <- t.fifo - take;
-             t.played <- t.played + take;
-             if take < want then t.underruns <- t.underruns + 1;
-             if t.fifo <= t.low_water && t.above_low_water then begin
-               t.above_low_water <- false;
-               t.isr <- t.isr lor isr_low_water;
-               Kernel.raise_irq t.kernel t.irq
-             end
-           end;
-           drain t
-         end))
+    (Engine.schedule (Kernel.engine t.kernel) ~after:drain_period (fun () ->
+         if t.playing then begin
+           let want = t.byte_rate * drain_period / 1_000_000 in
+           let take = min t.fifo want in
+           t.fifo <- t.fifo - take;
+           t.played <- t.played + take;
+           if take < want then t.underruns <- t.underruns + 1;
+           if t.fifo <= low_water && t.above_low_water then begin
+             t.above_low_water <- false;
+             t.isr <- t.isr lor isr_low_water;
+             Kernel.raise_irq t.kernel t.irq
+           end
+         end;
+         drain t))
 
-let handle t ~reg access =
-  if t.wedged then (match access with Bus.Read -> Ok 0xFFFF_FFFF | Bus.Write _ -> Ok 0)
-  else
-    match (reg, access) with
-    | 0, Bus.Read -> Ok 0xAD10
-    | 1, Bus.Read -> Ok (if t.playing then 1 else 0)
-    | 1, Bus.Write v ->
-        if v land 0x10 <> 0 then begin
-          t.playing <- false;
-          t.fifo <- 0;
-          t.isr <- 0;
-          t.above_low_water <- true
-        end
-        else if v land lnot 0x11 <> 0 then maybe_wedge t
-        else t.playing <- v land 1 <> 0;
-        Ok 0
-    | 2, Bus.Write _ ->
-        if t.fifo + 4 > t.fifo_cap then maybe_wedge t
-        else begin
-          t.fifo <- t.fifo + 4;
-          if t.fifo > t.low_water then t.above_low_water <- true
-        end;
-        Ok 0
-    | 3, Bus.Read -> Ok t.fifo
-    | 4, Bus.Read -> Ok t.isr
-    | 4, Bus.Write v ->
-        t.isr <- t.isr land lnot v;
-        Ok 0
-    | 5, Bus.Read -> Ok t.underruns
-    | _, Bus.Read -> Ok 0xFFFF_FFFF
-    | _, Bus.Write _ ->
-        maybe_wedge t;
-        Ok 0
+let read t = function
+  | 0 -> 0xAD10
+  | 1 -> if t.playing then 1 else 0
+  | 3 -> t.fifo
+  | 4 -> t.isr
+  | 5 -> t.underruns
+  | _ -> 0xFFFF_FFFF
 
-let create ~kernel ~bus ~base ~irq ~rng ?(byte_rate = 176_400) ?(fifo_cap = 16_384)
-    ?(wedge_prob = 0.0) () =
+let write t reg v =
+  match reg with
+  | 1 ->
+      if v land 0x10 <> 0 then begin
+        t.playing <- false;
+        t.fifo <- 0;
+        t.isr <- 0;
+        t.above_low_water <- true
+      end
+      else if v land lnot 0x11 <> 0 then fail t
+      else t.playing <- v land 1 <> 0
+  | 2 ->
+      if t.fifo + 4 > fifo_cap then fail t
+      else begin
+        t.fifo <- t.fifo + 4;
+        if t.fifo > low_water then t.above_low_water <- true
+      end
+  | 4 -> t.isr <- t.isr land lnot v
+  | _ -> fail t
+
+let create ~kernel ~bus ~base ~irq ?(byte_rate = 176_400) () =
   let t =
     {
       kernel;
       irq;
-      rng;
       byte_rate;
-      fifo_cap;
-      low_water = fifo_cap / 4;
-      wedge_prob;
-      wedged = false;
       playing = false;
       fifo = 0;
       isr = 0;
@@ -108,6 +86,6 @@ let create ~kernel ~bus ~base ~irq ~rng ?(byte_rate = 176_400) ?(fifo_cap = 16_3
       above_low_water = true;
     }
   in
-  Bus.register bus ~base ~len:6 (handle t);
+  Bus.register bus ~base ~len:ports ~read:(read t) ~write:(write t);
   drain t;
   t

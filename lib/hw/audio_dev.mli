@@ -1,6 +1,6 @@
 (** Audio codec model (character device).
 
-    Playback consumes samples from a small FIFO at a fixed byte rate.
+    Playback consumes samples from a 16 KB FIFO at a fixed byte rate.
     If the FIFO runs dry while playing — e.g. because the audio driver
     crashed and was restarted — the listener hears a hiccup; the
     device counts underruns so the mp3-player example can report them
@@ -16,30 +16,24 @@
       4  ISR       R/ack  0x1 low-water, 0x8 err
       5  UNDERRUNS RO  cumulative underrun periods
     v}
+
+    Junk CTRL bits, a write to a full FIFO or to a read-only register
+    set ERR.
 *)
 
 type t
 (** An audio device. *)
 
+val ports : int
+(** Size of the claimed port window (6). *)
+
 val create :
-  kernel:Resilix_kernel.Kernel.t ->
-  bus:Bus.t ->
-  base:int ->
-  irq:int ->
-  rng:Resilix_sim.Rng.t ->
-  ?byte_rate:int ->
-  ?fifo_cap:int ->
-  ?wedge_prob:float ->
-  unit ->
-  t
-(** Claim [base..base+5].  Default rate is 176400 bytes/s (CD-quality
-    stereo), FIFO 16 KB. *)
+  kernel:Resilix_kernel.Kernel.t -> bus:Bus.t -> base:int -> irq:int -> ?byte_rate:int -> unit -> t
+(** Claim [base..base+ports-1].  Default rate is 176400 bytes/s
+    (CD-quality stereo). *)
 
 val underruns : t -> int
 (** Cumulative underrun (hiccup) count. *)
 
 val bytes_played : t -> int
 (** Total sample bytes consumed. *)
-
-val wedged : t -> bool
-(** Whether the codec is wedged. *)

@@ -7,22 +7,21 @@
 type t
 (** A bus instance. *)
 
-type access = Read | Write of int
-(** One port access; [Write v] carries the 32-bit value. *)
-
 val create : unit -> t
 (** An empty bus. *)
 
-val register : t -> base:int -> len:int -> (reg:int -> access -> (int, Resilix_proto.Errno.t) result) -> unit
-(** [register t ~base ~len handler] claims ports [base..base+len-1];
-    the handler receives the register offset relative to [base].
+val register : t -> base:int -> len:int -> read:(int -> int) -> write:(int -> int -> unit) -> unit
+(** [register t ~base ~len ~read ~write] claims ports [base..base+len-1];
+    both callbacks receive the register offset relative to [base], and
+    [write] also the 32-bit value.
     @raise Invalid_argument on overlapping claims. *)
 
 val attach : t -> Resilix_kernel.Kernel.t -> unit
 (** Install this bus as the kernel's I/O handler. *)
 
 val io : t -> [ `In of int | `Out of int * int ] -> (int, Resilix_proto.Errno.t) result
-(** Raw access (what the kernel calls).  Unclaimed ports float:
-    reads return [0xFFFFFFFF], writes are dropped — like real ISA
-    buses, and deliberately forgiving to corrupted drivers whose port
-    arithmetic went wrong inside their own range. *)
+(** Raw access (what the kernel calls); never [Error].  Unclaimed
+    ports float: reads return [0xFFFFFFFF], writes are dropped — like
+    real ISA buses, and deliberately forgiving to corrupted drivers
+    whose port arithmetic went wrong inside their own range.  A write
+    answers [Ok 0]. *)

@@ -17,6 +17,10 @@
       5  STATUS  RO  bit0 session open, bit1 busy, bit3 err
       6  ISR     R/ack  0x1 block done, 0x8 err
     v}
+
+    Out-of-order session commands, a burn outside a session, a bad
+    block length or DMA handle, and writes to read-only registers set
+    ERR.  Blocks burn at 8 bytes/us.
 *)
 
 type t
@@ -24,25 +28,21 @@ type t
 
 type disc_state = Blank | In_session | Complete | Ruined
 
+val ports : int
+(** Size of the claimed port window (7). *)
+
 val create :
   kernel:Resilix_kernel.Kernel.t ->
   bus:Bus.t ->
   base:int ->
   irq:int ->
-  rng:Resilix_sim.Rng.t ->
-  ?rate_bytes_per_us:int ->
   ?gap_timeout:int ->
-  ?wedge_prob:float ->
   unit ->
   t
-(** Claim [base..base+6].  Default burn rate 8 bytes/us, gap timeout
-    300 ms. *)
+(** Claim [base..base+ports-1].  Default gap timeout 300 ms. *)
 
 val disc : t -> disc_state
 (** Current state of the disc in the tray. *)
 
 val burned : t -> string
 (** Bytes successfully burned so far. *)
-
-val insert_blank : t -> unit
-(** Replace the disc with a fresh blank one. *)

@@ -1,24 +1,17 @@
 module Engine = Resilix_sim.Engine
-module Rng = Resilix_sim.Rng
 module Kernel = Resilix_kernel.Kernel
 
-type stats = { mutable reads : int; mutable writes : int; mutable errors : int }
-
+let ports = 7
 let isr_done = 0x1
 let isr_err = 0x8
+let reset_us = 600_000
 
 type t = {
   kernel : Resilix_kernel.Kernel.t;
   irq : int;
   store : Blockstore.t;
-  rng : Rng.t;
   rate : int;
   seek_us : int;
-  reset_us : int;
-  wedge_prob : float;
-  has_master_reset : bool;
-  stats : stats;
-  mutable wedged : bool;
   mutable lba : int;
   mutable count : int;
   mutable dmah : int;
@@ -27,34 +20,20 @@ type t = {
   mutable ready_at : int; (* device unavailable until then after a reset *)
 }
 
-let stats t = t.stats
-let wedged t = t.wedged
 let engine t = Kernel.engine t.kernel
 let raise_irq t = Kernel.raise_irq t.kernel t.irq
-
-let fail t =
-  t.stats.errors <- t.stats.errors + 1;
-  t.isr <- t.isr lor isr_err;
-  if Rng.bool t.rng t.wedge_prob then t.wedged <- true
+let fail t = t.isr <- t.isr lor isr_err
 
 (* Resets take real time on disks (spin-up, IDENTIFY): the restarted
    driver polls STATUS until the controller is ready again.  This is
    the dominant part of the paper's per-crash dead time. *)
 let do_reset t =
-  if t.wedged && not t.has_master_reset then ()
-  else begin
-    if t.wedged && t.has_master_reset then t.wedged <- false;
-    t.lba <- 0;
-    t.count <- 0;
-    t.dmah <- 0;
-    t.busy <- false;
-    t.isr <- 0;
-    t.ready_at <- Engine.now (engine t) + t.reset_us
-  end
-
-let bios_reset t =
-  t.wedged <- false;
-  do_reset t
+  t.lba <- 0;
+  t.count <- 0;
+  t.dmah <- 0;
+  t.busy <- false;
+  t.isr <- 0;
+  t.ready_at <- Engine.now (engine t) + reset_us
 
 let sector_size t = Blockstore.sector_size t.store
 
@@ -70,19 +49,16 @@ let start_read t =
     ignore
       (Engine.schedule (engine t) ~after:duration (fun () ->
            t.busy <- false;
-           if not t.wedged then begin
-             let data = Blockstore.read t.store ~lba:t.lba ~count:t.count in
-             match Kernel.dma t.kernel ~handle:t.dmah ~off:0 ~op:(`Write data) with
-             | Ok _ ->
-                 t.stats.reads <- t.stats.reads + 1;
-                 t.isr <- t.isr lor isr_done;
-                 raise_irq t
-             | Error _ ->
-                 (* The driver died mid-transfer and its mapping is
-                    gone: surface an error interrupt. *)
-                 fail t;
-                 raise_irq t
-           end))
+           let data = Blockstore.read t.store ~lba:t.lba ~count:t.count in
+           match Kernel.dma t.kernel ~handle:t.dmah ~off:0 ~op:(`Write data) with
+           | Ok _ ->
+               t.isr <- t.isr lor isr_done;
+               raise_irq t
+           | Error _ ->
+               (* The driver died mid-transfer and its mapping is
+                  gone: surface an error interrupt. *)
+               fail t;
+               raise_irq t))
   end
 
 let start_write t =
@@ -96,69 +72,37 @@ let start_write t =
         ignore
           (Engine.schedule (engine t) ~after:duration (fun () ->
                t.busy <- false;
-               if not t.wedged then begin
-                 Blockstore.write t.store ~lba:t.lba data;
-                 t.stats.writes <- t.stats.writes + 1;
-                 t.isr <- t.isr lor isr_done;
-                 raise_irq t
-               end))
+               Blockstore.write t.store ~lba:t.lba data;
+               t.isr <- t.isr lor isr_done;
+               raise_irq t))
   end
 
-let handle t ~reg access =
-  if t.wedged then (match access with Bus.Read -> Ok 0xFFFF_FFFF | Bus.Write _ -> Ok 0)
-  else
-    match (reg, access) with
-    | 0, Bus.Read -> Ok 0x5A7A
-    | 1, Bus.Write v ->
-        t.lba <- v;
-        Ok 0
-    | 2, Bus.Write v ->
-        t.count <- v;
-        Ok 0
-    | 3, Bus.Write v ->
-        t.dmah <- v;
-        Ok 0
-    | 4, Bus.Write 0x20 ->
-        start_read t;
-        Ok 0
-    | 4, Bus.Write 0x30 ->
-        start_write t;
-        Ok 0
-    | 4, Bus.Write 0xE7 -> Ok 0 (* flush: the store is always durable *)
-    | 4, Bus.Write 0x10 ->
-        do_reset t;
-        Ok 0
-    | 4, Bus.Write _ ->
-        fail t;
-        Ok 0
-    | 5, Bus.Read ->
-        Ok
-          ((if t.busy || resetting t then 1 else 0)
-          lor if t.isr land isr_err <> 0 then 8 else 0)
-    | 6, Bus.Read -> Ok t.isr
-    | 6, Bus.Write v ->
-        t.isr <- t.isr land lnot v;
-        Ok 0
-    | _, Bus.Read -> Ok 0xFFFF_FFFF
-    | _, Bus.Write _ ->
-        fail t;
-        Ok 0
+let read t = function
+  | 0 -> 0x5A7A
+  | 5 -> (if t.busy || resetting t then 1 else 0) lor if t.isr land isr_err <> 0 then 8 else 0
+  | 6 -> t.isr
+  | _ -> 0xFFFF_FFFF
 
-let create ~kernel ~bus ~base ~irq ~store ~rng ?(rate_bytes_per_us = 40) ?(seek_us = 100)
-    ?(reset_us = 600_000) ?(wedge_prob = 0.0) ?(has_master_reset = false) () =
+let write t reg v =
+  match (reg, v) with
+  | 1, v -> t.lba <- v
+  | 2, v -> t.count <- v
+  | 3, v -> t.dmah <- v
+  | 4, 0x20 -> start_read t
+  | 4, 0x30 -> start_write t
+  | 4, 0xE7 -> () (* flush: the store is always durable *)
+  | 4, 0x10 -> do_reset t
+  | 6, v -> t.isr <- t.isr land lnot v
+  | _ -> fail t
+
+let create ~kernel ~bus ~base ~irq ~store ?(rate_bytes_per_us = 40) ?(seek_us = 100) () =
   let t =
     {
       kernel;
       irq;
       store;
-      rng;
       rate = rate_bytes_per_us;
       seek_us;
-      reset_us;
-      wedge_prob;
-      has_master_reset;
-      stats = { reads = 0; writes = 0; errors = 0 };
-      wedged = false;
       lba = 0;
       count = 0;
       dmah = 0;
@@ -167,5 +111,5 @@ let create ~kernel ~bus ~base ~irq ~store ~rng ?(rate_bytes_per_us = 40) ?(seek_
       ready_at = 0;
     }
   in
-  Bus.register bus ~base ~len:7 (handle t);
+  Bus.register bus ~base ~len:ports ~read:(read t) ~write:(write t);
   t

@@ -13,16 +13,20 @@
       6  ISR     R/ack  0x1 done, 0x8 error; writing acks
     v}
 
+    Out-of-spec programming (a bad range, an unknown command, a
+    command while busy, a write to a read-only register) sets ERR.
+
     Timing: a transfer takes [seek_us] plus sectors*512/[rate].  The
-    default 33 bytes/us gives the ~33 MB/s the paper's SATA disk
-    sustained.  A reset keeps the controller busy for [reset_us]
-    (default 600 ms) — re-initialization latency is what makes a disk
-    driver crash expensive (Fig. 8). *)
+    default 40 bytes/us gives about the 33 MB/s the paper's SATA disk
+    sustained.  A reset keeps the controller busy for 600 ms —
+    re-initialization latency is what makes a disk driver crash
+    expensive (Fig. 8). *)
 
 type t
 (** A disk controller. *)
 
-type stats = { mutable reads : int; mutable writes : int; mutable errors : int }
+val ports : int
+(** Size of the claimed port window (7). *)
 
 val create :
   kernel:Resilix_kernel.Kernel.t ->
@@ -30,21 +34,9 @@ val create :
   base:int ->
   irq:int ->
   store:Blockstore.t ->
-  rng:Resilix_sim.Rng.t ->
   ?rate_bytes_per_us:int ->
   ?seek_us:int ->
-  ?reset_us:int ->
-  ?wedge_prob:float ->
-  ?has_master_reset:bool ->
   unit ->
   t
-(** Create and claim [base..base+6]. *)
-
-val stats : t -> stats
-(** Operation counters. *)
-
-val wedged : t -> bool
-(** Whether the controller is wedged. *)
-
-val bios_reset : t -> unit
-(** Out-of-band full reset. *)
+(** Create and claim [base..base+ports-1].  Defaults: 40 bytes/us,
+    100 us seek. *)

@@ -1,244 +1,72 @@
-module Engine = Resilix_sim.Engine
-module Rng = Resilix_sim.Rng
 module Kernel = Resilix_kernel.Kernel
 
-type stats = { mutable frames_rx : int; mutable frames_tx : int; mutable errors : int }
+let ports = 12
 
-let isr_rx_ok = 0x1
-let isr_tx_ok = 0x4
-let isr_err = 0x8
-
-let cmd_reset = 0x10
-let cmd_rx_enable = 0x04
-let cmd_tx_enable = 0x08
-
-let max_frame = 2048
-
+(* The DMA data path: the transmit buffer and the receive slot. *)
 type t = {
-  kernel : Resilix_kernel.Kernel.t;
-  link : Link.t;
-  side : Link.side;
-  irq : int;
-  mac : int;
-  rng : Rng.t;
-  rate : int;
-  reset_us : int;
-  wedge_prob : float;
-  has_master_reset : bool;
-  stats : stats;
-  mutable wedged : bool;
-  mutable ready_at : int; (* controller unavailable until then after a reset *)
-  mutable rx_enabled : bool;
-  mutable tx_enabled : bool;
-  mutable promisc : bool;
-  mutable isr : int;
   mutable txh : int;
   mutable txlen : int;
-  mutable tx_busy : bool;
   mutable rxh : int;
   mutable rxcap : int;
   mutable rxlen : int;
-  mutable rx_slot_free : bool;
-  rx_queue : bytes Queue.t;
 }
 
-let rx_queue_cap = 64
-
-let stats t = t.stats
-let wedged t = t.wedged
-
-let engine t = Kernel.engine t.kernel
-
-let maybe_wedge t =
-  t.stats.errors <- t.stats.errors + 1;
-  t.isr <- t.isr lor isr_err;
-  if Rng.bool t.rng t.wedge_prob then t.wedged <- true
-
-let raise_irq t = Kernel.raise_irq t.kernel t.irq
-let resetting t = Engine.now (engine t) < t.ready_at
-
 (* Deliver the next queued frame into the driver's receive buffer if
-   the receive path is armed and idle. *)
-let pump_rx t =
-  if
-    (not t.wedged) && (not (resetting t)) && t.rx_enabled && t.rx_slot_free && t.rxh <> 0
-    && not (Queue.is_empty t.rx_queue)
+   the receive path is armed and the last frame was acknowledged. *)
+let pump t nic =
+  let queue = Nic.rx_queue nic in
+  if Nic.rx_open nic && (not (Nic.rx_signalled nic)) && t.rxh <> 0 && not (Queue.is_empty queue)
   then begin
-    let frame = Queue.pop t.rx_queue in
+    let frame = Queue.pop queue in
     let len = Bytes.length frame in
-    if len <= t.rxcap then begin
-      match Kernel.dma t.kernel ~handle:t.rxh ~off:0 ~op:(`Write frame) with
+    if len > t.rxcap then Nic.fail nic
+    else
+      match Kernel.dma (Nic.kernel nic) ~handle:t.rxh ~off:0 ~op:(`Write frame) with
       | Ok _ ->
-          t.rx_slot_free <- false;
           t.rxlen <- len;
-          t.stats.frames_rx <- t.stats.frames_rx + 1;
-          t.isr <- t.isr lor isr_rx_ok;
-          raise_irq t
-      | Error _ ->
-          (* Stale DMA mapping (driver died): frame is lost. *)
-          maybe_wedge t
-    end
-    else maybe_wedge t
+          Nic.signal_rx nic
+      | Error _ -> (* stale DMA mapping (driver died): the frame is lost *) Nic.fail nic
   end
 
-(* MAC filtering: accept broadcast, our MAC, or anything in
-   promiscuous mode.  The first six bytes of a frame are the
-   destination MAC, big-endian. *)
-let dst_mac_of frame =
-  if Bytes.length frame < 6 then 0
+let start_tx t nic =
+  if not (Nic.tx_ready nic t.txlen) then Nic.fail nic
   else
-    let b i = Char.code (Bytes.get frame i) in
-    (b 0 lsl 40) lor (b 1 lsl 32) lor (b 2 lsl 24) lor (b 3 lsl 16) lor (b 4 lsl 8) lor b 5
+    match Kernel.dma (Nic.kernel nic) ~handle:t.txh ~off:0 ~op:(`Read t.txlen) with
+    | Error _ -> Nic.fail nic
+    | Ok frame -> Nic.transmit nic frame
 
-let broadcast_mac = 0xFFFF_FFFF_FFFF
+let read t _ = function 9 -> t.rxlen | _ -> 0xFFFF_FFFF
 
-let on_link_rx t frame =
-  if (not t.wedged) && (not (resetting t)) && t.rx_enabled then begin
-    let dst = dst_mac_of frame in
-    if t.promisc || dst = t.mac || dst = broadcast_mac then begin
-      if Queue.length t.rx_queue < rx_queue_cap then begin
-        Queue.push frame t.rx_queue;
-        pump_rx t
-      end
-      (* queue overflow: silently dropped, like real hardware *)
-    end
-  end
+let write t nic reg v =
+  match reg with
+  | 4 -> t.txh <- v
+  | 5 -> t.txlen <- v
+  | 6 -> start_tx t nic
+  | 7 ->
+      t.rxh <- v;
+      pump t nic
+  | 8 -> t.rxcap <- v
+  | _ ->
+      (* Writing a read-only or nonexistent register is exactly the
+         kind of thing a corrupted driver does. *)
+      Nic.fail nic
 
-let do_reset t =
-  if t.wedged && not t.has_master_reset then () (* reset is ignored: card is gone *)
-  else begin
-    if t.wedged && t.has_master_reset then t.wedged <- false;
-    t.ready_at <- Engine.now (engine t) + t.reset_us;
-    t.rx_enabled <- false;
-    t.tx_enabled <- false;
-    t.promisc <- false;
-    t.isr <- 0;
-    t.txh <- 0;
-    t.txlen <- 0;
-    t.tx_busy <- false;
-    t.rxh <- 0;
-    t.rxcap <- 0;
-    t.rxlen <- 0;
-    t.rx_slot_free <- true;
-    Queue.clear t.rx_queue
-  end
+let reset t () =
+  t.txh <- 0;
+  t.txlen <- 0;
+  t.rxh <- 0;
+  t.rxcap <- 0;
+  t.rxlen <- 0
 
-let bios_reset t =
-  t.wedged <- false;
-  do_reset t
-
-let start_tx t =
-  if t.wedged then ()
-  else if resetting t || (not t.tx_enabled) || t.tx_busy || t.txlen <= 0 || t.txlen > max_frame
-  then maybe_wedge t
-  else begin
-    match Kernel.dma t.kernel ~handle:t.txh ~off:0 ~op:(`Read t.txlen) with
-    | Error _ -> maybe_wedge t
-    | Ok frame ->
-        t.tx_busy <- true;
-        let tx_time = max 1 (t.txlen / t.rate) in
-        ignore
-          (Engine.schedule (engine t) ~after:tx_time (fun () ->
-               t.tx_busy <- false;
-               if not t.wedged then begin
-                 Link.send t.link t.side frame;
-                 t.stats.frames_tx <- t.stats.frames_tx + 1;
-                 t.isr <- t.isr lor isr_tx_ok;
-                 raise_irq t
-               end))
-  end
-
-let handle t ~reg access =
-  if t.wedged then (match access with Bus.Read -> Ok 0xFFFF_FFFF | Bus.Write _ -> Ok 0)
-  else
-    match (reg, access) with
-    | 0, Bus.Read -> Ok 0x8139
-    | 1, Bus.Read ->
-        if resetting t then Ok cmd_reset
-        else
-          Ok
-            ((if t.rx_enabled then cmd_rx_enable else 0)
-            lor if t.tx_enabled then cmd_tx_enable else 0)
-    | 1, Bus.Write v ->
-        if v land cmd_reset <> 0 then do_reset t
-        else if resetting t then () (* programming a resetting chip is ignored *)
-        else if v land lnot (cmd_reset lor cmd_rx_enable lor cmd_tx_enable) <> 0 then maybe_wedge t
-        else begin
-          t.rx_enabled <- v land cmd_rx_enable <> 0;
-          t.tx_enabled <- v land cmd_tx_enable <> 0;
-          pump_rx t
-        end;
-        Ok 0
-    | 2, Bus.Read -> Ok (if t.promisc then 1 else 0)
-    | 2, Bus.Write v ->
-        t.promisc <- v land 1 <> 0;
-        Ok 0
-    | 3, Bus.Read -> Ok t.isr
-    | 3, Bus.Write v ->
-        let had_rx = t.isr land isr_rx_ok <> 0 in
-        t.isr <- t.isr land lnot v;
-        if had_rx && v land isr_rx_ok <> 0 then begin
-          t.rx_slot_free <- true;
-          pump_rx t
-        end;
-        Ok 0
-    | 4, Bus.Write v ->
-        t.txh <- v;
-        Ok 0
-    | 5, Bus.Write v ->
-        t.txlen <- v;
-        Ok 0
-    | 6, Bus.Write _ ->
-        start_tx t;
-        Ok 0
-    | 7, Bus.Write v ->
-        t.rxh <- v;
-        pump_rx t;
-        Ok 0
-    | 8, Bus.Write v ->
-        t.rxcap <- v;
-        Ok 0
-    | 9, Bus.Read -> Ok t.rxlen
-    | 10, Bus.Read -> Ok (t.mac land 0xFFFF_FFFF)
-    | 11, Bus.Read -> Ok ((t.mac lsr 32) land 0xFFFF)
-    | _, Bus.Read -> Ok 0xFFFF_FFFF
-    | _, Bus.Write _ ->
-        (* Writing a read-only or nonexistent register is exactly the
-           kind of thing a corrupted driver does. *)
-        maybe_wedge t;
-        Ok 0
-
-let create ~kernel ~bus ~base ~irq ~link ~side ~mac ~rng ?(rate_bytes_per_us = 12)
-    ?(reset_us = 150_000) ?(wedge_prob = 0.0) ?(has_master_reset = false) () =
-  let t =
+let create ~kernel ~bus ~base ~irq ~link ~side ~mac ~rng ?wedge_prob () =
+  let t = { txh = 0; txlen = 0; rxh = 0; rxcap = 0; rxlen = 0 } in
+  Nic.create ~kernel ~bus ~base ~ports ~irq ~link ~side ~mac ~rng ?wedge_prob
     {
-      kernel;
-      link;
-      side;
-      irq;
-      mac;
-      rng;
-      rate = rate_bytes_per_us;
-      reset_us;
-      wedge_prob;
-      has_master_reset;
-      stats = { frames_rx = 0; frames_tx = 0; errors = 0 };
-      wedged = false;
-      ready_at = 0;
-      rx_enabled = false;
-      tx_enabled = false;
-      promisc = false;
-      isr = 0;
-      txh = 0;
-      txlen = 0;
-      tx_busy = false;
-      rxh = 0;
-      rxcap = 0;
-      rxlen = 0;
-      rx_slot_free = true;
-      rx_queue = Queue.create ();
+      id = 0x8139;
+      mac_reg = 10;
+      read = read t;
+      write = write t;
+      reset = reset t;
+      queued = pump t;
+      rx_ready = pump t;
     }
-  in
-  Bus.register bus ~base ~len:12 (handle t);
-  Link.attach link side (on_link_rx t);
-  t

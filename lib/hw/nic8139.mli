@@ -2,7 +2,8 @@
 
     This is the NIC used for the Fig. 7 experiment (wget with repeated
     driver kills).  The driver programs it through I/O ports and DMA
-    buffers mapped through the IOMMU.
+    buffers mapped through the IOMMU.  Registers 0-3 and 10-11 are the
+    shared {!Nic} core's.
 
     Register map (32-bit registers, offsets from the claimed base):
     {v
@@ -20,17 +21,17 @@
       11 MACHI   RO  high 16 bits of the MAC
     v}
 
+    Receive: the card DMAs the head of its queue into the RXH buffer
+    when RX is enabled, RXH is set and the previous frame's RX_OK has
+    been acknowledged; it tries again on each of those events.
+
     Fault realism: out-of-spec programming (zero/oversized TX length,
-    bad DMA handles, junk CMD bits) sets the ERR bit and, with
-    probability [wedge_prob], wedges the controller — a wedged NIC
-    reads 0xFFFFFFFF everywhere and ignores resets unless it was
-    built with [has_master_reset] (the paper's Sec. 7.2 observed
-    exactly this: a few cards needed a BIOS-level reset). *)
+    bad DMA handles, junk CMD bits) sets ERR and may wedge the card;
+    a wedged card ignores software resets, and only {!Nic.bios_reset}
+    clears it (see {!Nic}). *)
 
-type t
-(** A NIC instance. *)
-
-type stats = { mutable frames_rx : int; mutable frames_tx : int; mutable errors : int }
+val ports : int
+(** Size of the claimed port window (12). *)
 
 val create :
   kernel:Resilix_kernel.Kernel.t ->
@@ -41,21 +42,7 @@ val create :
   side:Link.side ->
   mac:int ->
   rng:Resilix_sim.Rng.t ->
-  ?rate_bytes_per_us:int ->
-  ?reset_us:int ->
   ?wedge_prob:float ->
-  ?has_master_reset:bool ->
   unit ->
-  t
-(** Create and claim [base..base+11] on the bus, attach to the link.
-    Default rate is 12 bytes/us (~100 Mbit). *)
-
-val stats : t -> stats
-(** Frame and error counters. *)
-
-val wedged : t -> bool
-(** Whether the controller is wedged (unrecoverable by the driver). *)
-
-val bios_reset : t -> unit
-(** Out-of-band full reset (the "low-level BIOS reset" of Sec. 7.2);
-    clears the wedge. *)
+  Nic.t
+(** Claim [base..base+ports-1] on the bus and attach to the link. *)

@@ -1,217 +1,73 @@
-module Engine = Resilix_sim.Engine
-module Rng = Resilix_sim.Rng
-module Kernel = Resilix_kernel.Kernel
+let ports = 10
 
-type stats = { mutable frames_rx : int; mutable frames_tx : int; mutable errors : int }
+(* The PIO data path: the TX staging buffer and the word cursor into
+   the head RX frame. *)
+type t = { staging : Buffer.t; mutable read_pos : int }
 
-let isr_rx_ok = 0x1
-let isr_tx_ok = 0x4
-let isr_err = 0x8
-let cmd_reset = 0x10
-let cmd_rx_enable = 0x04
-let cmd_tx_enable = 0x08
-let max_frame = 2048
-
-type t = {
-  kernel : Resilix_kernel.Kernel.t;
-  link : Link.t;
-  side : Link.side;
-  irq : int;
-  mac : int;
-  rng : Rng.t;
-  rate : int;
-  reset_us : int;
-  wedge_prob : float;
-  has_master_reset : bool;
-  stats : stats;
-  mutable wedged : bool;
-  mutable ready_at : int; (* controller unavailable until then after a reset *)
-  mutable rx_enabled : bool;
-  mutable tx_enabled : bool;
-  mutable promisc : bool;
-  mutable isr : int;
-  tx_staging : Buffer.t;
-  mutable tx_busy : bool;
-  rx_queue : bytes Queue.t;
-  mutable rx_read_pos : int; (* word cursor into the head frame *)
-}
-
-let rx_queue_cap = 64
-
-let stats t = t.stats
-let wedged t = t.wedged
-let engine t = Kernel.engine t.kernel
-let raise_irq t = Kernel.raise_irq t.kernel t.irq
-let resetting t = Engine.now (engine t) < t.ready_at
-
-let maybe_wedge t =
-  t.stats.errors <- t.stats.errors + 1;
-  t.isr <- t.isr lor isr_err;
-  if Rng.bool t.rng t.wedge_prob then t.wedged <- true
-
-let dst_mac_of frame =
-  if Bytes.length frame < 6 then 0
-  else
-    let b i = Char.code (Bytes.get frame i) in
-    (b 0 lsl 40) lor (b 1 lsl 32) lor (b 2 lsl 24) lor (b 3 lsl 16) lor (b 4 lsl 8) lor b 5
-
-let broadcast_mac = 0xFFFF_FFFF_FFFF
-
-let on_link_rx t frame =
-  if (not t.wedged) && (not (resetting t)) && t.rx_enabled then begin
-    let dst = dst_mac_of frame in
-    if t.promisc || dst = t.mac || dst = broadcast_mac then
-      if Queue.length t.rx_queue < rx_queue_cap then begin
-        let was_empty = Queue.is_empty t.rx_queue in
-        Queue.push frame t.rx_queue;
-        t.stats.frames_rx <- t.stats.frames_rx + 1;
-        if was_empty then begin
-          t.rx_read_pos <- 0;
-          t.isr <- t.isr lor isr_rx_ok;
-          raise_irq t
-        end
-      end
+let queued t nic =
+  if Queue.length (Nic.rx_queue nic) = 1 then begin
+    t.read_pos <- 0;
+    Nic.signal_rx nic
   end
 
-let do_reset t =
-  if t.wedged && not t.has_master_reset then ()
+let data_write t nic v =
+  if Buffer.length t.staging + 4 > Nic.max_frame then Nic.fail nic
   else begin
-    if t.wedged && t.has_master_reset then t.wedged <- false;
-    t.ready_at <- Engine.now (engine t) + t.reset_us;
-    t.rx_enabled <- false;
-    t.tx_enabled <- false;
-    t.promisc <- false;
-    t.isr <- 0;
-    Buffer.clear t.tx_staging;
-    t.tx_busy <- false;
-    Queue.clear t.rx_queue;
-    t.rx_read_pos <- 0
+    Buffer.add_char t.staging (Char.chr (v land 0xFF));
+    Buffer.add_char t.staging (Char.chr ((v lsr 8) land 0xFF));
+    Buffer.add_char t.staging (Char.chr ((v lsr 16) land 0xFF));
+    Buffer.add_char t.staging (Char.chr ((v lsr 24) land 0xFF))
   end
 
-let bios_reset t =
-  t.wedged <- false;
-  do_reset t
-
-let data_write t v =
-  if Buffer.length t.tx_staging + 4 > max_frame then maybe_wedge t
-  else begin
-    Buffer.add_char t.tx_staging (Char.chr (v land 0xFF));
-    Buffer.add_char t.tx_staging (Char.chr ((v lsr 8) land 0xFF));
-    Buffer.add_char t.tx_staging (Char.chr ((v lsr 16) land 0xFF));
-    Buffer.add_char t.tx_staging (Char.chr ((v lsr 24) land 0xFF))
-  end
-
-let data_read t =
-  match Queue.peek_opt t.rx_queue with
+let data_read t nic =
+  match Queue.peek_opt (Nic.rx_queue nic) with
   | None -> 0xFFFF_FFFF
   | Some frame ->
       let len = Bytes.length frame in
       let byte i = if i < len then Char.code (Bytes.get frame i) else 0 in
-      let off = t.rx_read_pos in
-      t.rx_read_pos <- off + 4;
+      let off = t.read_pos in
+      t.read_pos <- off + 4;
       byte off lor (byte (off + 1) lsl 8) lor (byte (off + 2) lsl 16) lor (byte (off + 3) lsl 24)
 
-let tx_go t len =
-  let staged = Buffer.length t.tx_staging in
-  if resetting t || t.tx_busy || (not t.tx_enabled) || len <= 0 || len > staged || len > max_frame
-  then maybe_wedge t
+let tx_go t nic len =
+  if len > Buffer.length t.staging || not (Nic.tx_ready nic len) then Nic.fail nic
   else begin
-    let frame = Bytes.sub (Buffer.to_bytes t.tx_staging) 0 len in
-    Buffer.clear t.tx_staging;
-    t.tx_busy <- true;
-    let tx_time = max 1 (len / t.rate) in
-    ignore
-      (Engine.schedule (engine t) ~after:tx_time (fun () ->
-           t.tx_busy <- false;
-           if not t.wedged then begin
-             Link.send t.link t.side frame;
-             t.stats.frames_tx <- t.stats.frames_tx + 1;
-             t.isr <- t.isr lor isr_tx_ok;
-             raise_irq t
-           end))
+    let frame = Bytes.of_string (Buffer.sub t.staging 0 len) in
+    Buffer.clear t.staging;
+    Nic.transmit nic frame
   end
 
-let rx_done t =
-  if not (Queue.is_empty t.rx_queue) then ignore (Queue.pop t.rx_queue);
-  t.rx_read_pos <- 0;
-  if not (Queue.is_empty t.rx_queue) then begin
-    t.isr <- t.isr lor isr_rx_ok;
-    raise_irq t
-  end
+let rx_done t nic =
+  let queue = Nic.rx_queue nic in
+  if not (Queue.is_empty queue) then ignore (Queue.pop queue);
+  t.read_pos <- 0;
+  if not (Queue.is_empty queue) then Nic.signal_rx nic
 
-let handle t ~reg access =
-  if t.wedged then (match access with Bus.Read -> Ok 0xFFFF_FFFF | Bus.Write _ -> Ok 0)
-  else
-    match (reg, access) with
-    | 0, Bus.Read -> Ok 0x8390
-    | 1, Bus.Read ->
-        if resetting t then Ok cmd_reset
-        else
-          Ok
-            ((if t.rx_enabled then cmd_rx_enable else 0)
-            lor if t.tx_enabled then cmd_tx_enable else 0)
-    | 1, Bus.Write v ->
-        if v land cmd_reset <> 0 then do_reset t
-        else if resetting t then ()
-        else if v land lnot (cmd_reset lor cmd_rx_enable lor cmd_tx_enable) <> 0 then maybe_wedge t
-        else begin
-          t.rx_enabled <- v land cmd_rx_enable <> 0;
-          t.tx_enabled <- v land cmd_tx_enable <> 0
-        end;
-        Ok 0
-    | 2, Bus.Read -> Ok (if t.promisc then 1 else 0)
-    | 2, Bus.Write v ->
-        t.promisc <- v land 1 <> 0;
-        Ok 0
-    | 3, Bus.Read -> Ok t.isr
-    | 3, Bus.Write v ->
-        t.isr <- t.isr land lnot v;
-        Ok 0
-    | 4, Bus.Read -> Ok (data_read t)
-    | 4, Bus.Write v ->
-        data_write t v;
-        Ok 0
-    | 5, Bus.Write v ->
-        tx_go t v;
-        Ok 0
-    | 6, Bus.Read -> Ok (match Queue.peek_opt t.rx_queue with Some f -> Bytes.length f | None -> 0)
-    | 7, Bus.Write _ ->
-        rx_done t;
-        Ok 0
-    | 8, Bus.Read -> Ok (t.mac land 0xFFFF_FFFF)
-    | 9, Bus.Read -> Ok ((t.mac lsr 32) land 0xFFFF)
-    | _, Bus.Read -> Ok 0xFFFF_FFFF
-    | _, Bus.Write _ ->
-        maybe_wedge t;
-        Ok 0
+let read t nic = function
+  | 4 -> data_read t nic
+  | 6 -> ( match Queue.peek_opt (Nic.rx_queue nic) with Some f -> Bytes.length f | None -> 0)
+  | _ -> 0xFFFF_FFFF
 
-let create ~kernel ~bus ~base ~irq ~link ~side ~mac ~rng ?(rate_bytes_per_us = 12)
-    ?(reset_us = 150_000) ?(wedge_prob = 0.0) ?(has_master_reset = false) () =
-  let t =
+let write t nic reg v =
+  match reg with
+  | 4 -> data_write t nic v
+  | 5 -> tx_go t nic v
+  | 7 -> rx_done t nic
+  | _ -> Nic.fail nic
+
+let reset t () =
+  Buffer.clear t.staging;
+  t.read_pos <- 0
+
+let create ~kernel ~bus ~base ~irq ~link ~side ~mac ~rng ?wedge_prob () =
+  let t = { staging = Buffer.create Nic.max_frame; read_pos = 0 } in
+  Nic.create ~kernel ~bus ~base ~ports ~irq ~link ~side ~mac ~rng ?wedge_prob
     {
-      kernel;
-      link;
-      side;
-      irq;
-      mac;
-      rng;
-      rate = rate_bytes_per_us;
-      reset_us;
-      wedge_prob;
-      has_master_reset;
-      stats = { frames_rx = 0; frames_tx = 0; errors = 0 };
-      wedged = false;
-      ready_at = 0;
-      rx_enabled = false;
-      tx_enabled = false;
-      promisc = false;
-      isr = 0;
-      tx_staging = Buffer.create 2048;
-      tx_busy = false;
-      rx_queue = Queue.create ();
-      rx_read_pos = 0;
+      id = 0x8390;
+      mac_reg = 8;
+      read = read t;
+      write = write t;
+      reset = reset t;
+      queued = queued t;
+      rx_ready = (fun _ -> ());
     }
-  in
-  Bus.register bus ~base ~len:10 (handle t);
-  Link.attach link side (on_link_rx t);
-  t

@@ -5,6 +5,7 @@
     RTL8139 model it moves frame data through a data port one 32-bit
     word at a time ("remote DMA"), which gives its driver long,
     loop-heavy transfer code — a rich target for binary mutation.
+    Registers 0-3 and 8-9 are the shared {!Nic} core's.
 
     Register map:
     {v
@@ -19,12 +20,12 @@
       7  RXDONE  W   pop the current RX frame
       8  MACLO   RO  9 MACHI RO
     v}
-*)
 
-type t
-(** A NIC instance. *)
+    RX_OK is raised when a frame arrives at an empty queue and again
+    on each RXDONE that leaves frames queued. *)
 
-type stats = { mutable frames_rx : int; mutable frames_tx : int; mutable errors : int }
+val ports : int
+(** Size of the claimed port window (10). *)
 
 val create :
   kernel:Resilix_kernel.Kernel.t ->
@@ -35,19 +36,7 @@ val create :
   side:Link.side ->
   mac:int ->
   rng:Resilix_sim.Rng.t ->
-  ?rate_bytes_per_us:int ->
-  ?reset_us:int ->
   ?wedge_prob:float ->
-  ?has_master_reset:bool ->
   unit ->
-  t
-(** Create and claim [base..base+9]. *)
-
-val stats : t -> stats
-(** Frame and error counters. *)
-
-val wedged : t -> bool
-(** Whether the controller is wedged. *)
-
-val bios_reset : t -> unit
-(** Out-of-band full reset (clears a wedge). *)
+  Nic.t
+(** Claim [base..base+ports-1] on the bus and attach to the link. *)

@@ -1,19 +1,16 @@
 module Engine = Resilix_sim.Engine
-module Rng = Resilix_sim.Rng
 module Kernel = Resilix_kernel.Kernel
 
+let ports = 6
 let isr_drained = 0x1
 let isr_err = 0x8
 let tick = 10_000 (* us *)
+let fifo_cap = 4096
+let bytes_per_tick = 50_000 * tick / 1_000_000
 
 type t = {
   kernel : Resilix_kernel.Kernel.t;
   irq : int;
-  rng : Rng.t;
-  byte_rate : int;
-  fifo_cap : int;
-  wedge_prob : float;
-  mutable wedged : bool;
   mutable online : bool;
   fifo : char Queue.t;
   output : Buffer.t;
@@ -21,80 +18,51 @@ type t = {
 }
 
 let printed t = Buffer.contents t.output
-let wedged t = t.wedged
-let engine t = Kernel.engine t.kernel
-
-let maybe_wedge t =
-  t.isr <- t.isr lor isr_err;
-  if Rng.bool t.rng t.wedge_prob then t.wedged <- true
+let fail t = t.isr <- t.isr lor isr_err
 
 let rec run t =
   ignore
-    (Engine.schedule (engine t) ~after:tick (fun () ->
-         if not t.wedged then begin
-           if t.online then begin
-             let budget = t.byte_rate * tick / 1_000_000 in
-             let had_work = not (Queue.is_empty t.fifo) in
-             let printed = ref 0 in
-             while !printed < budget && not (Queue.is_empty t.fifo) do
-               Buffer.add_char t.output (Queue.pop t.fifo);
-               incr printed
-             done;
-             if had_work && Queue.is_empty t.fifo then begin
-               t.isr <- t.isr lor isr_drained;
-               Kernel.raise_irq t.kernel t.irq
-             end
-           end;
-           run t
-         end))
+    (Engine.schedule (Kernel.engine t.kernel) ~after:tick (fun () ->
+         if t.online then begin
+           let had_work = not (Queue.is_empty t.fifo) in
+           let printed = ref 0 in
+           while !printed < bytes_per_tick && not (Queue.is_empty t.fifo) do
+             Buffer.add_char t.output (Queue.pop t.fifo);
+             incr printed
+           done;
+           if had_work && Queue.is_empty t.fifo then begin
+             t.isr <- t.isr lor isr_drained;
+             Kernel.raise_irq t.kernel t.irq
+           end
+         end;
+         run t))
 
-let handle t ~reg access =
-  if t.wedged then (match access with Bus.Read -> Ok 0xFFFF_FFFF | Bus.Write _ -> Ok 0)
-  else
-    match (reg, access) with
-    | 0, Bus.Read -> Ok 0x9817
-    | 1, Bus.Read -> Ok (if t.online then 1 else 0)
-    | 1, Bus.Write v ->
-        if v land 0x10 <> 0 then begin
-          t.online <- false;
-          Queue.clear t.fifo;
-          t.isr <- 0
-        end
-        else if v land lnot 0x11 <> 0 then maybe_wedge t
-        else t.online <- v land 1 <> 0;
-        Ok 0
-    | 2, Bus.Write v ->
-        if Queue.length t.fifo >= t.fifo_cap then maybe_wedge t
-        else Queue.push (Char.chr (v land 0xFF)) t.fifo;
-        Ok 0
-    | 3, Bus.Read -> Ok (if Queue.length t.fifo < t.fifo_cap then 1 else 0)
-    | 4, Bus.Read -> Ok t.isr
-    | 4, Bus.Write v ->
-        t.isr <- t.isr land lnot v;
-        Ok 0
-    | 5, Bus.Read -> Ok (Queue.length t.fifo)
-    | _, Bus.Read -> Ok 0xFFFF_FFFF
-    | _, Bus.Write _ ->
-        maybe_wedge t;
-        Ok 0
+let read t = function
+  | 0 -> 0x9817
+  | 1 -> if t.online then 1 else 0
+  | 3 -> if Queue.length t.fifo < fifo_cap then 1 else 0
+  | 4 -> t.isr
+  | 5 -> Queue.length t.fifo
+  | _ -> 0xFFFF_FFFF
 
-let create ~kernel ~bus ~base ~irq ~rng ?(byte_rate = 50_000) ?(fifo_cap = 4096)
-    ?(wedge_prob = 0.0) () =
+let write t reg v =
+  match reg with
+  | 1 ->
+      if v land 0x10 <> 0 then begin
+        t.online <- false;
+        Queue.clear t.fifo;
+        t.isr <- 0
+      end
+      else if v land lnot 0x11 <> 0 then fail t
+      else t.online <- v land 1 <> 0
+  | 2 -> if Queue.length t.fifo >= fifo_cap then fail t else Queue.push (Char.chr (v land 0xFF)) t.fifo
+  | 4 -> t.isr <- t.isr land lnot v
+  | _ -> fail t
+
+let create ~kernel ~bus ~base ~irq () =
   let t =
-    {
-      kernel;
-      irq;
-      rng;
-      byte_rate;
-      fifo_cap;
-      wedge_prob;
-      wedged = false;
-      online = false;
-      fifo = Queue.create ();
-      output = Buffer.create 4096;
-      isr = 0;
-    }
+    { kernel; irq; online = false; fifo = Queue.create (); output = Buffer.create 4096; isr = 0 }
   in
-  Bus.register bus ~base ~len:6 (handle t);
+  Bus.register bus ~base ~len:ports ~read:(read t) ~write:(write t);
   run t;
   t

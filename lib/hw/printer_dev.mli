@@ -1,10 +1,10 @@
 (** Printer model (character device).
 
-    Consumes bytes from a small FIFO at printing speed and records
-    everything it has "printed".  The lpd example uses this to show
-    Sec. 6.3's point: a recovery-aware spooler can reissue a failed
-    job after a driver crash, at the cost of possibly duplicated
-    output — which the recorded stream makes observable.
+    Consumes bytes from a 4 KB FIFO at 50 KB/s and records everything
+    it has "printed".  The lpd example uses this to show Sec. 6.3's
+    point: a recovery-aware spooler can reissue a failed job after a
+    driver crash, at the cost of possibly duplicated output — which
+    the recorded stream makes observable.
 
     Register map:
     {v
@@ -15,26 +15,19 @@
       4  ISR     R/ack  0x1 fifo drained, 0x8 err
       5  LEVEL   RO  bytes currently queued in the FIFO
     v}
+
+    Junk CTRL bits, a write to a full FIFO or to a read-only register
+    set ERR.
 *)
 
 type t
 (** A printer. *)
 
-val create :
-  kernel:Resilix_kernel.Kernel.t ->
-  bus:Bus.t ->
-  base:int ->
-  irq:int ->
-  rng:Resilix_sim.Rng.t ->
-  ?byte_rate:int ->
-  ?fifo_cap:int ->
-  ?wedge_prob:float ->
-  unit ->
-  t
-(** Claim [base..base+5].  Default speed 50 KB/s, FIFO 4 KB. *)
+val ports : int
+(** Size of the claimed port window (6). *)
+
+val create : kernel:Resilix_kernel.Kernel.t -> bus:Bus.t -> base:int -> irq:int -> unit -> t
+(** Claim [base..base+ports-1]. *)
 
 val printed : t -> string
 (** Everything the printer has physically printed so far. *)
-
-val wedged : t -> bool
-(** Whether the printer is wedged. *)

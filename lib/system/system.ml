@@ -21,12 +21,8 @@ type opts = {
   inet_driver : string;
   disk_mb : int;
   fs_files : (string * int) list;
-  link_latency : int;
-  link_bytes_per_us : int;
-  link_drop_prob : float;
   peer_files : (string * (int * int)) list;
   nic_wedge_prob : float;
-  nic_has_master_reset : bool;
   policies : (string * Policy.t) list;
   heartbeat_tick : int;
 }
@@ -39,14 +35,8 @@ let default_opts =
     inet_driver = "eth.rtl8139";
     disk_mb = 64;
     fs_files = [];
-    link_latency = 200;
-    (* The link is a 100 Mbit Ethernet: ~12 bytes/us.  This is what
-       capped the paper's wget at ~10.8 MB/s. *)
-    link_bytes_per_us = 12;
-    link_drop_prob = 0.;
     peer_files = [];
     nic_wedge_prob = 0.;
-    nic_has_master_reset = false;
     policies =
       [
         ("direct", Policy.direct);
@@ -63,8 +53,8 @@ type t = {
   rng : Rng.t;
   bus : Resilix_hw.Bus.t;
   store : Resilix_hw.Blockstore.t;
-  nic_rtl : Resilix_hw.Nic8139.t;
-  nic_dp : Resilix_hw.Nic8390.t;
+  nic_rtl : Resilix_hw.Nic.t;
+  nic_dp : Resilix_hw.Nic.t;
   disk : Resilix_hw.Disk.t;
   floppy : Resilix_hw.Disk.t;
   audio : Resilix_hw.Audio_dev.t;
@@ -91,44 +81,31 @@ type t = {
 
 let args_of ~base ~irq = [ string_of_int base; string_of_int irq ]
 
+(* A VM driver's spec: its program, and least authority over exactly
+   the port window its device model claims plus its IRQ line. *)
+let device_spec ~name ~ipc_to ~base ~ports ~irq ?heartbeat_period ~policy ~mem_kb () =
+  Spec.make ~name ~program:name ~args:(args_of ~base ~irq)
+    ~privileges:(Privilege.driver ~ipc_to ~io_ports:[ (base, base + ports - 1) ] ~irqs:[ irq ])
+    ?heartbeat_period ~policy ~mem_kb ()
+
 let spec_rtl8139 ?(policy = "direct") ?(heartbeat_period = 500_000) () =
-  Spec.make ~name:"eth.rtl8139" ~program:"eth.rtl8139"
-    ~args:(args_of ~base:Hwmap.rtl8139_base ~irq:Hwmap.rtl8139_irq)
-    ~privileges:
-      (Privilege.driver ~ipc_to:[ "inet" ]
-         ~io_ports:[ (Hwmap.rtl8139_base, Hwmap.rtl8139_base + 11) ]
-         ~irqs:[ Hwmap.rtl8139_irq ])
-    ~heartbeat_period ~policy
+  device_spec ~name:"eth.rtl8139" ~ipc_to:[ "inet" ] ~base:Hwmap.rtl8139_base
+    ~ports:Resilix_hw.Nic8139.ports ~irq:Hwmap.rtl8139_irq ~heartbeat_period ~policy
     ~mem_kb:Resilix_drivers.Netdriver_rtl8139.memory_kb ()
 
 let spec_dp8390 ?(policy = "direct") ?(heartbeat_period = 500_000) () =
-  Spec.make ~name:"eth.dp8390" ~program:"eth.dp8390"
-    ~args:(args_of ~base:Hwmap.dp8390_base ~irq:Hwmap.dp8390_irq)
-    ~privileges:
-      (Privilege.driver ~ipc_to:[ "inet" ]
-         ~io_ports:[ (Hwmap.dp8390_base, Hwmap.dp8390_base + 9) ]
-         ~irqs:[ Hwmap.dp8390_irq ])
-    ~heartbeat_period ~policy
+  device_spec ~name:"eth.dp8390" ~ipc_to:[ "inet" ] ~base:Hwmap.dp8390_base
+    ~ports:Resilix_hw.Nic8390.ports ~irq:Hwmap.dp8390_irq ~heartbeat_period ~policy
     ~mem_kb:Resilix_drivers.Netdriver_dp8390.memory_kb ()
 
 let spec_sata ?(policy = "direct") ?(heartbeat_period = 500_000) () =
-  Spec.make ~name:"blk.sata" ~program:"blk.sata"
-    ~args:(args_of ~base:Hwmap.sata_base ~irq:Hwmap.sata_irq)
-    ~privileges:
-      (Privilege.driver ~ipc_to:[ "mfs"; "vfs" ]
-         ~io_ports:[ (Hwmap.sata_base, Hwmap.sata_base + 6) ]
-         ~irqs:[ Hwmap.sata_irq ])
-    ~heartbeat_period ~policy
+  device_spec ~name:"blk.sata" ~ipc_to:[ "mfs"; "vfs" ] ~base:Hwmap.sata_base
+    ~ports:Resilix_hw.Disk.ports ~irq:Hwmap.sata_irq ~heartbeat_period ~policy
     ~mem_kb:Resilix_drivers.Blockdriver_disk.memory_kb ()
 
 let spec_floppy ?(policy = "generic") () =
-  Spec.make ~name:"blk.floppy" ~program:"blk.floppy"
-    ~args:(args_of ~base:Hwmap.floppy_base ~irq:Hwmap.floppy_irq)
-    ~privileges:
-      (Privilege.driver ~ipc_to:[ "mfs"; "vfs" ]
-         ~io_ports:[ (Hwmap.floppy_base, Hwmap.floppy_base + 6) ]
-         ~irqs:[ Hwmap.floppy_irq ])
-    ~policy
+  device_spec ~name:"blk.floppy" ~ipc_to:[ "mfs"; "vfs" ] ~base:Hwmap.floppy_base
+    ~ports:Resilix_hw.Disk.ports ~irq:Hwmap.floppy_irq ~policy
     ~mem_kb:Resilix_drivers.Blockdriver_disk.memory_kb ()
 
 let spec_ramdisk ?(size_kb = 512) () =
@@ -139,34 +116,18 @@ let spec_ramdisk ?(size_kb = 512) () =
     ()
 
 let spec_audio ?(policy = "direct") () =
-  Spec.make ~name:"chr.audio" ~program:"chr.audio"
-    ~args:(args_of ~base:Hwmap.audio_base ~irq:Hwmap.audio_irq)
-    ~privileges:
-      (Privilege.driver ~ipc_to:[ "vfs" ]
-         ~io_ports:[ (Hwmap.audio_base, Hwmap.audio_base + 5) ]
-         ~irqs:[ Hwmap.audio_irq ])
-    ~policy
+  device_spec ~name:"chr.audio" ~ipc_to:[ "vfs" ] ~base:Hwmap.audio_base
+    ~ports:Resilix_hw.Audio_dev.ports ~irq:Hwmap.audio_irq ~policy
     ~mem_kb:Resilix_drivers.Chardriver_audio.memory_kb ()
 
 let spec_printer ?(policy = "direct") () =
-  Spec.make ~name:"chr.printer" ~program:"chr.printer"
-    ~args:(args_of ~base:Hwmap.printer_base ~irq:Hwmap.printer_irq)
-    ~privileges:
-      (Privilege.driver ~ipc_to:[ "vfs" ]
-         ~io_ports:[ (Hwmap.printer_base, Hwmap.printer_base + 5) ]
-         ~irqs:[ Hwmap.printer_irq ])
-    ~policy
+  device_spec ~name:"chr.printer" ~ipc_to:[ "vfs" ] ~base:Hwmap.printer_base
+    ~ports:Resilix_hw.Printer_dev.ports ~irq:Hwmap.printer_irq ~policy
     ~mem_kb:Resilix_drivers.Chardriver_printer.memory_kb ()
 
 let spec_cd ?(policy = "direct") () =
-  Spec.make ~name:"chr.cd" ~program:"chr.cd"
-    ~args:(args_of ~base:Hwmap.cd_base ~irq:Hwmap.cd_irq)
-    ~privileges:
-      (Privilege.driver ~ipc_to:[ "vfs" ]
-         ~io_ports:[ (Hwmap.cd_base, Hwmap.cd_base + 6) ]
-         ~irqs:[ Hwmap.cd_irq ])
-    ~policy
-    ~mem_kb:Resilix_drivers.Chardriver_cd.memory_kb ()
+  device_spec ~name:"chr.cd" ~ipc_to:[ "vfs" ] ~base:Hwmap.cd_base ~ports:Resilix_hw.Cd_dev.ports
+    ~irq:Hwmap.cd_irq ~policy ~mem_kb:Resilix_drivers.Chardriver_cd.memory_kb ()
 
 (* ------------------------------------------------------------------ *)
 (* Boot                                                                *)
@@ -192,51 +153,41 @@ let boot ?(opts = default_opts) () =
   (* --- hardware --- *)
   let bus = Resilix_hw.Bus.create () in
   Resilix_hw.Bus.attach bus kernel;
-  let rtl_link =
-    Resilix_hw.Link.create ~engine ~rng:(Rng.split rng_links) ~latency:opts.link_latency
-      ~bytes_per_us:opts.link_bytes_per_us ~drop_prob:opts.link_drop_prob ()
-  in
-  let dp_link =
-    Resilix_hw.Link.create ~engine ~rng:(Rng.split rng_links) ~latency:opts.link_latency
-      ~bytes_per_us:opts.link_bytes_per_us ~drop_prob:opts.link_drop_prob ()
-  in
+  (* Both links are 100 Mbit Ethernet: ~12 bytes/us.  This is what
+     capped the paper's wget at ~10.8 MB/s. *)
+  let rtl_link = Resilix_hw.Link.create ~engine ~rng:(Rng.split rng_links) ~bytes_per_us:12 () in
+  let dp_link = Resilix_hw.Link.create ~engine ~rng:(Rng.split rng_links) ~bytes_per_us:12 () in
+  (* Only the NICs draw from [rng_hw] (the wedge); the other devices
+     just set ERR on garbage. *)
   let nic_rtl =
     Resilix_hw.Nic8139.create ~kernel ~bus ~base:Hwmap.rtl8139_base ~irq:Hwmap.rtl8139_irq
       ~link:rtl_link ~side:Resilix_hw.Link.A ~mac:Hwmap.rtl8139_mac ~rng:(Rng.split rng_hw)
-      ~wedge_prob:opts.nic_wedge_prob ~has_master_reset:opts.nic_has_master_reset ()
+      ~wedge_prob:opts.nic_wedge_prob ()
   in
   let nic_dp =
     Resilix_hw.Nic8390.create ~kernel ~bus ~base:Hwmap.dp8390_base ~irq:Hwmap.dp8390_irq
       ~link:dp_link ~side:Resilix_hw.Link.A ~mac:Hwmap.dp8390_mac ~rng:(Rng.split rng_hw)
-      ~wedge_prob:opts.nic_wedge_prob ~has_master_reset:opts.nic_has_master_reset ()
+      ~wedge_prob:opts.nic_wedge_prob ()
   in
   let store =
     Resilix_hw.Blockstore.create ~seed:(opts.seed * 7919) ~sectors:(opts.disk_mb * 2048)
       ~sector_size:512
   in
   let disk =
-    Resilix_hw.Disk.create ~kernel ~bus ~base:Hwmap.sata_base ~irq:Hwmap.sata_irq ~store
-      ~rng:(Rng.split rng_hw) ()
+    Resilix_hw.Disk.create ~kernel ~bus ~base:Hwmap.sata_base ~irq:Hwmap.sata_irq ~store ()
   in
   let floppy_store =
     Resilix_hw.Blockstore.create ~seed:(opts.seed * 104729) ~sectors:2880 ~sector_size:512
   in
   let floppy =
     Resilix_hw.Disk.create ~kernel ~bus ~base:Hwmap.floppy_base ~irq:Hwmap.floppy_irq
-      ~store:floppy_store ~rng:(Rng.split rng_hw) ~rate_bytes_per_us:1 ~seek_us:20_000 ()
+      ~store:floppy_store ~rate_bytes_per_us:1 ~seek_us:20_000 ()
   in
-  let audio =
-    Resilix_hw.Audio_dev.create ~kernel ~bus ~base:Hwmap.audio_base ~irq:Hwmap.audio_irq
-      ~rng:(Rng.split rng_hw) ()
-  in
+  let audio = Resilix_hw.Audio_dev.create ~kernel ~bus ~base:Hwmap.audio_base ~irq:Hwmap.audio_irq () in
   let printer =
-    Resilix_hw.Printer_dev.create ~kernel ~bus ~base:Hwmap.printer_base ~irq:Hwmap.printer_irq
-      ~rng:(Rng.split rng_hw) ()
+    Resilix_hw.Printer_dev.create ~kernel ~bus ~base:Hwmap.printer_base ~irq:Hwmap.printer_irq ()
   in
-  let cd =
-    Resilix_hw.Cd_dev.create ~kernel ~bus ~base:Hwmap.cd_base ~irq:Hwmap.cd_irq
-      ~rng:(Rng.split rng_hw) ()
-  in
+  let cd = Resilix_hw.Cd_dev.create ~kernel ~bus ~base:Hwmap.cd_base ~irq:Hwmap.cd_irq () in
   (* --- remote peers --- *)
   let rtl_peer =
     Resilix_net.Peer.create ~engine ~rng:(Rng.split rng_peers) ~link:rtl_link

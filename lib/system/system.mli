@@ -1,9 +1,10 @@
 (** Boot: assembles a complete simulated machine.
 
     One call to {!boot} builds the microkernel, the I/O bus with every
-    device model ({!Hwmap}), two network links with remote peers, a
-    formatted disk, and the trusted server set (PM, DS, RS, VFS, MFS,
-    INET) — i.e. the architecture of the paper's Fig. 1.  Drivers are
+    device model ({!Hwmap}), two lossless 100 Mbit links (12 bytes/us,
+    200 us one way) with remote peers, a formatted disk, and the
+    trusted server set (PM, DS, RS, VFS, MFS, INET) — i.e. the
+    architecture of the paper's Fig. 1.  Drivers are
     then started through the service utility like on a real system,
     which is what makes them guarded, restartable components. *)
 
@@ -20,18 +21,14 @@ type opts = {
   inet_driver : string;  (** which Ethernet driver INET binds, e.g. ["eth.rtl8139"] *)
   disk_mb : int;  (** SATA disk size *)
   fs_files : (string * int) list;  (** contiguous files created by mkfs: (name, bytes) *)
-  link_latency : int;  (** one-way latency of both links, us *)
-  link_bytes_per_us : int;  (** link serialization rate (12 = 100 Mbit Ethernet) *)
-  link_drop_prob : float;  (** random loss on the links *)
   peer_files : (string * (int * int)) list;  (** files served by the RTL-side peer *)
   nic_wedge_prob : float;  (** probability that garbage programming wedges a NIC *)
-  nic_has_master_reset : bool;  (** whether a wedged NIC accepts a software master reset *)
   policies : (string * Resilix_core.Policy.t) list;  (** policy-script registry for RS *)
   heartbeat_tick : int;  (** RS polling period *)
 }
 
 val default_opts : opts
-(** Seed 42, FIFO tie-breaking, 64 MB disk, no loss, no wedging,
+(** Seed 42, FIFO tie-breaking, 64 MB disk, no NIC wedging,
     RTL8139 bound, 100 ms RS tick, policies [direct] and [generic]
     predefined. *)
 
@@ -42,8 +39,8 @@ type t = {
   rng : Resilix_sim.Rng.t;
   bus : Resilix_hw.Bus.t;
   store : Resilix_hw.Blockstore.t;
-  nic_rtl : Resilix_hw.Nic8139.t;
-  nic_dp : Resilix_hw.Nic8390.t;
+  nic_rtl : Resilix_hw.Nic.t;  (** the RTL8139 *)
+  nic_dp : Resilix_hw.Nic.t;  (** the DP8390 *)
   disk : Resilix_hw.Disk.t;
   floppy : Resilix_hw.Disk.t;
   audio : Resilix_hw.Audio_dev.t;

@@ -148,9 +148,7 @@ let () =
   List.iter
     (fun (name, wedge_prob, expect, by_type) ->
       let t0 = Unix.gettimeofday () in
-      let o =
-        E.Sec72.run ~jobs:2 ~faults:12_500 ~seed:42 ~wedge_prob ~has_master_reset:false ()
-      in
+      let o = E.Sec72.run ~jobs:2 ~faults:12_500 ~seed:42 ~wedge_prob () in
       let got =
         E.Sec72.
           [

@@ -1,18 +1,26 @@
 (* Tests for the hardware models: bus routing, link timing, block
-   store determinism, device FIFOs and failure modes (wedging, burn
-   gaps, underruns). *)
+   store determinism, device FIFOs, failure modes (wedging, burn gaps,
+   underruns) and the NICs' registers and receive paths, driven
+   through raw bus I/O. *)
 
 module Engine = Resilix_sim.Engine
 module Trace = Resilix_sim.Trace
 module Rng = Resilix_sim.Rng
 module Kernel = Resilix_kernel.Kernel
+module Memory = Resilix_kernel.Memory
+module Sysif = Resilix_kernel.Sysif
+module Api = Resilix_kernel.Sysif.Api
+module Privilege = Resilix_proto.Privilege
+module Wellknown = Resilix_proto.Wellknown
 module Bus = Resilix_hw.Bus
 module Link = Resilix_hw.Link
 module Blockstore = Resilix_hw.Blockstore
 module Audio_dev = Resilix_hw.Audio_dev
 module Printer_dev = Resilix_hw.Printer_dev
 module Cd_dev = Resilix_hw.Cd_dev
+module Nic = Resilix_hw.Nic
 module Nic8139 = Resilix_hw.Nic8139
+module Nic8390 = Resilix_hw.Nic8390
 
 let make_kernel () =
   let engine = Engine.create () in
@@ -24,14 +32,11 @@ let make_kernel () =
 let test_bus_routing () =
   let bus = Bus.create () in
   let log = ref [] in
-  Bus.register bus ~base:0x100 ~len:4 (fun ~reg access ->
-      match access with
-      | Bus.Read ->
-          log := ("read", reg) :: !log;
-          Ok (0x40 + reg)
-      | Bus.Write v ->
-          log := ("write", v) :: !log;
-          Ok 0);
+  Bus.register bus ~base:0x100 ~len:4
+    ~read:(fun reg ->
+      log := ("read", reg) :: !log;
+      0x40 + reg)
+    ~write:(fun _ v -> log := ("write", v) :: !log);
   Alcotest.(check (result int Alcotest.reject)) "read routes with relative reg" (Ok 0x42)
     (Bus.io bus (`In 0x102));
   ignore (Bus.io bus (`Out (0x103, 99)));
@@ -46,9 +51,10 @@ let test_bus_unclaimed_floats () =
 
 let test_bus_overlap_rejected () =
   let bus = Bus.create () in
-  Bus.register bus ~base:0x100 ~len:8 (fun ~reg:_ _ -> Ok 0);
+  let read _ = 0 and write _ _ = () in
+  Bus.register bus ~base:0x100 ~len:8 ~read ~write;
   Alcotest.check_raises "overlapping claim" (Invalid_argument "Bus.register: overlapping port range")
-    (fun () -> Bus.register bus ~base:0x104 ~len:2 (fun ~reg:_ _ -> Ok 0))
+    (fun () -> Bus.register bus ~base:0x104 ~len:2 ~read ~write)
 
 (* --- link --- *)
 
@@ -123,8 +129,7 @@ let test_audio_underruns () =
   let engine, kernel = make_kernel () in
   let bus = Bus.create () in
   let audio =
-    Audio_dev.create ~kernel ~bus ~base:0x380 ~irq:5 ~rng:(Rng.create ~seed:1)
-      ~byte_rate:100_000 ()
+    Audio_dev.create ~kernel ~bus ~base:0x380 ~irq:5 ~byte_rate:100_000 ()
   in
   (* Feed 4 KB of samples and start playback: at 100 KB/s the FIFO
      drains in ~40 ms and the device underruns afterwards. *)
@@ -139,9 +144,7 @@ let test_audio_underruns () =
 let test_printer_prints_in_order () =
   let engine, kernel = make_kernel () in
   let bus = Bus.create () in
-  let printer =
-    Printer_dev.create ~kernel ~bus ~base:0x390 ~irq:6 ~rng:(Rng.create ~seed:1) ()
-  in
+  let printer = Printer_dev.create ~kernel ~bus ~base:0x390 ~irq:6 () in
   ignore (Bus.io bus (`Out (0x391, 1)));
   String.iter (fun c -> ignore (Bus.io bus (`Out (0x392, Char.code c)))) "hello paper";
   Engine.run engine ~until:2_000_000;
@@ -150,9 +153,7 @@ let test_printer_prints_in_order () =
 let test_cd_gap_ruins_disc () =
   let engine, kernel = make_kernel () in
   let bus = Bus.create () in
-  let cd =
-    Cd_dev.create ~kernel ~bus ~base:0x3A0 ~irq:7 ~rng:(Rng.create ~seed:1) ~gap_timeout:100_000 ()
-  in
+  let cd = Cd_dev.create ~kernel ~bus ~base:0x3A0 ~irq:7 ~gap_timeout:100_000 () in
   ignore (Bus.io bus (`Out (0x3A1, 0x01))) (* start session *);
   (match Cd_dev.disc cd with
   | Cd_dev.In_session -> ()
@@ -169,19 +170,233 @@ let test_nic_wedges_on_garbage_and_master_reset () =
   let link = Link.create ~engine ~rng:(Rng.create ~seed:1) () in
   let nic =
     Nic8139.create ~kernel ~bus ~base:0x300 ~irq:11 ~link ~side:Link.A ~mac:1
-      ~rng:(Rng.create ~seed:1) ~wedge_prob:1.0 ~has_master_reset:false ()
+      ~rng:(Rng.create ~seed:1) ~wedge_prob:1.0 ()
   in
   (* Garbage CMD bits wedge the chip (wedge_prob = 1). *)
   ignore (Bus.io bus (`Out (0x301, 0xE0)));
-  Alcotest.(check bool) "nic wedged" true (Nic8139.wedged nic);
-  (* Software reset is ignored when there is no master reset... *)
+  Alcotest.(check bool) "nic wedged" true (Nic.wedged nic);
+  (* A wedged card ignores the software reset... *)
   ignore (Bus.io bus (`Out (0x301, 0x10)));
-  Alcotest.(check bool) "still wedged after reset" true (Nic8139.wedged nic);
+  Alcotest.(check bool) "still wedged after reset" true (Nic.wedged nic);
   Alcotest.(check (result int Alcotest.reject)) "registers read all-ones" (Ok 0xFFFF_FFFF)
     (Bus.io bus (`In 0x300));
   (* ... only the out-of-band BIOS reset clears it (Sec. 7.2). *)
-  Nic8139.bios_reset nic;
-  Alcotest.(check bool) "bios reset clears the wedge" false (Nic8139.wedged nic)
+  Nic.bios_reset nic;
+  Alcotest.(check bool) "bios reset clears the wedge" false (Nic.wedged nic)
+
+(* --- NICs, driven only through raw bus I/O --- *)
+
+let rd bus port = match Bus.io bus (`In port) with Ok v -> v | Error _ -> Alcotest.fail "bus read"
+let wr bus port v = ignore (Bus.io bus (`Out (port, v)))
+
+(* DP8390 registers at base 0x300. *)
+let dp_id = 0x300
+let dp_cmd = 0x301
+let dp_config = 0x302
+let dp_isr = 0x303
+let dp_data = 0x304
+let dp_txgo = 0x305
+let dp_rxlen = 0x306
+let dp_rxdone = 0x307
+let nic_mac = 0x0200_0000_0001
+let other_mac = 0x0200_0000_0002
+let broadcast = 0xFFFF_FFFF_FFFF
+
+(* A DP8390 on side A of a link; returns what side B receives. *)
+let make_dp ?wedge_prob () =
+  let engine, kernel = make_kernel () in
+  let bus = Bus.create () in
+  let link = Link.create ~engine ~rng:(Rng.create ~seed:1) () in
+  let _nic =
+    Nic8390.create ~kernel ~bus ~base:0x300 ~irq:11 ~link ~side:Link.A ~mac:nic_mac
+      ~rng:(Rng.create ~seed:1) ?wedge_prob ()
+  in
+  let wire = ref [] in
+  Link.attach link Link.B (fun frame -> wire := Bytes.to_string frame :: !wire);
+  (engine, bus, link, wire)
+
+(* A frame addressed to [dst] (big-endian in its first six bytes),
+   padded to [len] bytes with [fill]. *)
+let frame ~dst ?(fill = 'x') len =
+  let b = Bytes.make len fill in
+  for i = 0 to 5 do
+    Bytes.set b i (Char.chr ((dst lsr (8 * (5 - i))) land 0xFF))
+  done;
+  b
+
+(* Lengths of the frames the DP8390 holds, consumed with RXDONE. *)
+let dp_drain bus =
+  let rec go acc =
+    match rd bus dp_rxlen with
+    | 0 -> List.rev acc
+    | len ->
+        wr bus dp_rxdone 0;
+        go (len :: acc)
+  in
+  go []
+
+let test_dp8390_tx_staging () =
+  let engine, bus, _, wire = make_dp () in
+  wr bus dp_cmd 0x08;
+  List.iter (wr bus dp_data) [ 0x64636261; 0x68676665; 0x6C6B6A69 ];
+  wr bus dp_txgo 10;
+  Engine.run engine;
+  Alcotest.(check (list string)) "the first 10 staged bytes on the wire" [ "abcdefghij" ] !wire;
+  Alcotest.(check int) "TX_OK raised, no ERR" 0x4 (rd bus dp_isr);
+  (* The staging buffer was consumed by the transmit. *)
+  wr bus dp_txgo 4;
+  Alcotest.(check int) "TXGO beyond the staged bytes sets ERR" 0xC (rd bus dp_isr)
+
+let test_dp8390_rx_filter () =
+  let engine, bus, link, _ = make_dp () in
+  wr bus dp_cmd 0x04;
+  Link.send link Link.B (frame ~dst:nic_mac 20);
+  Link.send link Link.B (frame ~dst:other_mac 30);
+  Link.send link Link.B (frame ~dst:broadcast 40);
+  Engine.run engine;
+  Alcotest.(check int) "RX_OK raised" 0x1 (rd bus dp_isr);
+  Alcotest.(check int) "first word of the head frame" 0x00_00_00_02 (rd bus dp_data);
+  Alcotest.(check (list int)) "own and broadcast frames kept, other MAC filtered" [ 20; 40 ]
+    (dp_drain bus);
+  Alcotest.(check int) "DATA floats with no frame" 0xFFFF_FFFF (rd bus dp_data);
+  wr bus dp_config 1;
+  Link.send link Link.B (frame ~dst:other_mac 30);
+  Engine.run engine;
+  Alcotest.(check (list int)) "promiscuous mode accepts other MACs" [ 30 ] (dp_drain bus)
+
+let test_dp8390_rx_queue_bounded () =
+  let engine, bus, link, _ = make_dp () in
+  wr bus dp_cmd 0x04;
+  for _ = 1 to 70 do
+    Link.send link Link.B (frame ~dst:nic_mac 60)
+  done;
+  Engine.run engine;
+  Alcotest.(check int) "queue holds 64 frames, the rest dropped" 64 (List.length (dp_drain bus))
+
+let test_dp8390_rx_ok_after_rxdone () =
+  let engine, bus, link, _ = make_dp () in
+  wr bus dp_cmd 0x04;
+  Link.send link Link.B (frame ~dst:nic_mac 20);
+  Link.send link Link.B (frame ~dst:nic_mac 24);
+  Engine.run engine;
+  Alcotest.(check int) "RX_OK for the first frame" 0x1 (rd bus dp_isr);
+  wr bus dp_isr 0x1;
+  Alcotest.(check int) "acked" 0 (rd bus dp_isr);
+  wr bus dp_rxdone 0;
+  Alcotest.(check int) "RX_OK again: a frame remains" 0x1 (rd bus dp_isr);
+  Alcotest.(check int) "the second frame is now the head" 24 (rd bus dp_rxlen);
+  wr bus dp_isr 0x1;
+  wr bus dp_rxdone 0;
+  Alcotest.(check int) "no RX_OK once the queue is empty" 0 (rd bus dp_isr)
+
+let test_dp8390_reset_window () =
+  let engine, bus, _, _ = make_dp () in
+  wr bus dp_config 1;
+  wr bus dp_cmd 0x10;
+  Alcotest.(check int) "CMD reads reset" 0x10 (rd bus dp_cmd);
+  Alcotest.(check int) "reset clears promiscuous mode" 0 (rd bus dp_config);
+  wr bus dp_cmd 0x0C;
+  let seen = ref [] in
+  let probe at =
+    ignore (Engine.schedule engine ~after:at (fun () -> seen := (at, rd bus dp_cmd) :: !seen))
+  in
+  probe 149_999;
+  probe 150_000;
+  Engine.run engine;
+  Alcotest.(check (list (pair int int)))
+    "resetting for 150 ms; the enable written meanwhile was ignored"
+    [ (149_999, 0x10); (150_000, 0) ]
+    (List.rev !seen);
+  wr bus dp_cmd 0x0C;
+  Alcotest.(check int) "enables take after the window" 0x0C (rd bus dp_cmd)
+
+let test_dp8390_err_without_wedge () =
+  let _, bus, _, _ = make_dp ~wedge_prob:0.0 () in
+  wr bus dp_cmd 0xE0;
+  Alcotest.(check int) "junk CMD bits set ERR" 0x8 (rd bus dp_isr);
+  wr bus dp_isr 0x8;
+  wr bus dp_id 1;
+  Alcotest.(check int) "writing the ID register sets ERR" 0x8 (rd bus dp_isr);
+  Alcotest.(check int) "the card still answers" 0x8390 (rd bus dp_id);
+  wr bus dp_cmd 0x0C;
+  Alcotest.(check int) "and still takes programming" 0x0C (rd bus dp_cmd)
+
+(* Each out-of-spec access draws the wedge once from the NIC's RNG; a
+   wedged card ignores writes, so it draws nothing until the BIOS
+   reset.  A mirror of the NIC's RNG predicts every outcome. *)
+let test_nic_wedge_draw_per_fault () =
+  let engine, kernel = make_kernel () in
+  let bus = Bus.create () in
+  let link = Link.create ~engine ~rng:(Rng.create ~seed:1) () in
+  let nic =
+    Nic8390.create ~kernel ~bus ~base:0x300 ~irq:11 ~link ~side:Link.A ~mac:nic_mac
+      ~rng:(Rng.create ~seed:5) ~wedge_prob:0.5 ()
+  in
+  let mirror = Rng.create ~seed:5 in
+  let wedges = ref 0 in
+  for i = 1 to 20 do
+    wr bus dp_id 1;
+    let expect = Rng.bool mirror 0.5 in
+    Alcotest.(check bool) (Printf.sprintf "fault %d wedges as drawn" i) expect (Nic.wedged nic);
+    if expect then begin
+      incr wedges;
+      wr bus dp_id 1;
+      wr bus dp_cmd 0xE0;
+      Nic.bios_reset nic
+    end
+  done;
+  Alcotest.(check bool) "both outcomes drawn" true (!wedges > 0 && !wedges < 20)
+
+(* A bare process that maps a 64-byte receive buffer at 0x200 through
+   the IOMMU, as a driver would. *)
+let all_priv =
+  {
+    Privilege.none with
+    Privilege.ipc_to = Privilege.All;
+    kcalls = Privilege.All;
+    io_ports = [ (0, 0xFFFF) ];
+    irqs = List.init 32 Fun.id;
+  }
+
+let spawn_dma_owner kernel handle =
+  Kernel.register_program kernel "drv" (fun () ->
+      (match Api.grant_create ~for_:Wellknown.hardware ~base:0x200 ~len:64 ~access:Sysif.Read_write with
+      | Ok g -> ( match Api.iommu_map g with Ok h -> handle := Some h | Error _ -> ())
+      | Error _ -> ());
+      Api.sleep 1_000_000_000);
+  match Kernel.spawn_dynamic kernel ~name:"drv" ~program:"drv" ~args:[] ~priv:all_priv ~mem_kb:64 with
+  | Ok ep -> ep
+  | Error _ -> Alcotest.fail "spawn failed"
+
+let test_rtl8139_rx_enable_pumps () =
+  let engine, kernel = make_kernel () in
+  let bus = Bus.create () in
+  let link = Link.create ~engine ~rng:(Rng.create ~seed:1) () in
+  let _nic =
+    Nic8139.create ~kernel ~bus ~base:0x300 ~irq:11 ~link ~side:Link.A ~mac:nic_mac
+      ~rng:(Rng.create ~seed:1) ()
+  in
+  let handle = ref None in
+  let owner = spawn_dma_owner kernel handle in
+  Engine.run engine ~until:10_000;
+  let h = match !handle with Some h -> h | None -> Alcotest.fail "no DMA handle" in
+  (* RX on, but no buffer armed: the frame waits in the queue. *)
+  wr bus 0x301 0x04;
+  Link.send link Link.B (frame ~dst:nic_mac ~fill:'r' 32);
+  Engine.run engine ~until:20_000;
+  wr bus 0x301 0x00;
+  wr bus 0x308 64;
+  wr bus 0x307 h;
+  Alcotest.(check int) "not delivered while RX is off" 0 (rd bus 0x303);
+  wr bus 0x301 0x04;
+  Alcotest.(check int) "re-enabling RX delivers it: RX_OK" 0x1 (rd bus 0x303);
+  Alcotest.(check int) "RXLEN" 32 (rd bus 0x309);
+  match Kernel.proc_memory kernel owner with
+  | None -> Alcotest.fail "owner died"
+  | Some mem ->
+      Alcotest.(check string) "frame DMAed into the buffer"
+        (Bytes.to_string (frame ~dst:nic_mac ~fill:'r' 32))
+        (Bytes.to_string (Memory.read mem ~addr:0x200 ~len:32))
 
 let tests =
   [
@@ -198,4 +413,12 @@ let tests =
     Alcotest.test_case "printer prints in order" `Quick test_printer_prints_in_order;
     Alcotest.test_case "cd burn gap ruins disc" `Quick test_cd_gap_ruins_disc;
     Alcotest.test_case "nic wedge + bios reset" `Quick test_nic_wedges_on_garbage_and_master_reset;
+    Alcotest.test_case "dp8390 tx staging to the wire" `Quick test_dp8390_tx_staging;
+    Alcotest.test_case "dp8390 rx mac filter" `Quick test_dp8390_rx_filter;
+    Alcotest.test_case "dp8390 rx queue bounded at 64" `Quick test_dp8390_rx_queue_bounded;
+    Alcotest.test_case "dp8390 rx_ok again after rxdone" `Quick test_dp8390_rx_ok_after_rxdone;
+    Alcotest.test_case "dp8390 reset window" `Quick test_dp8390_reset_window;
+    Alcotest.test_case "dp8390 err without wedge" `Quick test_dp8390_err_without_wedge;
+    Alcotest.test_case "nic wedge draw per fault" `Quick test_nic_wedge_draw_per_fault;
+    Alcotest.test_case "rtl8139 rx enable delivers queued frame" `Quick test_rtl8139_rx_enable_pumps;
   ]
