@@ -28,14 +28,15 @@ let[@inline] get tab k i = Array.unsafe_get tab ((k lsl 8) + i)
 let start = 0xFFFFFFFF
 
 let update crc b ~off ~len =
-  if off < 0 || len < 0 || off + len > Bytes.length b then invalid_arg "Crc32.update";
+  if off < 0 || len < 0 || len > Bytes.length b - off then invalid_arg "Crc32.update";
   let tab = tables in
   let c = ref (crc land 0xFFFFFFFF) in
   let i = ref off in
   let stop8 = off + len - 8 in
   while !i <= stop8 do
-    let lo = !c lxor (Int32.to_int (Bytes.get_int32_le b !i) land 0xFFFFFFFF) in
-    let hi = Int32.to_int (Bytes.get_int32_le b (!i + 4)) land 0xFFFFFFFF in
+    let w = Bytes.get_int64_le b !i in
+    let lo = !c lxor (Int64.to_int w land 0xFFFFFFFF) in
+    let hi = Int64.to_int (Int64.shift_right_logical w 32) in
     c :=
       get tab 7 (lo land 0xFF)
       lxor get tab 6 ((lo lsr 8) land 0xFF)

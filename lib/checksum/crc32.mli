@@ -10,7 +10,8 @@ val start : t
 (** Initial value for a fresh computation. *)
 
 val update : t -> bytes -> off:int -> len:int -> t
-(** Fold [len] bytes of [b] at [off] into the running value. *)
+(** Fold [len] bytes of [b] at [off] into the running value.
+    @raise Invalid_argument when the range is outside [b]. *)
 
 val update_string : t -> string -> t
 (** Fold a whole string. *)

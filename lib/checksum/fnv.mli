@@ -12,7 +12,8 @@ val start : t
 (** FNV-1a offset basis. *)
 
 val update : t -> bytes -> off:int -> len:int -> t
-(** Fold [len] bytes of [b] at [off] into the running value. *)
+(** Fold [len] bytes of [b] at [off] into the running value.
+    @raise Invalid_argument when the range is outside [b]. *)
 
 val update_string : t -> string -> t
 (** Fold a whole string. *)

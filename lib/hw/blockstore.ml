@@ -5,35 +5,44 @@ type t = {
   written : (int, bytes) Hashtbl.t;
 }
 
-let create ~seed ~sectors ~sector_size = { seed; sectors; sector_size; written = Hashtbl.create 1024 }
+let create ~seed ~sectors ~sector_size =
+  if sector_size <= 0 || sector_size mod 8 <> 0 then invalid_arg "Blockstore.create: sector size";
+  { seed; sectors; sector_size; written = Hashtbl.create 1024 }
+
 let sector_size t = t.sector_size
 let sectors t = t.sectors
 
 (* splitmix64 keyed by (seed, lba, word index): deterministic content
-   for never-written sectors. *)
-let mix z =
+   for never-written sectors.  Inlined so that no word's [Int64] is
+   boxed on its way out of [mix]. *)
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let generate t lba =
-  let buf = Bytes.create t.sector_size in
+(* Never-written sector [lba] into [buf] at [pos]. *)
+let generate_into t lba buf pos =
   let key = Int64.add (Int64.of_int t.seed) (Int64.mul 0x9E3779B97F4A7C15L (Int64.of_int (lba + 1))) in
-  let words = t.sector_size / 8 in
-  for w = 0 to words - 1 do
-    let v = mix (Int64.add key (Int64.of_int w)) in
-    Bytes.set_int64_le buf (w * 8) v
-  done;
-  buf
+  for w = 0 to (t.sector_size / 8) - 1 do
+    Bytes.set_int64_le buf (pos + (w * 8)) (mix (Int64.add key (Int64.of_int w)))
+  done
 
 let sector t lba =
-  match Hashtbl.find_opt t.written lba with Some b -> b | None -> generate t lba
+  match Hashtbl.find_opt t.written lba with
+  | Some b -> Bytes.copy b
+  | None ->
+      let buf = Bytes.create t.sector_size in
+      generate_into t lba buf 0;
+      buf
 
 let read t ~lba ~count =
-  if lba < 0 || count < 0 || lba + count > t.sectors then invalid_arg "Blockstore.read";
-  let out = Bytes.create (count * t.sector_size) in
+  if lba < 0 || count < 0 || count > t.sectors - lba then invalid_arg "Blockstore.read";
+  let size = t.sector_size in
+  let out = Bytes.create (count * size) in
   for i = 0 to count - 1 do
-    Bytes.blit (sector t (lba + i)) 0 out (i * t.sector_size) t.sector_size
+    match Hashtbl.find_opt t.written (lba + i) with
+    | Some b -> Bytes.blit b 0 out (i * size) size
+    | None -> generate_into t (lba + i) out (i * size)
   done;
   out
 
@@ -41,7 +50,7 @@ let write t ~lba data =
   let len = Bytes.length data in
   if len mod t.sector_size <> 0 then invalid_arg "Blockstore.write: partial sector";
   let count = len / t.sector_size in
-  if lba < 0 || lba + count > t.sectors then invalid_arg "Blockstore.write: out of range";
+  if lba < 0 || count > t.sectors - lba then invalid_arg "Blockstore.write: out of range";
   for i = 0 to count - 1 do
     Hashtbl.replace t.written (lba + i) (Bytes.sub data (i * t.sector_size) t.sector_size)
   done

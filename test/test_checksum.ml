@@ -1,5 +1,6 @@
-(* Tests for lib/checksum: known-answer vectors plus streaming/one-shot
-   equivalence properties. *)
+(* Tests for lib/checksum: known-answer vectors, streaming/one-shot
+   equivalence and bytewise-reference properties, range checks and
+   the allocation budget of the word-at-a-time loops. *)
 
 module Md5 = Resilix_checksum.Md5
 module Sha1 = Resilix_checksum.Sha1
@@ -143,6 +144,58 @@ let prop_crc_matches_reference =
       let b = Bytes.of_string body in
       Crc32.update crc b ~off ~len = reference_crc_update crc b ~off ~len)
 
+(* Oracle: FNV-1a exactly as specified, one byte per step. *)
+let reference_fnv_update h b ~off ~len =
+  let h = ref h in
+  for i = off to off + len - 1 do
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code (Bytes.get b i)))) 0x100000001b3L
+  done;
+  !h
+
+(* A slice at an offset 0-15 (mostly unaligned) made of whole 8-byte
+   words plus a tail of every length 0-7, inside a buffer with slack
+   after it, and a running hash to continue from. *)
+let fnv_slice =
+  QCheck.Gen.(
+    let* off = int_bound 15 in
+    let* words = int_bound 40 in
+    let* tail = int_bound 7 in
+    let* slack = int_bound 8 in
+    let len = (8 * words) + tail in
+    let* body = string_size (return (off + len + slack)) in
+    let* h = oneof [ return Fnv.start; map Int64.of_int int ] in
+    return (body, off, len, h))
+
+let prop_fnv_matches_reference =
+  QCheck.Test.make ~name:"fnv update = bytewise reference" ~count:500
+    (QCheck.make
+       ~print:(fun (body, off, len, h) -> Printf.sprintf "%S off=%d len=%d h=%Lx" body off len h)
+       fnv_slice)
+    (fun (body, off, len, h) ->
+      let b = Bytes.of_string body in
+      Fnv.update h b ~off ~len = reference_fnv_update h b ~off ~len)
+
+(* [off + len] overflows to a negative number here: the module's own
+   range check must still refuse it before any load. *)
+let test_overflowing_ranges () =
+  let b = Bytes.make 64 'x' in
+  Alcotest.check_raises "fnv" (Invalid_argument "Fnv.update") (fun () ->
+      ignore (Fnv.update Fnv.start b ~off:1 ~len:max_int));
+  Alcotest.check_raises "crc32" (Invalid_argument "Crc32.update") (fun () ->
+      ignore (Crc32.update Crc32.start b ~off:1 ~len:max_int))
+
+(* The per-word loops box no [Int64]: over 64 KB the only allocation
+   is FNV's boxed result (3 words).  Bytecode boxes everything. *)
+let test_allocation_budget () =
+  if Sys.backend_type <> Sys.Native then Alcotest.skip ();
+  let b = Bytes.init 65536 (fun i -> Char.chr (i land 0xFF)) in
+  let before = Gc.minor_words () in
+  let h = Fnv.update Fnv.start b ~off:0 ~len:65536 in
+  let c = Crc32.update Crc32.start b ~off:0 ~len:65536 in
+  let words = Gc.minor_words () -. before in
+  ignore (Sys.opaque_identity (h, c));
+  Alcotest.(check bool) (Printf.sprintf "%.0f minor words <= 3" words) true (words <= 3.)
+
 let prop_md5_injective_smoke =
   QCheck.Test.make ~name:"md5 distinguishes distinct short strings" ~count:200
     QCheck.(pair (string_of_size (QCheck.Gen.int_bound 40)) (string_of_size (QCheck.Gen.int_bound 40)))
@@ -166,5 +219,8 @@ let tests =
       QCheck_alcotest.to_alcotest prop_streaming_crc;
       QCheck_alcotest.to_alcotest prop_crc_matches_reference;
       QCheck_alcotest.to_alcotest prop_streaming_fnv;
+      QCheck_alcotest.to_alcotest prop_fnv_matches_reference;
+      Alcotest.test_case "fnv and crc32 refuse overflowing ranges" `Quick test_overflowing_ranges;
+      Alcotest.test_case "fnv and crc32 allocation budget" `Quick test_allocation_budget;
       QCheck_alcotest.to_alcotest prop_md5_injective_smoke;
     ]

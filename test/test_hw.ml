@@ -15,6 +15,7 @@ module Wellknown = Resilix_proto.Wellknown
 module Bus = Resilix_hw.Bus
 module Link = Resilix_hw.Link
 module Blockstore = Resilix_hw.Blockstore
+module Fnv = Resilix_checksum.Fnv
 module Audio_dev = Resilix_hw.Audio_dev
 module Printer_dev = Resilix_hw.Printer_dev
 module Cd_dev = Resilix_hw.Cd_dev
@@ -122,6 +123,48 @@ let prop_blockstore_reads_stable =
       let one = Blockstore.read s ~lba ~count in
       let two = Blockstore.read s ~lba ~count in
       Bytes.equal one two)
+
+(* Generated content is pinned, not only compared between two stores:
+   the FNV-1a of the first 64 sectors of a seed-7 disk (32 KB). *)
+let test_blockstore_content_pinned () =
+  let s = Blockstore.create ~seed:7 ~sectors:2048 ~sector_size:512 in
+  let b = Blockstore.read s ~lba:0 ~count:64 in
+  Alcotest.(check string)
+    "fnv of sectors 0-63" "74f191365098e7fb"
+    (Fnv.to_hex (Fnv.update Fnv.start b ~off:0 ~len:(Bytes.length b)))
+
+let test_blockstore_read_is_sectors () =
+  let s = Blockstore.create ~seed:7 ~sectors:128 ~sector_size:512 in
+  Blockstore.write s ~lba:3 (Bytes.make 1024 'A');
+  Blockstore.write s ~lba:9 (Bytes.make 512 'B');
+  let expected = Bytes.concat Bytes.empty (List.init 16 (fun i -> Blockstore.sector s (2 + i))) in
+  Alcotest.(check bool) "read 2-17 = sector 2 ^ ... ^ sector 17" true
+    (Bytes.equal expected (Blockstore.read s ~lba:2 ~count:16));
+  Alcotest.(check bool) "written sector" true (Bytes.equal (Bytes.make 512 'B') (Blockstore.sector s 9))
+
+(* [lba + count] overflows to a negative number here.  Content is
+   generated a word at a time, so a sector must be whole words. *)
+let test_blockstore_bad_ranges () =
+  Alcotest.check_raises "sector size" (Invalid_argument "Blockstore.create: sector size") (fun () ->
+      ignore (Blockstore.create ~seed:7 ~sectors:128 ~sector_size:500));
+  let s = Blockstore.create ~seed:7 ~sectors:128 ~sector_size:512 in
+  Alcotest.check_raises "read" (Invalid_argument "Blockstore.read") (fun () ->
+      ignore (Blockstore.read s ~lba:1 ~count:max_int));
+  Alcotest.check_raises "write" (Invalid_argument "Blockstore.write: out of range") (fun () ->
+      Blockstore.write s ~lba:max_int (Bytes.make 512 'x'));
+  Alcotest.(check int) "nothing written" 0 (Blockstore.written_sectors s)
+
+(* Never-written sectors are generated straight into the result, a
+   128 KB buffer that goes to the major heap: nothing on the minor
+   heap, not one boxed [Int64] per word.  Bytecode boxes everything. *)
+let test_blockstore_read_allocation () =
+  if Sys.backend_type <> Sys.Native then Alcotest.skip ();
+  let s = Blockstore.create ~seed:7 ~sectors:2048 ~sector_size:512 in
+  let before = Gc.minor_words () in
+  let b = Blockstore.read s ~lba:100 ~count:256 in
+  let words = Gc.minor_words () -. before in
+  ignore (Sys.opaque_identity b);
+  Alcotest.(check (float 0.)) "minor words" 0. words
 
 (* --- devices, driven through raw bus I/O --- *)
 
@@ -408,6 +451,10 @@ let tests =
     Alcotest.test_case "link drops" `Quick test_link_drops;
     Alcotest.test_case "blockstore determinism" `Quick test_blockstore_determinism;
     Alcotest.test_case "blockstore writes persist" `Quick test_blockstore_write_persists;
+    Alcotest.test_case "blockstore content pinned" `Quick test_blockstore_content_pinned;
+    Alcotest.test_case "blockstore read = its sectors" `Quick test_blockstore_read_is_sectors;
+    Alcotest.test_case "blockstore refuses bad ranges" `Quick test_blockstore_bad_ranges;
+    Alcotest.test_case "blockstore read allocation" `Quick test_blockstore_read_allocation;
     QCheck_alcotest.to_alcotest prop_blockstore_reads_stable;
     Alcotest.test_case "audio underruns counted" `Quick test_audio_underruns;
     Alcotest.test_case "printer prints in order" `Quick test_printer_prints_in_order;
