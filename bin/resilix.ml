@@ -54,7 +54,7 @@ let fig7 jobs progress seed size_mb intervals obs =
       ~size:(size_mb * mb) ~intervals ~seed ?obs ()
   in
   E.Fig7.print rows;
-  checked "fig7 fnv digest" (E.Fig7.ok rows)
+  checked "fig7 digest" (E.Fig7.ok rows)
 
 let fig8 jobs progress seed size_mb intervals obs =
   let rows =

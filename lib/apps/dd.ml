@@ -1,5 +1,5 @@
 module Api = Resilix_kernel.Sysif.Api
-module Fnv = Resilix_checksum.Fnv
+module Xxh64 = Resilix_checksum.Xxh64
 module Sha1 = Resilix_checksum.Sha1
 
 type result = {
@@ -8,12 +8,12 @@ type result = {
   mutable bytes : int;
   mutable started_at : int;
   mutable finished_at : int;
-  mutable fnv : string;
+  mutable digest : string;
   mutable sha1 : string;
 }
 
 let fresh_result () =
-  { finished = false; ok = false; bytes = 0; started_at = 0; finished_at = 0; fnv = ""; sha1 = "" }
+  { finished = false; ok = false; bytes = 0; started_at = 0; finished_at = 0; digest = ""; sha1 = "" }
 
 let make ~path ?(chunk = 61440) ?(with_sha1 = false) result () =
   result.started_at <- Api.now ();
@@ -25,19 +25,19 @@ let make ~path ?(chunk = 61440) ?(with_sha1 = false) result () =
   match Fslib.open_file path with
   | Error _ -> finish false
   | Ok fd ->
-      let fnv = ref Fnv.start in
+      let digest = Xxh64.init () in
       let sha1 = if with_sha1 then Some (Sha1.init ()) else None in
       let rec pump () =
         match Fslib.read fd ~len:chunk with
         | Error _ -> finish false
         | Ok data when Bytes.length data = 0 ->
-            result.fnv <- Fnv.to_hex !fnv;
+            result.digest <- Xxh64.to_hex (Xxh64.digest digest);
             (match sha1 with Some ctx -> result.sha1 <- Sha1.hex (Sha1.finalize ctx) | None -> ());
             ignore (Fslib.close fd);
             finish true
         | Ok data ->
             result.bytes <- result.bytes + Bytes.length data;
-            fnv := Fnv.update !fnv data ~off:0 ~len:(Bytes.length data);
+            Xxh64.update digest data ~off:0 ~len:(Bytes.length data);
             (match sha1 with
             | Some ctx -> Sha1.update ctx data ~off:0 ~len:(Bytes.length data)
             | None -> ());

@@ -3,7 +3,7 @@
     may be crashing underneath.
 
     The paper pipes dd into sha1sum; here SHA-1 is opt-in (real
-    wall-clock cost on large files) and a streaming FNV digest is
+    wall-clock cost on large files) and a streaming XXH64 digest is
     always computed for the integrity comparison. *)
 
 type result = {
@@ -12,7 +12,7 @@ type result = {
   mutable bytes : int;
   mutable started_at : int;
   mutable finished_at : int;
-  mutable fnv : string;
+  mutable digest : string;  (** streaming XXH64 digest of the data read *)
   mutable sha1 : string;
 }
 

@@ -1,6 +1,6 @@
 module Api = Resilix_kernel.Sysif.Api
 module Message = Resilix_proto.Message
-module Fnv = Resilix_checksum.Fnv
+module Xxh64 = Resilix_checksum.Xxh64
 module Md5 = Resilix_checksum.Md5
 
 type result = {
@@ -9,12 +9,12 @@ type result = {
   mutable bytes : int;
   mutable started_at : int;
   mutable finished_at : int;
-  mutable fnv : string;
+  mutable digest : string;
   mutable md5 : string;
 }
 
 let fresh_result () =
-  { finished = false; ok = false; bytes = 0; started_at = 0; finished_at = 0; fnv = ""; md5 = "" }
+  { finished = false; ok = false; bytes = 0; started_at = 0; finished_at = 0; digest = ""; md5 = "" }
 
 let make ~server ~port ~file ?(chunk = 32768) ?(with_md5 = false) result () =
   result.started_at <- Api.now ();
@@ -32,14 +32,14 @@ let make ~server ~port ~file ?(chunk = 32768) ?(with_md5 = false) result () =
           match Sockets.send_all sock (Bytes.of_string ("GET " ^ file ^ "\n")) with
           | Error _ -> finish false
           | Ok () ->
-              let fnv = ref Fnv.start in
+              let digest = Xxh64.init () in
               let md5 = if with_md5 then Some (Md5.init ()) else None in
               let rec pump () =
                 match Sockets.recv sock ~len:chunk with
                 | Error _ -> finish false
                 | Ok data when Bytes.length data = 0 ->
                     (* Peer closed: transfer complete. *)
-                    result.fnv <- Fnv.to_hex !fnv;
+                    result.digest <- Xxh64.to_hex (Xxh64.digest digest);
                     (match md5 with
                     | Some ctx -> result.md5 <- Md5.hex (Md5.finalize ctx)
                     | None -> ());
@@ -47,7 +47,7 @@ let make ~server ~port ~file ?(chunk = 32768) ?(with_md5 = false) result () =
                     finish true
                 | Ok data ->
                     result.bytes <- result.bytes + Bytes.length data;
-                    fnv := Fnv.update !fnv data ~off:0 ~len:(Bytes.length data);
+                    Xxh64.update digest data ~off:0 ~len:(Bytes.length data);
                     (match md5 with
                     | Some ctx -> Md5.update ctx data ~off:0 ~len:(Bytes.length data)
                     | None -> ());

@@ -8,7 +8,7 @@ type result = {
   mutable bytes : int;  (** payload bytes received *)
   mutable started_at : int;
   mutable finished_at : int;
-  mutable fnv : string;  (** streaming FNV digest of the received data *)
+  mutable digest : string;  (** streaming XXH64 digest of the received data *)
   mutable md5 : string;  (** streaming MD5 (only when requested) *)
 }
 
@@ -26,4 +26,4 @@ val make :
   unit
 (** Build the application body.  [chunk] is the per-recv size
     (default 32 KB); MD5 costs real wall-clock on big files, so it is
-    opt-in and the cheap FNV is always computed. *)
+    opt-in and the cheap XXH64 digest is always computed. *)

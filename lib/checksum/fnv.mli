@@ -1,9 +1,10 @@
 (** FNV-1a 64-bit hash.
 
-    A fast non-cryptographic digest used on the benchmark hot paths
-    (integrity checking hundreds of megabytes of simulated transfer
-    data) where MD5/SHA-1 would dominate wall-clock time without
-    changing what the experiment demonstrates. *)
+    The fingerprint hash: corpus keys, coverage shapes, event and span
+    fingerprints, [sim_fingerprint] and the pinned trace digests.  Those
+    values are recorded in repro files, corpora and goldens, so this
+    function never changes.  It folds one byte per multiply, so bulk
+    data is never hashed with it; that is {!Xxh64}'s job. *)
 
 type t = int64
 (** A running hash value. *)

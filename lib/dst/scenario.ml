@@ -218,7 +218,7 @@ let wget_run ~size ~seed ~policy ~plan =
   report_of t ~completed:finished
     ~checksum_ok:
       (finished && result.Wget.ok
-      && String.equal result.Wget.fnv (Filegen.fnv_digest ~seed:wget_file_seed ~size))
+      && String.equal result.Wget.digest (Filegen.digest ~seed:wget_file_seed ~size))
     ~applied:!applied ~expected_spans:!expected_spans ~targets:[ "eth.rtl8139" ]
 
 let wget_sized ?name ~size () =

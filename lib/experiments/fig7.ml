@@ -68,7 +68,7 @@ let one_transfer ~size ~seed ~kill_interval ~label () =
         overhead_pct = 0.;
         integrity_ok =
           finished && result.Wget.ok
-          && String.equal result.Wget.fnv (Filegen.fnv_digest ~seed:file_seed ~size);
+          && String.equal result.Wget.digest (Filegen.digest ~seed:file_seed ~size);
       };
     obs_lines = System.obs_lines ~label t;
   }

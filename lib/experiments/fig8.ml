@@ -17,7 +17,7 @@ type row = {
   integrity_ok : bool;
 }
 
-type trial_result = { row : row; fnv : string; obs_lines : string list }
+type trial_result = { row : row; digest : string; obs_lines : string list }
 
 (* Same span-based recovery accounting as Fig. 7. *)
 let recovery_stats t =
@@ -61,7 +61,7 @@ let one_run ~size ~seed ~kill_interval ~label () =
         overhead_pct = 0.;
         integrity_ok = finished && result.Dd.ok;
       };
-    fnv = result.Dd.fnv;
+    digest = result.Dd.digest;
     obs_lines = System.obs_lines ~label t;
   }
 
@@ -94,7 +94,7 @@ let reduce results =
                overhead_pct =
                  100.
                  *. (1. -. (r.row.throughput_mbs /. max 0.001 baseline.row.throughput_mbs));
-               integrity_ok = r.row.integrity_ok && String.equal r.fnv baseline.fnv;
+               integrity_ok = r.row.integrity_ok && String.equal r.digest baseline.digest;
              })
            rest
 

@@ -26,7 +26,7 @@ type row = {
 
 type trial_result = {
   row : row;  (** [overhead_pct]/digest comparison filled by {!reduce} *)
-  fnv : string;  (** digest of the bytes dd read *)
+  digest : string;  (** digest of the bytes dd read *)
   obs_lines : string list;  (** the trial's JSONL observability dump *)
 }
 

@@ -447,7 +447,7 @@ let do_safecopy t (caller : proc) ~dir ~owner ~grant_id ~grant_off ~local_addr ~
       | Some g -> (
           let caller_ep = ep_of_proc caller in
           if not (Endpoint.equal g.for_ caller_ep) then Error Errno.E_no_perm
-          else if grant_off < 0 || len < 0 || grant_off + len > g.len then Error Errno.E_range
+          else if grant_off < 0 || len < 0 || grant_off > g.len - len then Error Errno.E_range
           else
             let access_ok =
               match (dir, g.access) with
@@ -679,7 +679,7 @@ and handle_syscall : type a. t -> proc -> a Sysif.syscall -> (a, unit) Effect.De
           (do_safecopy t proc ~dir ~owner ~grant_id:grant ~grant_off ~local_addr ~len)
   | Sysif.Grant_create { for_; base; len; access } ->
       if kcall_denied proc op then ret t proc k (Error Errno.E_no_perm)
-      else if base < 0 || len < 0 || base + len > Memory.size proc.memory then
+      else if base < 0 || len < 0 || base > Memory.size proc.memory - len then
         ret t proc k (Error Errno.E_range)
       else begin
         let id = proc.next_grant in
@@ -919,7 +919,7 @@ let dma t ~handle ~off ~op =
           | None -> Error Errno.E_no_perm
           | Some g -> (
               let len = match op with `Read n -> n | `Write b -> Bytes.length b in
-              if off < 0 || len < 0 || off + len > g.len then Error Errno.E_range
+              if off < 0 || len < 0 || off > g.len - len then Error Errno.E_range
               else
                 try
                   match op with

@@ -1,57 +1,74 @@
 exception Fault of { addr : int; len : int }
 
-type t = { data : Bytes.t }
+(* [data] stays [Bytes.empty] until the first write: most spaces are
+   never written (a boot creates ~30 of up to 1 MB each), and a space
+   that has no bytes yet reads as zeros. *)
+type t = { size : int; mutable data : Bytes.t }
 
-let create ~size = { data = Bytes.make size '\000' }
-let size t = Bytes.length t.data
+let create ~size =
+  if size < 0 then invalid_arg "Memory.create";
+  { size; data = Bytes.empty }
+
+let size t = t.size
+let[@inline] allocated t = Bytes.length t.data > 0
+
+(* The backing bytes, made on the first write. *)
+let[@inline] writable t =
+  if not (allocated t) then t.data <- Bytes.make t.size '\000';
+  t.data
 
 let check t ~addr ~len =
-  if addr < 0 || len < 0 || addr + len > Bytes.length t.data then raise (Fault { addr; len })
+  if addr < 0 || len < 0 || addr > t.size - len then raise (Fault { addr; len })
 
 let read t ~addr ~len =
   check t ~addr ~len;
-  Bytes.sub t.data addr len
+  if allocated t then Bytes.sub t.data addr len else Bytes.make len '\000'
 
 let write t ~addr src =
   let len = Bytes.length src in
   check t ~addr ~len;
-  Bytes.blit src 0 t.data addr len
+  Bytes.blit src 0 (writable t) addr len
 
 let blit_out t ~addr ~dst ~dst_off ~len =
   check t ~addr ~len;
-  Bytes.blit t.data addr dst dst_off len
+  if allocated t then Bytes.blit t.data addr dst dst_off len else Bytes.fill dst dst_off len '\000'
 
 let blit_in t ~addr ~src ~src_off ~len =
   check t ~addr ~len;
-  Bytes.blit src src_off t.data addr len
+  Bytes.blit src src_off (writable t) addr len
 
 let equal_u64 t ~addr key ~off =
   check t ~addr ~len:8;
-  (Bytes.get_int64_ne t.data addr : int64) = Bytes.get_int64_ne key off
+  let w : int64 = if allocated t then Bytes.get_int64_ne t.data addr else 0L in
+  w = Bytes.get_int64_ne key off
 
 let copy ~src ~src_addr ~dst ~dst_addr ~len =
   check src ~addr:src_addr ~len;
   check dst ~addr:dst_addr ~len;
-  Bytes.blit src.data src_addr dst.data dst_addr len
+  if allocated src then Bytes.blit src.data src_addr (writable dst) dst_addr len
+  else if allocated dst then Bytes.fill dst.data dst_addr len '\000'
 
 let get_u8 t addr =
   check t ~addr ~len:1;
-  Char.code (Bytes.get t.data addr)
+  if allocated t then Char.code (Bytes.get t.data addr) else 0
 
 let set_u8 t addr v =
   check t ~addr ~len:1;
-  Bytes.set t.data addr (Char.chr (v land 0xFF))
+  Bytes.set (writable t) addr (Char.chr (v land 0xFF))
 
 let get_u32 t addr =
   check t ~addr ~len:4;
-  Char.code (Bytes.get t.data addr)
-  lor (Char.code (Bytes.get t.data (addr + 1)) lsl 8)
-  lor (Char.code (Bytes.get t.data (addr + 2)) lsl 16)
-  lor (Char.code (Bytes.get t.data (addr + 3)) lsl 24)
+  if allocated t then
+    Char.code (Bytes.get t.data addr)
+    lor (Char.code (Bytes.get t.data (addr + 1)) lsl 8)
+    lor (Char.code (Bytes.get t.data (addr + 2)) lsl 16)
+    lor (Char.code (Bytes.get t.data (addr + 3)) lsl 24)
+  else 0
 
 let set_u32 t addr v =
   check t ~addr ~len:4;
-  Bytes.set t.data addr (Char.chr (v land 0xFF));
-  Bytes.set t.data (addr + 1) (Char.chr ((v lsr 8) land 0xFF));
-  Bytes.set t.data (addr + 2) (Char.chr ((v lsr 16) land 0xFF));
-  Bytes.set t.data (addr + 3) (Char.chr ((v lsr 24) land 0xFF))
+  let data = writable t in
+  Bytes.set data addr (Char.chr (v land 0xFF));
+  Bytes.set data (addr + 1) (Char.chr ((v lsr 8) land 0xFF));
+  Bytes.set data (addr + 2) (Char.chr ((v lsr 16) land 0xFF));
+  Bytes.set data (addr + 3) (Char.chr ((v lsr 24) land 0xFF))

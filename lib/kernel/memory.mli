@@ -14,7 +14,10 @@ type t
 (** An address space. *)
 
 val create : size:int -> t
-(** [create ~size] is a zero-filled space of [size] bytes. *)
+(** [create ~size] is a zero-filled space of [size] bytes.  Its bytes
+    are allocated on the first write; until then every accessor reads
+    zeros, with the same range checks.
+    @raise Invalid_argument if [size] is negative. *)
 
 val size : t -> int
 (** Capacity in bytes. *)

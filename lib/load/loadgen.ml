@@ -4,7 +4,7 @@ module Peer = Resilix_net.Peer
 module Tcp = Resilix_net.Tcp
 module Filegen = Resilix_net.Filegen
 module Metrics = Resilix_obs.Metrics
-module Fnv = Resilix_checksum.Fnv
+module Xxh64 = Resilix_checksum.Xxh64
 
 type config = {
   requests : int;
@@ -71,14 +71,14 @@ let fresh_stats () =
 type req = {
   size : int;
   seed : int;
-  expected_fnv : string;
+  expected_digest : string;
   slow : bool;
   mutable attempt : int;
   mutable t0 : int; (* virtual time of the first connection attempt *)
   mutable flow : Peer.flow option;
   mutable established : bool;
   mutable received : int;
-  mutable fnv : Fnv.t;
+  mutable digest : Xxh64.t;
   mutable sent : int; (* request-line bytes pushed (slow path) *)
   mutable resolved : bool; (* counted as completed / failed / timed out *)
   mutable timeout_h : Engine.handle option;
@@ -210,7 +210,7 @@ let rec drain t req flow =
   let n = Bytes.length data in
   if n > 0 then begin
     req.received <- req.received + n;
-    req.fnv <- Fnv.update req.fnv data ~off:0 ~len:n;
+    Xxh64.update req.digest data ~off:0 ~len:n;
     record_bytes t n;
     drain t req flow
   end
@@ -221,7 +221,7 @@ let rec launch t req =
   t.stats.in_flight <- t.stats.in_flight + 1;
   req.established <- false;
   req.received <- 0;
-  req.fnv <- Fnv.start;
+  req.digest <- Xxh64.init ();
   req.sent <- 0;
   let attempt_start = Engine.now t.engine in
   let flow =
@@ -242,7 +242,7 @@ and on_event t req flow ev attempt_start =
   | Tcp.Ev_peer_closed ->
       drain t req flow;
       if not req.resolved then begin
-        if req.received = req.size && String.equal (Fnv.to_hex req.fnv) req.expected_fnv then
+        if req.received = req.size && String.equal (Xxh64.to_hex (Xxh64.digest req.digest)) req.expected_digest then
           resolve t req `Completed
         else resolve t req `Mismatch;
         Peer.flow_close t.peer flow
@@ -322,14 +322,14 @@ let start t =
       {
         size;
         seed;
-        expected_fnv = Filegen.fnv_digest ~seed ~size;
+        expected_digest = Filegen.digest ~seed ~size;
         slow = Rng.bool t.rng cfg.slow_fraction;
         attempt = 0;
         t0 = 0;
         flow = None;
         established = false;
         received = 0;
-        fnv = Fnv.start;
+        digest = Xxh64.init ();
         sent = 0;
         resolved = false;
         timeout_h = None;

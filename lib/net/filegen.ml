@@ -1,4 +1,4 @@
-module Fnv = Resilix_checksum.Fnv
+module Xxh64 = Resilix_checksum.Xxh64
 module Md5 = Resilix_checksum.Md5
 
 let[@inline] mix z =
@@ -12,9 +12,8 @@ let[@inline] word ~seed ~index =
 (* Byte [i] of the file is byte [i mod 8] of word [i / 8]: whole words
    are stored little-endian in one write; only a partial word at either
    end goes byte by byte. *)
-let read ~seed ~off ~len =
-  if off < 0 || len < 0 then invalid_arg "Filegen.read";
-  let out = Bytes.create len in
+let read_into ~seed ~off ~len out =
+  if off < 0 || len < 0 || len > Bytes.length out then invalid_arg "Filegen.read_into";
   let partial ~pos ~abs ~take =
     let w = word ~seed ~index:(abs / 8) and inner = abs mod 8 in
     for j = 0 to take - 1 do
@@ -31,24 +30,31 @@ let read ~seed ~off ~len =
     pos := !pos + 8;
     incr index
   done;
-  if !pos < len then partial ~pos:!pos ~abs:(off + !pos) ~take:(len - !pos);
+  if !pos < len then partial ~pos:!pos ~abs:(off + !pos) ~take:(len - !pos)
+
+let read ~seed ~off ~len =
+  if off < 0 || len < 0 then invalid_arg "Filegen.read";
+  let out = Bytes.create len in
+  read_into ~seed ~off ~len out;
   out
 
-let fold ~seed ~size ~init ~f =
-  let chunk = 65536 in
-  let acc = ref init in
+(* The whole file, 64 KB at a time through one reused buffer. *)
+let iter_chunks ~seed ~size f =
+  let buf = Bytes.create 65536 in
   let off = ref 0 in
   while !off < size do
-    let len = min chunk (size - !off) in
-    acc := f !acc (read ~seed ~off:!off ~len);
+    let len = min (Bytes.length buf) (size - !off) in
+    read_into ~seed ~off:!off ~len buf;
+    f buf len;
     off := !off + len
-  done;
-  !acc
+  done
 
-let fnv_digest ~seed ~size =
-  Fnv.to_hex (fold ~seed ~size ~init:Fnv.start ~f:(fun h b -> Fnv.update h b ~off:0 ~len:(Bytes.length b)))
+let digest ~seed ~size =
+  let h = Xxh64.init () in
+  iter_chunks ~seed ~size (fun b len -> Xxh64.update h b ~off:0 ~len);
+  Xxh64.to_hex (Xxh64.digest h)
 
 let md5_digest ~seed ~size =
   let ctx = Md5.init () in
-  fold ~seed ~size ~init:() ~f:(fun () b -> Md5.update ctx b ~off:0 ~len:(Bytes.length b));
+  iter_chunks ~seed ~size (fun b len -> Md5.update ctx b ~off:0 ~len);
   Md5.hex (Md5.finalize ctx)

@@ -6,12 +6,19 @@
     should have received — the MD5-comparison step of the paper's
     methodology. *)
 
-val read : seed:int -> off:int -> len:int -> bytes
-(** The [len] bytes of the file at offset [off]. *)
+val read_into : seed:int -> off:int -> len:int -> bytes -> unit
+(** [read_into ~seed ~off ~len buf] writes the [len] bytes of the file
+    at offset [off] into [buf] at position 0.
+    @raise Invalid_argument if [off] or [len] is negative or [buf] is
+    shorter than [len]. *)
 
-val fnv_digest : seed:int -> size:int -> string
-(** Streaming FNV-1a hex digest of the whole file (fast; used by the
-    experiments' integrity checks). *)
+val read : seed:int -> off:int -> len:int -> bytes
+(** The [len] bytes of the file at offset [off], in a fresh buffer. *)
+
+val digest : seed:int -> size:int -> string
+(** {!Resilix_checksum.Xxh64} hex digest of the whole file: the
+    expected value of the digest wget, dd and the load generator
+    compute over what they receive. *)
 
 val md5_digest : seed:int -> size:int -> string
 (** Streaming MD5 hex digest of the whole file (used by the wget

@@ -48,9 +48,6 @@ type t = {
 
 let add_file t name ~size ~seed = Hashtbl.replace t.files name (size, seed)
 
-let file_fnv t name =
-  Option.map (fun (size, seed) -> Filegen.fnv_digest ~seed ~size) (Hashtbl.find_opt t.files name)
-
 let file_md5 t name =
   Option.map (fun (size, seed) -> Filegen.md5_digest ~seed ~size) (Hashtbl.find_opt t.files name)
 

@@ -28,9 +28,6 @@ val create :
 val add_file : t -> string -> size:int -> seed:int -> unit
 (** Register another servable file. *)
 
-val file_fnv : t -> string -> string option
-(** FNV digest of a registered file (what the client should see). *)
-
 val file_md5 : t -> string -> string option
 (** MD5 digest of a registered file. *)
 

@@ -6,6 +6,7 @@ module Md5 = Resilix_checksum.Md5
 module Sha1 = Resilix_checksum.Sha1
 module Crc32 = Resilix_checksum.Crc32
 module Fnv = Resilix_checksum.Fnv
+module Xxh64 = Resilix_checksum.Xxh64
 
 let check_md5 input expected () = Alcotest.(check string) input expected (Md5.digest_string input)
 
@@ -53,6 +54,19 @@ let test_fnv_vectors () =
   Alcotest.(check string) "fnv of empty" "cbf29ce484222325" (Fnv.to_hex (Fnv.string ""));
   Alcotest.(check string) "fnv of 'a'" "af63dc4c8601ec8c" (Fnv.to_hex (Fnv.string "a"));
   Alcotest.(check string) "fnv of 'foobar'" "85944171f73967e8" (Fnv.to_hex (Fnv.string "foobar"))
+
+(* Published XXH64 (seed 0) values.  Each input of 32 bytes or more
+   has a tail that is not a whole stripe; the low 32 bits of each were
+   cross-checked against zstd's frame checksum
+   ([zstd --check -c | tail -c 4 | xxd -p], little-endian). *)
+let test_xxh64_vectors () =
+  let check label expected s = Alcotest.(check string) label expected (Xxh64.to_hex (Xxh64.string s)) in
+  check "empty" "ef46db3751d8e999" "";
+  check "abc" "44bc2cf5ad770999" "abc";
+  check "quick brown fox (43 bytes)" "0b242d361fda71bc" "The quick brown fox jumps over the lazy dog";
+  check "71 bytes i*7" "a076db31239c3ea4" (String.init 71 (fun i -> Char.chr ((i * 7) land 0xFF)));
+  check "100 bytes i" "6ac1e58032166597" (String.init 100 (fun i -> Char.chr i));
+  check "100,000 zero bytes" "2c9fd5b2f34e23db" (String.make 100_000 '\000')
 
 (* Property: splitting the input into arbitrary chunks does not change
    any digest — this is exactly how the dd/wget examples stream data. *)
@@ -106,6 +120,14 @@ let prop_streaming_fnv =
         List.fold_left (fun acc s -> Fnv.update_string acc s) Fnv.start (split_at_cuts body cuts)
       in
       h = Fnv.string body)
+
+let prop_streaming_xxh64 =
+  QCheck.Test.make ~name:"xxh64 streaming = one-shot" ~count:300
+    (QCheck.make random_chunks)
+    (fun (body, cuts) ->
+      let t = Xxh64.init () in
+      List.iter (Xxh64.update_string t) (split_at_cuts body cuts);
+      Xxh64.digest t = Xxh64.string body)
 
 (* Oracle: the plain bytewise table-driven CRC-32. *)
 let reference_crc_table =
@@ -184,6 +206,11 @@ let test_overflowing_ranges () =
   Alcotest.check_raises "crc32" (Invalid_argument "Crc32.update") (fun () ->
       ignore (Crc32.update Crc32.start b ~off:1 ~len:max_int))
 
+let test_xxh64_overflowing_range () =
+  let b = Bytes.make 64 'x' in
+  Alcotest.check_raises "xxh64" (Invalid_argument "Xxh64.update") (fun () ->
+      Xxh64.update (Xxh64.init ()) b ~off:1 ~len:max_int)
+
 (* The per-word loops box no [Int64]: over 64 KB the only allocation
    is FNV's boxed result (3 words).  Bytecode boxes everything. *)
 let test_allocation_budget () =
@@ -195,6 +222,20 @@ let test_allocation_budget () =
   let words = Gc.minor_words () -. before in
   ignore (Sys.opaque_identity (h, c));
   Alcotest.(check bool) (Printf.sprintf "%.0f minor words <= 3" words) true (words <= 3.)
+
+(* XXH64 keeps its lanes in [Bytes], so [update] allocates nothing at
+   all; an unaligned start also goes through the partial-stripe
+   buffer. *)
+let test_xxh64_allocation () =
+  if Sys.backend_type <> Sys.Native then Alcotest.skip ();
+  let b = Bytes.init 65540 (fun i -> Char.chr (i land 0xFF)) in
+  let t = Xxh64.init () in
+  let before = Gc.minor_words () in
+  Xxh64.update t b ~off:0 ~len:65536;
+  Xxh64.update t b ~off:3 ~len:65537;
+  let words = Gc.minor_words () -. before in
+  ignore (Sys.opaque_identity t);
+  Alcotest.(check (float 0.)) "minor words" 0. words
 
 let prop_md5_injective_smoke =
   QCheck.Test.make ~name:"md5 distinguishes distinct short strings" ~count:200
@@ -214,13 +255,17 @@ let tests =
       Alcotest.test_case "sha1 one million a's" `Slow test_sha1_million;
       Alcotest.test_case "crc32 vectors" `Quick test_crc32_vectors;
       Alcotest.test_case "fnv-1a vectors" `Quick test_fnv_vectors;
+      Alcotest.test_case "xxh64 vectors" `Quick test_xxh64_vectors;
       QCheck_alcotest.to_alcotest prop_streaming_md5;
       QCheck_alcotest.to_alcotest prop_streaming_sha1;
       QCheck_alcotest.to_alcotest prop_streaming_crc;
       QCheck_alcotest.to_alcotest prop_crc_matches_reference;
       QCheck_alcotest.to_alcotest prop_streaming_fnv;
       QCheck_alcotest.to_alcotest prop_fnv_matches_reference;
+      QCheck_alcotest.to_alcotest prop_streaming_xxh64;
       Alcotest.test_case "fnv and crc32 refuse overflowing ranges" `Quick test_overflowing_ranges;
       Alcotest.test_case "fnv and crc32 allocation budget" `Quick test_allocation_budget;
+      Alcotest.test_case "xxh64 refuses an overflowing range" `Quick test_xxh64_overflowing_range;
+      Alcotest.test_case "xxh64 update allocates nothing" `Quick test_xxh64_allocation;
       QCheck_alcotest.to_alcotest prop_md5_injective_smoke;
     ]

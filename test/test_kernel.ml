@@ -328,6 +328,185 @@ let test_grant_bounds_checked () =
   | Some (Error Errno.E_range) -> ()
   | _ -> Alcotest.fail "expected E_range for out-of-grant copy"
 
+(* Ranges whose end overflows [max_int]: an unchecked [base + len]
+   wraps negative and slips past a [> size] test, so a grant at
+   [max_int] was accepted and copying through an in-range grant at
+   offset [max_int] reached [Bytes.blit] and took the whole engine
+   down.  Every layer must refuse them instead. *)
+let test_overflowing_ranges_refused () =
+  let m = Memory.create ~size:64 in
+  let faults f = match f () with _ -> false | exception Memory.Fault _ -> true in
+  let probe label =
+    Alcotest.(check bool) (label ^ ": read") true
+      (faults (fun () -> Memory.read m ~addr:max_int ~len:2));
+    Alcotest.(check bool) (label ^ ": write") true
+      (faults (fun () -> Memory.write m ~addr:max_int (Bytes.make 2 'x')));
+    Alcotest.(check bool) (label ^ ": copy") true
+      (faults (fun () -> Memory.copy ~src:m ~src_addr:0 ~dst:m ~dst_addr:max_int ~len:1))
+  in
+  probe "never written";
+  Memory.set_u8 m 0 1;
+  probe "written";
+  let engine, kernel = make_kernel () in
+  let huge_grant = ref None and copy = ref None and handle = ref None in
+  let owner =
+    spawn kernel "owner" (fun () ->
+        huge_grant := Some (Api.grant_create ~for_:(Api.self ()) ~base:max_int ~len:1 ~access:Sysif.Read_write);
+        (match Api.grant_create ~for_:Wellknown.hardware ~base:0 ~len:16 ~access:Sysif.Read_write with
+        | Ok g -> ( match Api.iommu_map g with Ok h -> handle := Some h | Error _ -> ())
+        | Error _ -> ());
+        (match Api.receive Sysif.Any with
+        | Ok (Sysif.Rx_msg { src; _ }) -> (
+            match Api.grant_create ~for_:src ~base:0 ~len:16 ~access:Sysif.Read_write with
+            | Ok g -> ignore (Api.send src (Message.Dev_reply { result = Ok g }))
+            | Error _ -> Api.panic "grant failed")
+        | _ -> ());
+        Api.sleep 10_000)
+  in
+  let _client =
+    spawn kernel "client" (fun () ->
+        match Api.sendrec owner Message.Ok_reply with
+        | Ok (Sysif.Rx_msg { body = Message.Dev_reply { result = Ok g }; _ }) ->
+            copy := Some (Api.safecopy_from ~owner ~grant:g ~grant_off:max_int ~local_addr:0 ~len:1)
+        | _ -> ())
+  in
+  let dma = ref None in
+  ignore
+    (Engine.schedule engine ~after:5_000 (fun () ->
+         Option.iter
+           (fun h -> dma := Some (Kernel.dma kernel ~handle:h ~off:max_int ~op:(`Read 1)))
+           !handle));
+  Engine.run engine ~until:20_000;
+  let is_range = function Some (Error Errno.E_range) -> true | _ -> false in
+  Alcotest.(check bool) "grant at max_int" true (is_range !huge_grant);
+  Alcotest.(check bool) "safecopy at grant offset max_int" true (is_range !copy);
+  Alcotest.(check bool) "dma at grant offset max_int" true (is_range !dma)
+
+(* Address spaces are allocated on their first write.  Model: three
+   spaces (one of size 0) kept as eager zero-filled [Bytes] with a
+   bounds test written without [addr + len]; any sequence of every
+   [Memory] operation, in and out of range, must give the same results
+   and the same faults, whichever spaces have been written so far. *)
+type mem_op =
+  | M_read of int * int * int
+  | M_write of int * int * string
+  | M_blit_out of int * int * int
+  | M_blit_in of int * int * string
+  | M_equal_u64 of int * int * string
+  | M_copy of int * int * int * int * int
+  | M_get_u8 of int * int
+  | M_set_u8 of int * int * int
+  | M_get_u32 of int * int
+  | M_set_u32 of int * int * int
+
+let mem_sizes = [| 0; 24; 48 |]
+
+let show_mem_op = function
+  | M_read (s, a, l) -> Printf.sprintf "read %d @%d len %d" s a l
+  | M_write (s, a, d) -> Printf.sprintf "write %d @%d %S" s a d
+  | M_blit_out (s, a, l) -> Printf.sprintf "blit_out %d @%d len %d" s a l
+  | M_blit_in (s, a, d) -> Printf.sprintf "blit_in %d @%d %S" s a d
+  | M_equal_u64 (s, a, k) -> Printf.sprintf "equal_u64 %d @%d %S" s a k
+  | M_copy (s, sa, d, da, l) -> Printf.sprintf "copy %d@%d -> %d@%d len %d" s sa d da l
+  | M_get_u8 (s, a) -> Printf.sprintf "get_u8 %d @%d" s a
+  | M_set_u8 (s, a, v) -> Printf.sprintf "set_u8 %d @%d %d" s a v
+  | M_get_u32 (s, a) -> Printf.sprintf "get_u32 %d @%d" s a
+  | M_set_u32 (s, a, v) -> Printf.sprintf "set_u32 %d @%d %d" s a v
+
+let gen_mem_op =
+  QCheck.Gen.(
+    let space = int_bound 2 in
+    let addr = frequency [ (8, int_bound 52); (1, return (-1)); (1, return max_int); (1, map (fun k -> max_int - k) (int_bound 8)) ] in
+    let len = frequency [ (8, int_bound 16); (1, return (-1)); (1, return max_int) ] in
+    let small_len = frequency [ (8, int_bound 16); (1, return (-1)) ] in
+    let data = string_size ~gen:(oneofl [ '\000'; 'a'; 'b'; '\255' ]) (int_bound 12) in
+    let key = oneof [ return (String.make 8 '\000'); string_size ~gen:(oneofl [ '\000'; 'a' ]) (return 8) ] in
+    frequency
+      [
+        (2, map3 (fun s a l -> M_read (s, a, l)) space addr len);
+        (2, map3 (fun s a d -> M_write (s, a, d)) space addr data);
+        (1, map3 (fun s a l -> M_blit_out (s, a, l)) space addr small_len);
+        (1, map3 (fun s a d -> M_blit_in (s, a, d)) space addr data);
+        (1, map3 (fun s a k -> M_equal_u64 (s, a, k)) space addr key);
+        ( 2,
+          let* s = space and* sa = addr and* d = space and* da = addr and* l = len in
+          return (M_copy (s, sa, d, da, l)) );
+        (1, map2 (fun s a -> M_get_u8 (s, a)) space addr);
+        (1, map3 (fun s a v -> M_set_u8 (s, a, v)) space addr int);
+        (1, map2 (fun s a -> M_get_u32 (s, a)) space addr);
+        (1, map3 (fun s a v -> M_set_u32 (s, a, v)) space addr int);
+      ])
+
+(* One operation on the eager reference: [None] is a fault. *)
+let model_mem_op (spaces : Bytes.t array) op =
+  let in_range s addr len =
+    let size = Bytes.length spaces.(s) in
+    addr >= 0 && len >= 0 && addr <= size && len <= size - addr
+  in
+  let guard s addr len f = if in_range s addr len then Some (f spaces.(s)) else None in
+  match op with
+  | M_read (s, a, l) -> guard s a l (fun b -> Bytes.sub_string b a l)
+  | M_write (s, a, d) ->
+      guard s a (String.length d) (fun b -> Bytes.blit_string d 0 b a (String.length d); "")
+  | M_blit_out (s, a, l) ->
+      guard s a l (fun b ->
+          let dst = Bytes.make (l + 2) '#' in
+          Bytes.blit b a dst 1 l;
+          Bytes.to_string dst)
+  | M_blit_in (s, a, d) ->
+      guard s a (String.length d) (fun b -> Bytes.blit_string d 0 b a (String.length d); "")
+  | M_equal_u64 (s, a, k) -> guard s a 8 (fun b -> string_of_bool (Bytes.sub_string b a 8 = k))
+  | M_copy (s, sa, d, da, l) ->
+      if in_range s sa l && in_range d da l then begin
+        Bytes.blit spaces.(s) sa spaces.(d) da l;
+        Some ""
+      end
+      else None
+  | M_get_u8 (s, a) -> guard s a 1 (fun b -> string_of_int (Char.code (Bytes.get b a)))
+  | M_set_u8 (s, a, v) -> guard s a 1 (fun b -> Bytes.set b a (Char.chr (v land 0xFF)); "")
+  | M_get_u32 (s, a) ->
+      guard s a 4 (fun b -> string_of_int (Int32.to_int (Bytes.get_int32_le b a) land 0xFFFFFFFF))
+  | M_set_u32 (s, a, v) -> guard s a 4 (fun b -> Bytes.set_int32_le b a (Int32.of_int v); "")
+
+let real_mem_op (spaces : Memory.t array) op =
+  try
+    Some
+      (match op with
+      | M_read (s, a, l) -> Bytes.to_string (Memory.read spaces.(s) ~addr:a ~len:l)
+      | M_write (s, a, d) -> Memory.write spaces.(s) ~addr:a (Bytes.of_string d); ""
+      | M_blit_out (s, a, l) ->
+          let dst = Bytes.make (max 0 l + 2) '#' in
+          Memory.blit_out spaces.(s) ~addr:a ~dst ~dst_off:1 ~len:l;
+          Bytes.to_string dst
+      | M_blit_in (s, a, d) ->
+          let src = Bytes.of_string ("<" ^ d ^ ">") in
+          Memory.blit_in spaces.(s) ~addr:a ~src ~src_off:1 ~len:(String.length d);
+          ""
+      | M_equal_u64 (s, a, k) ->
+          let key = Bytes.of_string ("..." ^ k) in
+          string_of_bool (Memory.equal_u64 spaces.(s) ~addr:a key ~off:3)
+      | M_copy (s, sa, d, da, l) ->
+          Memory.copy ~src:spaces.(s) ~src_addr:sa ~dst:spaces.(d) ~dst_addr:da ~len:l;
+          ""
+      | M_get_u8 (s, a) -> string_of_int (Memory.get_u8 spaces.(s) a)
+      | M_set_u8 (s, a, v) -> Memory.set_u8 spaces.(s) a v; ""
+      | M_get_u32 (s, a) -> string_of_int (Memory.get_u32 spaces.(s) a)
+      | M_set_u32 (s, a, v) -> Memory.set_u32 spaces.(s) a v; "")
+  with Memory.Fault _ -> None
+
+let prop_memory_matches_eager_model =
+  QCheck.Test.make ~name:"lazy address spaces = eager reference" ~count:1000
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_mem_op ops))
+       QCheck.Gen.(list_size (int_bound 30) gen_mem_op))
+    (fun ops ->
+      let model = Array.map (fun size -> Bytes.make size '\000') mem_sizes in
+      let real = Array.map (fun size -> Memory.create ~size) mem_sizes in
+      List.for_all (fun op -> model_mem_op model op = real_mem_op real op) ops
+      && Array.for_all2
+           (fun m r -> Bytes.equal m (Memory.read r ~addr:0 ~len:(Memory.size r)))
+           model real)
+
 let test_ipc_privilege_enforced () =
   let engine, kernel = make_kernel () in
   let outcome = ref None in
@@ -1028,6 +1207,8 @@ let tests =
     Alcotest.test_case "grant + safecopy" `Quick test_grant_safecopy;
     Alcotest.test_case "safecopy wrong grantee rejected" `Quick test_grant_wrong_grantee_rejected;
     Alcotest.test_case "safecopy bounds checked" `Quick test_grant_bounds_checked;
+    Alcotest.test_case "overflowing ranges refused" `Quick test_overflowing_ranges_refused;
+    QCheck_alcotest.to_alcotest prop_memory_matches_eager_model;
     Alcotest.test_case "IPC destination privilege" `Quick test_ipc_privilege_enforced;
     Alcotest.test_case "kernel call privilege" `Quick test_kcall_privilege_enforced;
     Alcotest.test_case "I/O port privilege" `Quick test_io_port_privilege;

@@ -9,6 +9,8 @@ module Tcp = Resilix_net.Tcp
 module Filegen = Resilix_net.Filegen
 module Timerset = Resilix_net.Timerset
 module Crc32 = Resilix_checksum.Crc32
+module Xxh64 = Resilix_checksum.Xxh64
+module Md5 = Resilix_checksum.Md5
 
 (* --- wire codec --- *)
 
@@ -241,6 +243,26 @@ let prop_filegen_matches_reference =
     QCheck.(triple small_int (int_bound 100_000) (make Gen.(oneof [ int_bound 9; int_bound 200 ])))
     (fun (seed, off, len) ->
       Bytes.equal (Filegen.read ~seed ~off ~len) (reference_filegen_read ~seed ~off ~len))
+
+(* The digests of a whole file, generated 64 KB at a time into one
+   reused buffer, equal the one-shot digests of the file read in one
+   piece: sizes straddle the 8-byte word, the 32-byte stripe and the
+   65,536-byte chunk. *)
+let test_filegen_digest_one_shot () =
+  List.iter
+    (fun size ->
+      let whole = Filegen.read ~seed:7 ~off:0 ~len:size in
+      let h = Xxh64.init () in
+      Xxh64.update h whole ~off:0 ~len:size;
+      Alcotest.(check string)
+        (Printf.sprintf "xxh64, size %d" size)
+        (Xxh64.to_hex (Xxh64.digest h))
+        (Filegen.digest ~seed:7 ~size);
+      Alcotest.(check string)
+        (Printf.sprintf "md5, size %d" size)
+        (Md5.digest_string (Bytes.to_string whole))
+        (Filegen.md5_digest ~seed:7 ~size))
+    [ 0; 1; 7; 8; 9; 31; 32; 33; 63; 64; 65; 65_535; 65_536; 65_537; 131_071; 131_072; 131_105 ]
 
 (* --- TCP over a simulated pipe --- *)
 
@@ -532,6 +554,7 @@ let tests =
     QCheck_alcotest.to_alcotest prop_decode_truncated;
     QCheck_alcotest.to_alcotest prop_decode_flipped;
     QCheck_alcotest.to_alcotest prop_filegen_matches_reference;
+    Alcotest.test_case "filegen digests = one-shot" `Quick test_filegen_digest_one_shot;
     QCheck_alcotest.to_alcotest prop_timerset_model;
     Alcotest.test_case "tcp handshake" `Quick test_handshake;
     Alcotest.test_case "tcp bulk transfer (clean)" `Quick test_bulk_transfer_clean;

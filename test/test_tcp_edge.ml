@@ -240,11 +240,11 @@ let test_concurrent_downloads () =
   in
   Alcotest.(check bool) "both transfers finished" true finished;
   Alcotest.(check string) "a.bin intact"
-    (Resilix_net.Filegen.fnv_digest ~seed:11 ~size:size_a)
-    ra.Wget.fnv;
+    (Resilix_net.Filegen.digest ~seed:11 ~size:size_a)
+    ra.Wget.digest;
   Alcotest.(check string) "b.bin intact"
-    (Resilix_net.Filegen.fnv_digest ~seed:22 ~size:size_b)
-    rb.Wget.fnv
+    (Resilix_net.Filegen.digest ~seed:22 ~size:size_b)
+    rb.Wget.digest
 
 (* Property: a storm of kills against several guarded services always
    ends with everything back up. *)
