@@ -9,7 +9,9 @@ type result = {
 let fresh_result () =
   { finished = false; success = false; error_reported = false; blocks_burned = 0 }
 
-let make ~data ?(block = 16384) result () =
+let block = 16384
+
+let make ~data result () =
   let fail () =
     (* No recovery is possible: tell the user (Sec. 6.3). *)
     result.error_reported <- true;

@@ -13,5 +13,5 @@ type result = {
 val fresh_result : unit -> result
 (** All zeros. *)
 
-val make : data:string -> ?block:int -> result -> unit -> unit
-(** Burn [data] in blocks (default 16 KB each). *)
+val make : data:string -> result -> unit -> unit
+(** Burn [data] in 16 KB blocks. *)

@@ -15,7 +15,10 @@ type result = {
 let fresh_result () =
   { finished = false; ok = false; bytes = 0; started_at = 0; finished_at = 0; digest = ""; sha1 = "" }
 
-let make ~path ?(chunk = 61440) ?(with_sha1 = false) result () =
+(* Bytes per read. *)
+let chunk = 61440
+
+let make ~path ?(with_sha1 = false) result () =
   result.started_at <- Api.now ();
   let finish ok =
     result.ok <- ok;

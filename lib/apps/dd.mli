@@ -19,5 +19,5 @@ type result = {
 val fresh_result : unit -> result
 (** All zeros. *)
 
-val make : path:string -> ?chunk:int -> ?with_sha1:bool -> result -> unit -> unit
-(** Build the application body.  [chunk] defaults to 60 KB. *)
+val make : path:string -> ?with_sha1:bool -> result -> unit -> unit
+(** Build the application body, which reads in 60 KB chunks. *)

@@ -10,11 +10,14 @@ type result = {
 
 let fresh_result () = { finished = false; jobs_done = 0; resubmissions = 0; gave_up = false }
 
-let make ~jobs ?(recovery_aware = true) ?(max_retries = 25) result () =
+(* Reopen and resubmit attempts per job before the queue is abandoned. *)
+let max_retries = 25
+
+let make ~jobs result () =
   let rec open_printer retries =
     match Fslib.open_file "/dev/printer" ~wr:true with
     | Ok fd -> Some fd
-    | Error _ when recovery_aware && retries < max_retries ->
+    | Error _ when retries < max_retries ->
         Api.sleep 100_000;
         open_printer (retries + 1)
     | Error _ -> None
@@ -31,7 +34,7 @@ let make ~jobs ?(recovery_aware = true) ?(max_retries = 25) result () =
             Api.sleep 50_000;
             print_job job retries
         | Error _ ->
-            if recovery_aware && retries < max_retries then begin
+            if retries < max_retries then begin
               (* The driver died mid-job: reissue the whole job.  The
                  user may get duplicate pages, but the job completes. *)
               result.resubmissions <- result.resubmissions + 1;

@@ -16,7 +16,7 @@ type result = {
 val fresh_result : unit -> result
 (** All zeros. *)
 
-val make : jobs:string list -> ?recovery_aware:bool -> ?max_retries:int -> result -> unit -> unit
-(** Print each job in order.  With [recovery_aware:false] the first
-    failure abandons the queue (the "historical application"
-    behaviour). *)
+val make : jobs:string list -> result -> unit -> unit
+(** Print each job in order, reopening the printer and resubmitting a
+    job after a driver failure; after 25 failed attempts on one job
+    the queue is abandoned. *)

@@ -12,7 +12,11 @@ type result = {
 let fresh_result () =
   { finished = false; completed = false; bytes = 0; recoveries = 0; gave_up = false }
 
-let make ~song_bytes ?(chunk = 8192) ?(recovery_aware = true) ?(max_retries = 50) result () =
+(* Bytes per write, and reopen attempts before playback gives up. *)
+let chunk = 8192
+let max_retries = 50
+
+let make ~song_bytes ?(recovery_aware = true) result () =
   let finish () = result.finished <- true in
   let rec open_device retries =
     match Fslib.open_file "/dev/audio" ~wr:true with

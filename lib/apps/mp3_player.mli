@@ -18,6 +18,8 @@ val fresh_result : unit -> result
 (** All zeros. *)
 
 val make :
-  song_bytes:int -> ?chunk:int -> ?recovery_aware:bool -> ?max_retries:int -> result -> unit -> unit
-(** With [recovery_aware:false] the player behaves like a legacy
-    application: the first driver failure aborts playback. *)
+  song_bytes:int -> ?recovery_aware:bool -> result -> unit -> unit
+(** Play in 8 KB writes, reopening the device after a driver failure
+    (up to 50 times).  With [recovery_aware:false] the player behaves
+    like a legacy application: the first driver failure aborts
+    playback. *)

@@ -16,7 +16,10 @@ type result = {
 let fresh_result () =
   { finished = false; ok = false; bytes = 0; started_at = 0; finished_at = 0; digest = ""; md5 = "" }
 
-let make ~server ~port ~file ?(chunk = 32768) ?(with_md5 = false) result () =
+(* Bytes asked for per recv. *)
+let chunk = 32768
+
+let make ~server ~port ~file ?(with_md5 = false) result () =
   result.started_at <- Api.now ();
   let finish ok =
     result.ok <- ok;

@@ -19,11 +19,10 @@ val make :
   server:int ->
   port:int ->
   file:string ->
-  ?chunk:int ->
   ?with_md5:bool ->
   result ->
   unit ->
   unit
-(** Build the application body.  [chunk] is the per-recv size
-    (default 32 KB); MD5 costs real wall-clock on big files, so it is
-    opt-in and the cheap XXH64 digest is always computed. *)
+(** Build the application body, which receives in 32 KB recvs.  MD5
+    costs real wall-clock on big files, so it is opt-in and the cheap
+    XXH64 digest is always computed. *)

@@ -30,7 +30,6 @@ type ctx = {
   component : string;
   reason : Status.defect;
   repetition : int;
-  params : string list;
 }
 
 let script actions = Script actions
@@ -42,8 +41,8 @@ let default_breaker_config =
 
 let direct = Script [ Restart ]
 
-let generic ?alert ?(cap_sec = 32) () =
-  let base = [ Backoff { cap_sec }; Restart ] in
+let generic ?alert () =
+  let base = [ Backoff { cap_sec = 32 }; Restart ] in
   match alert with None -> Script base | Some a -> Script (base @ [ Alert a ])
 
 let guarded ~max_failures ?alert () =
@@ -52,9 +51,8 @@ let guarded ~max_failures ?alert () =
 let breaker ?(trip_threshold = default_breaker_config.trip_threshold)
     ?(window_us = default_breaker_config.window_us)
     ?(cooldown_us = default_breaker_config.cooldown_us)
-    ?(confirm_us = default_breaker_config.confirm_us) ?alert () =
-  let script = Restart :: (match alert with None -> [] | Some a -> [ Alert a ]) in
-  Breaker { config = { trip_threshold; window_us; cooldown_us; confirm_us }; script }
+    ?(confirm_us = default_breaker_config.confirm_us) () =
+  Breaker { config = { trip_threshold; window_us; cooldown_us; confirm_us }; script = [ Restart ] }
 
 let action_name = function
   | Backoff _ -> "backoff"

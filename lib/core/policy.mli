@@ -62,7 +62,6 @@ type ctx = {
   component : string;  (** $1: which component failed *)
   reason : Resilix_proto.Status.defect;  (** $2: defect class *)
   repetition : int;  (** $3: current failure count *)
-  params : string list;  (** remaining script parameters *)
 }
 
 val script : action list -> t
@@ -74,16 +73,13 @@ val actions : t -> action list
 val breaker_config : t -> breaker_config option
 (** [Some config] for {!Breaker} policies, [None] for scripts. *)
 
-val default_breaker_config : breaker_config
-(** 3 failures / 10 s window, 5 s cooldown, 1 s confirm. *)
-
 val direct : t
 (** Immediately restart, no backoff — the policy used for the
     performance experiments of Sec. 7.1. *)
 
-val generic : ?alert:string -> ?cap_sec:int -> unit -> t
-(** The generic script of Fig. 2: binary exponential backoff (except
-    updates), restart, optional alert. *)
+val generic : ?alert:string -> unit -> t
+(** The generic script of Fig. 2: binary exponential backoff capped at
+    32 s (except updates), restart, optional alert. *)
 
 val guarded : max_failures:int -> ?alert:string -> unit -> t
 (** Like {!generic} but gives up (component stays down, alert raised)
@@ -94,17 +90,11 @@ val breaker :
   ?window_us:int ->
   ?cooldown_us:int ->
   ?confirm_us:int ->
-  ?alert:string ->
   unit ->
   t
-(** A circuit breaker (defaults: {!default_breaker_config}) around an
-    immediate-restart script (optional alert).  No backoff: the
-    breaker itself is the churn bound. *)
-
-val action_name : action -> string
-(** Stable lowercase label, e.g. ["backoff"], ["give-up-after"] — the
-    [action] field of the {!Resilix_obs.Event.Policy_action} trace
-    events {!run} emits. *)
+(** A circuit breaker (defaults: 3 failures within a 10 s window,
+    5 s cooldown, 1 s confirm) around an immediate-restart script.
+    No backoff: the breaker itself is the churn bound. *)
 
 val run : ctx -> t -> unit
 (** Interpret the policy's action script, emitting one

@@ -100,8 +100,6 @@ type t = {
   register_program : string -> (unit -> unit) -> unit;
   policies : (string, Policy.t) Hashtbl.t;
   complainers : Endpoint.t list;
-  heartbeat_tick : int;
-  term_grace : int;
   services : (string, service) Hashtbl.t;
   mutable script_counter : int;
   mutable reboots : int;
@@ -111,16 +109,18 @@ type t = {
   h_degraded_us : Metrics.histogram;
 }
 
-let create ~register_program ?(policies = []) ?(complainers = []) ?(heartbeat_tick = 100_000)
-    ?(term_grace = 2_000_000) ~spans ~metrics () =
+(* RS's polling period, and how long a SIGTERMed component gets before
+   SIGKILL. *)
+let heartbeat_tick = 100_000
+let term_grace = 2_000_000
+
+let create ~register_program ?(policies = []) ?(complainers = []) ~spans ~metrics () =
   let table = Hashtbl.create 8 in
   List.iter (fun (name, p) -> Hashtbl.replace table name p) policies;
   {
     register_program;
     policies = table;
     complainers;
-    heartbeat_tick;
-    term_grace;
     services = Hashtbl.create 16;
     script_counter = 0;
     reboots = 0;
@@ -417,7 +417,6 @@ let run_policy_script t service policy ~reason =
       Policy.component = spec.Spec.name;
       reason;
       repetition = service.failures;
-      params = spec.Spec.policy_params;
     }
   in
   t.register_program key (fun () -> Policy.run ctx policy);
@@ -605,7 +604,7 @@ let handle_tick t =
                 | Some _ | None -> ()
               end))
     t.services;
-  ignore (Api.alarm t.heartbeat_tick)
+  ignore (Api.alarm heartbeat_tick)
 
 (* A heartbeat or health-probe reply from [src]: [probe_of] picks which
    of the sender's probes it answers. *)
@@ -695,7 +694,7 @@ let handle_refresh t ~src name program =
   | Some service when service.status = Up ->
       service.pending_defect <- Some Status.D_update;
       service.pending_program <- program;
-      service.term_deadline <- Some (Api.now () + t.term_grace);
+      service.term_deadline <- Some (Api.now () + term_grace);
       (match pm_kill ~pid:service.pid ~signal:Signal.Sig_term with
       | Ok () -> rs_reply src (Ok ())
       | Error e -> rs_reply src (Error e))
@@ -768,7 +767,7 @@ let handle_lookup t ~src name =
 (* ------------------------------------------------------------------ *)
 
 let body t () =
-  ignore (Api.alarm t.heartbeat_tick);
+  ignore (Api.alarm heartbeat_tick);
   let rec loop () =
     (match Api.receive Sysif.Any with
     | Error _ -> ()

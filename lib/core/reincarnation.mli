@@ -61,8 +61,6 @@ val create :
   register_program:(string -> (unit -> unit) -> unit) ->
   ?policies:(string * Policy.t) list ->
   ?complainers:Endpoint.t list ->
-  ?heartbeat_tick:int ->
-  ?term_grace:int ->
   spans:Resilix_obs.Span.t ->
   metrics:Resilix_obs.Metrics.t ->
   unit ->
@@ -71,9 +69,8 @@ val create :
     binary registry (the kernel program table).  [policies] maps the
     policy names referenced by service specs to their definitions.
     [complainers] are the endpoints allowed to use defect class 5
-    (typically VFS, MFS, INET).  [heartbeat_tick] is RS's internal
-    polling period (default 100 ms); [term_grace] how long a SIGTERMed
-    component gets before SIGKILL (default 2 s).  [spans] is the span
+    (typically VFS, MFS, INET).  RS polls every 100 ms, and a
+    SIGTERMed component gets 2 s before SIGKILL.  [spans] is the span
     collector recoveries are recorded into (shared, so dependents can
     mark their re-open phase); RS's counters and histograms live in
     [metrics]. *)

@@ -29,8 +29,8 @@ let degraded_components () =
   | Ok _ -> Error Errno.E_io
   | Error e -> Error e
 
-let wait_until_up ?(timeout = 5_000_000) name =
-  let deadline = Api.now () + timeout in
+let wait_until_up name =
+  let deadline = Api.now () + 5_000_000 in
   let rec poll () =
     match lookup name with
     | Ok (ep, _pid) -> Ok ep

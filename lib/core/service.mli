@@ -30,6 +30,6 @@ val degraded_components : unit -> (string list, Errno.t) result
     circuit breaker) — the application-side query of the degradation
     contract. *)
 
-val wait_until_up : ?timeout:int -> string -> (Endpoint.t, Errno.t) result
-(** Poll {!lookup} (with small sleeps) until the service is up or
-    [timeout] (default 5 s) elapses. *)
+val wait_until_up : string -> (Endpoint.t, Errno.t) result
+(** Poll {!lookup} (with small sleeps) until the service is up or 5 s
+    elapse. *)

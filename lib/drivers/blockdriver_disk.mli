@@ -16,5 +16,3 @@ val memory_kb : int
 (** Address-space size the driver needs (includes a 64 KB bounce
     buffer). *)
 
-val max_request : int
-(** Largest supported request in bytes (64 KB). *)

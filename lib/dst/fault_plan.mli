@@ -36,7 +36,6 @@ val generate :
     arguments — the exploration layer calls it with per-run derived
     seeds. *)
 
-val action_to_string : action -> string
 val entry_to_string : entry -> string
 
 val pp_compact : t -> string

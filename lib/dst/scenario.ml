@@ -428,7 +428,7 @@ let storm_run ~requests ~concurrency ~workers ~backlog ~seed ~policy ~plan =
       s_p95 = q 0.95;
       s_p99 = q 0.99;
       s_goodput = Loadgen.goodput_bins lg;
-      s_bin_us = Loadgen.bin_us lg;
+      s_bin_us = Loadgen.bin_us;
       s_outage_at = outage_at;
       s_recovered_by = recovered_by;
     }

@@ -107,11 +107,6 @@ val apply_plan : Resilix_system.System.t -> Fault_plan.t -> int ref * int ref
     of raising.  Returns the [(applied, expected_spans)] counters, live
     until the engine has run past the last entry. *)
 
-val endpoints_consistent : Resilix_system.System.t -> string list -> bool
-(** The DST endpoint-consistency probe: for each named service, the
-    kernel has a live process {e and} DS publishes exactly its
-    endpoint. *)
-
 val wget_kills : t
 (** ["wget"]: a 1 MB HTTP transfer over the RTL8139 while the plan
     SIGKILLs the driver (the paper's Sec. 7.1 workload, explorable). *)

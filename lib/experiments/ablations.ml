@@ -53,12 +53,13 @@ let heartbeat_trial ~seed ~period =
       in
       { period_us = period; detection_us = detection })
 
-let heartbeat_trials ?(periods = [ 50_000; 100_000; 250_000; 500_000; 1_000_000 ]) ?(seed = 42) ()
-    =
-  List.mapi (fun i period -> heartbeat_trial ~seed:(Rng.derive ~seed ~index:i) ~period) periods
+let heartbeat_trials ~seed =
+  List.mapi
+    (fun i period -> heartbeat_trial ~seed:(Rng.derive ~seed ~index:i) ~period)
+    [ 50_000; 100_000; 250_000; 500_000; 1_000_000 ]
 
-let heartbeat_sweep ?jobs ?on_progress ?periods ?seed () =
-  Campaign.(values (run ?jobs ?on_progress (heartbeat_trials ?periods ?seed ())))
+let heartbeat_sweep ?jobs ?on_progress ?(seed = 42) () =
+  Campaign.(values (run ?jobs ?on_progress (heartbeat_trials ~seed)))
 
 let print_heartbeat rows =
   Table.section "Ablation — heartbeat period vs. stuck-driver detection latency";
@@ -83,7 +84,10 @@ let print_heartbeat rows =
 
 type policy_row = { policy : string; restarts : int; state : string }
 
-let policy_trial ~window_us ~seed (label, policy_key, policies) =
+(* How long each policy faces the crash storm. *)
+let policy_window_us = 25_000_000
+
+let policy_trial ~seed (label, policy_key, policies) =
   Trial.make ~name:("ablation/policy-" ^ policy_key) ~seed (fun () ->
       let opts =
         {
@@ -102,7 +106,7 @@ let policy_trial ~window_us ~seed (label, policy_key, policies) =
           ~policy:policy_key ~mem_kb:64 ()
       in
       System.start_services t [ spec ];
-      System.run t ~until:(Engine.now t.System.engine + window_us);
+      System.run t ~until:(Engine.now t.System.engine + policy_window_us);
       {
         policy = label;
         restarts = Reincarnation.restarts_of t.System.rs "svc.storm";
@@ -115,17 +119,17 @@ let policy_trial ~window_us ~seed (label, policy_key, policies) =
           | `Unknown -> "unknown");
       })
 
-let policy_trials ?(window_us = 25_000_000) ?(seed = 42) () =
+let policy_trials ~seed =
   List.mapi
-    (fun i scenario -> policy_trial ~window_us ~seed:(Rng.derive ~seed ~index:i) scenario)
+    (fun i scenario -> policy_trial ~seed:(Rng.derive ~seed ~index:i) scenario)
     [
       ("direct (no backoff)", "direct", []);
       ("generic (exponential backoff)", "generic", []);
       ("guarded (give up after 3)", "guard3", [ ("guard3", Policy.guarded ~max_failures:3 ()) ]);
     ]
 
-let policy_comparison ?jobs ?on_progress ?window_us ?seed () =
-  Campaign.(values (run ?jobs ?on_progress (policy_trials ?window_us ?seed ())))
+let policy_comparison ?jobs ?on_progress ?(seed = 42) () =
+  Campaign.(values (run ?jobs ?on_progress (policy_trials ~seed)))
 
 let print_policy rows =
   Table.section "Ablation — recovery policies under a crash-storming service (25 s window)";
@@ -160,6 +164,10 @@ let service_state_label = function
   | `Degraded -> "degraded (breaker open)"
   | `Unknown -> "unknown"
 
+(* 120 faults per policy, one every 20 ms while the driver is up. *)
+let availability_faults = 120
+let availability_inject_period = 20_000
+
 (* One machine per policy: the DP8390 driver absorbs the same random
    binary-fault corpus that the Sec. 7.2 campaign uses, under receive-
    side UDP traffic, and every detected failure's downtime (detection
@@ -168,7 +176,7 @@ let service_state_label = function
    episodes count as downtime too: graceful degradation trades uptime
    for bounded churn and clean errors, and the table shows that trade
    honestly. *)
-let availability_trial ~faults ~inject_period ~seed (label, policy_key, extra_policies) =
+let availability_trial ~seed (label, policy_key, extra_policies) =
   Trial.make ~name:("ablation/availability-" ^ policy_key) ~seed (fun () ->
       let opts =
         {
@@ -200,7 +208,7 @@ let availability_trial ~faults ~inject_period ~seed (label, policy_key, extra_po
          the policy's, and a fresh incarnation gets a full timeout. *)
       let last_rx = ref 0 and last_progress_at = ref 0 in
       let rec tick () =
-        if !injected >= faults then finished := true
+        if !injected >= availability_faults then finished := true
         else begin
           let now = Engine.now t.System.engine in
           if
@@ -223,11 +231,14 @@ let availability_trial ~faults ~inject_period ~seed (label, policy_key, extra_po
               | Some _ -> incr injected
               | None -> ())
           | None -> ());
-          ignore (Engine.schedule t.System.engine ~after:inject_period tick)
+          ignore (Engine.schedule t.System.engine ~after:availability_inject_period tick)
         end
       in
       tick ();
-      ignore (System.run_until t ~timeout:(faults * inject_period * 8) (fun () -> !finished));
+      ignore
+        (System.run_until t
+           ~timeout:(availability_faults * availability_inject_period * 8)
+           (fun () -> !finished));
       System.run t ~until:(Engine.now t.System.engine + 5_000_000);
       let end_time = Engine.now t.System.engine in
       let horizon = end_time - started_at in
@@ -298,10 +309,9 @@ let availability_trial ~faults ~inject_period ~seed (label, policy_key, extra_po
         a_end_state = service_state_label (Reincarnation.service_state t.System.rs "eth.dp8390");
       })
 
-let availability_trials ?(faults = 120) ?(inject_period = 20_000) ?(seed = 42) () =
+let availability_trials ?(seed = 42) () =
   List.mapi
-    (fun i scenario ->
-      availability_trial ~faults ~inject_period ~seed:(Rng.derive ~seed ~index:i) scenario)
+    (fun i scenario -> availability_trial ~seed:(Rng.derive ~seed ~index:i) scenario)
     [
       ("direct (restart only)", "direct", []);
       ("generic (Fig. 2 backoff)", "generic", []);
@@ -309,8 +319,8 @@ let availability_trials ?(faults = 120) ?(inject_period = 20_000) ?(seed = 42) (
       ("breaker (circuit breaker)", "breaker", []);
     ]
 
-let availability_study ?jobs ?on_progress ?faults ?inject_period ?seed () =
-  Campaign.(values (run ?jobs ?on_progress (availability_trials ?faults ?inject_period ?seed ())))
+let availability_study ?jobs ?on_progress ?seed () =
+  Campaign.(values (run ?jobs ?on_progress (availability_trials ?seed ())))
 
 let print_availability rows =
   Table.section "Ablation — policy availability under the Sec. 7.2 fault corpus";
@@ -461,10 +471,10 @@ let safecopy_trial ~rounds =
       Engine.run engine ~until:600_000_000;
       List.rev_map (fun (operation, cost_us) -> { operation; cost_us }) !results)
 
-let ipc_trials ?(rounds = 1000) () = [ rendezvous_trial ~rounds; safecopy_trial ~rounds ]
-
-let ipc_microbench ?jobs ?on_progress ?rounds () =
-  List.concat (Campaign.(values (run ?jobs ?on_progress (ipc_trials ?rounds ()))))
+let ipc_microbench ?jobs ?on_progress () =
+  let rounds = 1000 in
+  let trials = [ rendezvous_trial ~rounds; safecopy_trial ~rounds ] in
+  List.concat (Campaign.(values (run ?jobs ?on_progress trials)))
 
 let print_ipc rows =
   Table.section "Ablation — cost of the primitives recovery is built on (virtual time)";

@@ -10,18 +10,15 @@ type heartbeat_row = {
   detection_us : int;  (** time from the service wedging to defect class 4 firing *)
 }
 
-val heartbeat_trials :
-  ?periods:int list -> ?seed:int -> unit -> heartbeat_row Resilix_harness.Trial.t list
-
 val heartbeat_sweep :
   ?jobs:int ->
   ?on_progress:(Resilix_harness.Campaign.progress -> unit) ->
-  ?periods:int list ->
   ?seed:int ->
   unit ->
   heartbeat_row list
 (** Detection latency of a silently stuck driver as a function of the
-    heartbeat period (misses threshold fixed at the default 4). *)
+    heartbeat period (50 ms to 1 s; misses threshold fixed at the
+    default 4). *)
 
 type policy_row = {
   policy : string;
@@ -29,19 +26,15 @@ type policy_row = {
   state : string;  (** service lifecycle state at the end of the window *)
 }
 
-val policy_trials :
-  ?window_us:int -> ?seed:int -> unit -> policy_row Resilix_harness.Trial.t list
-
 val policy_comparison :
   ?jobs:int ->
   ?on_progress:(Resilix_harness.Campaign.progress -> unit) ->
-  ?window_us:int ->
   ?seed:int ->
   unit ->
   policy_row list
 (** A crash-storming service under the direct, generic (exponential
-    backoff) and guarded (give-up) policies: backoff bounds the
-    restart churn; give-up stops it. *)
+    backoff) and guarded (give-up) policies for 25 s each: backoff
+    bounds the restart churn; give-up stops it. *)
 
 type availability_row = {
   a_policy : string;
@@ -57,23 +50,17 @@ type availability_row = {
   a_end_state : string;  (** driver lifecycle state at the end *)
 }
 
-val availability_trials :
-  ?faults:int ->
-  ?inject_period:int ->
-  ?seed:int ->
-  unit ->
-  availability_row Resilix_harness.Trial.t list
+val availability_trials : ?seed:int -> unit -> availability_row Resilix_harness.Trial.t list
 
 val availability_study :
   ?jobs:int ->
   ?on_progress:(Resilix_harness.Campaign.progress -> unit) ->
-  ?faults:int ->
-  ?inject_period:int ->
   ?seed:int ->
   unit ->
   availability_row list
-(** The policy-v2 ablation: the DP8390 driver absorbs the Sec. 7.2
-    random binary-fault corpus once per policy (direct, generic
+(** The policy-v2 ablation: the DP8390 driver absorbs 120 faults of
+    the Sec. 7.2 random binary-fault corpus, one every 20 ms, once per
+    policy (direct, generic
     backoff, guarded give-up, circuit breaker) and each run is scored
     on availability — downtime from defect detection to recovery,
     split per defect class.  The breaker's parked (degraded) episodes
@@ -83,18 +70,15 @@ val availability_study :
 
 type ipc_row = { operation : string; cost_us : float }
 
-val ipc_trials : ?rounds:int -> unit -> ipc_row list Resilix_harness.Trial.t list
-
 val ipc_microbench :
   ?jobs:int ->
   ?on_progress:(Resilix_harness.Campaign.progress -> unit) ->
-  ?rounds:int ->
   unit ->
   ipc_row list
-(** Virtual-time cost of the primitives recovery is built from:
-    rendezvous round trip, notification, and grant-checked safecopy at
-    several sizes (the "few microseconds ... amortized over the I/O"
-    of Sec. 4). *)
+(** Virtual-time cost of the primitives recovery is built from, each
+    averaged over 1,000 rounds: rendezvous round trip, notification,
+    and grant-checked safecopy at several sizes (the "few microseconds
+    ... amortized over the I/O" of Sec. 4). *)
 
 val print_heartbeat : heartbeat_row list -> unit
 val print_policy : policy_row list -> unit

@@ -132,6 +132,6 @@ let print rows =
            (match r.kill_interval_s with
            | None -> "-"
            | Some _ -> Printf.sprintf "%.1f%%" r.overhead_pct);
-           (if r.integrity_ok then "md5 ok" else "CORRUPT");
+           (if r.integrity_ok then "digest ok" else "CORRUPT");
          ])
        rows)

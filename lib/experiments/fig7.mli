@@ -27,6 +27,11 @@ type trial_result = {
   obs_lines : string list;  (** the trial's JSONL observability dump *)
 }
 
+val recovery_stats : Resilix_system.System.t -> int * int
+(** Completed recoveries and their mean duration in us, from the
+    machine's closed recovery spans (opened at defect detection,
+    closed at reintegration).  Fig. 8 uses the same accounting. *)
+
 val trials :
   ?size:int -> ?intervals:int list -> ?seed:int -> unit -> trial_result Resilix_harness.Trial.t list
 (** The sweep as trial specs: the baseline first, then one trial per

@@ -1,5 +1,4 @@
 module System = Resilix_system.System
-module Span = Resilix_obs.Span
 module Trial = Resilix_harness.Trial
 module Campaign = Resilix_harness.Campaign
 module Mfs = Resilix_fs.Mfs
@@ -19,14 +18,6 @@ type row = {
 
 type trial_result = { row : row; digest : string; obs_lines : string list }
 
-(* Same span-based recovery accounting as Fig. 7. *)
-let recovery_stats t =
-  let closed =
-    List.filter_map (fun s -> Span.total_us s) (Span.spans t.System.spans)
-  in
-  let n = List.length closed in
-  (n, if n = 0 then 0 else List.fold_left ( + ) 0 closed / n)
-
 let one_run ~size ~seed ~kill_interval ~label () =
   let disk_mb = (size / 1024 / 1024) + 8 in
   let opts =
@@ -45,7 +36,7 @@ let one_run ~size ~seed ~kill_interval ~label () =
   | Some interval -> System.start_crash_script t ~target:"blk.sata" ~interval ()
   | None -> ());
   let finished = System.run_until t ~timeout:3_600_000_000 (fun () -> result.Dd.finished) in
-  let recoveries, mean_restart = recovery_stats t in
+  let recoveries, mean_restart = Fig7.recovery_stats t in
   let duration = result.Dd.finished_at - result.Dd.started_at in
   {
     row =
@@ -131,6 +122,6 @@ let print rows =
            (match r.kill_interval_s with
            | None -> "-"
            | Some _ -> Printf.sprintf "%.1f%%" r.overhead_pct);
-           (if r.integrity_ok then "sha ok" else "CORRUPT");
+           (if r.integrity_ok then "digest ok" else "CORRUPT");
          ])
        rows)

@@ -19,9 +19,6 @@ type row = {
   paper_recovery : int option;
 }
 
-val trials : ?root:string -> unit -> row Resilix_harness.Trial.t list
-(** One trial per component (pure file scanning). *)
-
 val run :
   ?jobs:int ->
   ?on_progress:(Resilix_harness.Campaign.progress -> unit) ->

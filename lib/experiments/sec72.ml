@@ -31,13 +31,16 @@ type shard_result = {
   spans : Span.t;
 }
 
+(* One fault every 20 ms of virtual time. *)
+let inject_period = 20_000
+
 (* One shard: a fresh machine absorbing [faults] injections.  This is
    the paper's campaign at reduced length; the full 12,500-fault run
    is the merge of many such hermetic shards, each on its own derived
    seed, so the campaign parallelizes without sharing any state.
    [shard] tags the shard's metric snapshot so campaign-level gauge
    merges resolve deterministically by shard index. *)
-let run_shard ~shard ~faults ~seed ~inject_period ~wedge_prob () =
+let run_shard ~shard ~faults ~seed ~wedge_prob () =
   let opts =
     {
       System.default_opts with
@@ -157,8 +160,8 @@ let run_shard ~shard ~faults ~seed ~inject_period ~wedge_prob () =
 
 let default_shard_size = 500
 
-let trials ?(faults = 12_500) ?(seed = 42) ?(inject_period = 20_000) ?(wedge_prob = 0.)
-    ?(shard_size = default_shard_size) () =
+let trials ?(faults = 12_500) ?(seed = 42) ?(wedge_prob = 0.) ?(shard_size = default_shard_size)
+    () =
   if shard_size <= 0 then invalid_arg "Sec72.trials: shard_size must be positive";
   (* The shard layout depends only on [faults] and [shard_size] —
      never on the worker count — so any [jobs] value reproduces the
@@ -170,7 +173,7 @@ let trials ?(faults = 12_500) ?(seed = 42) ?(inject_period = 20_000) ?(wedge_pro
       Trial.make
         ~name:(Printf.sprintf "sec72/shard-%03d" i)
         ~seed:trial_seed
-        (run_shard ~shard:i ~faults:shard_faults ~seed:trial_seed ~inject_period ~wedge_prob))
+        (run_shard ~shard:i ~faults:shard_faults ~seed:trial_seed ~wedge_prob))
 
 let empty_outcome =
   {
@@ -210,12 +213,12 @@ let merge_outcomes a b =
 let reduce results =
   List.fold_left (fun acc r -> merge_outcomes acc r.outcome) empty_outcome results
 
-let run ?jobs ?on_progress ?faults ?seed ?inject_period ?wedge_prob ?shard_size ?obs () =
+let run ?jobs ?on_progress ?faults ?seed ?wedge_prob ?shard_size ?obs () =
   let results =
     Campaign.(
       values
         (run ?jobs ?on_progress
-           (trials ?faults ?seed ?inject_period ?wedge_prob ?shard_size ())))
+           (trials ?faults ?seed ?wedge_prob ?shard_size ())))
   in
   (match obs with
   | None -> ()

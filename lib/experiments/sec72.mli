@@ -42,13 +42,9 @@ type shard_result = {
   spans : Resilix_obs.Span.t;  (** the shard machine's recovery spans *)
 }
 
-val default_shard_size : int
-(** 500 faults per shard (25 shards for the paper's 12,500). *)
-
 val trials :
   ?faults:int ->
   ?seed:int ->
-  ?inject_period:int ->
   ?wedge_prob:float ->
   ?shard_size:int ->
   unit ->
@@ -65,7 +61,6 @@ val run :
   ?on_progress:(Resilix_harness.Campaign.progress -> unit) ->
   ?faults:int ->
   ?seed:int ->
-  ?inject_period:int ->
   ?wedge_prob:float ->
   ?shard_size:int ->
   ?obs:(string -> unit) ->

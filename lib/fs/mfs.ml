@@ -8,13 +8,14 @@ module Wellknown = Resilix_proto.Wellknown
 module Metrics = Resilix_obs.Metrics
 
 let cache_base = 0x40000
-let default_cache_slots = 192
+let cache_slots = 192
 let memory_kb = 2048
+
+(* The file system lives on the driver's minor device 0. *)
+let minor = 0
 
 type t = {
   driver_key : string;
-  minor : int;
-  cache_slots : int;
   mutable cache : Cache.t option; (* set once the body is running *)
   parked : (Endpoint.t * Message.t) Queue.t;
       (* requests that arrived while we were stalled on a dead driver *)
@@ -22,11 +23,9 @@ type t = {
   c_outages : Metrics.counter;
 }
 
-let create ~driver_key ?(minor = 0) ?(cache_slots = default_cache_slots) ~spans ~metrics () =
+let create ~driver_key ~spans ~metrics () =
   {
     driver_key;
-    minor;
-    cache_slots;
     cache = None;
     parked = Queue.create ();
     spans;
@@ -473,11 +472,11 @@ let body t () =
   in
   let driver = find_driver () in
   let cache =
-    Cache.create ~base_addr:cache_base ~slots:t.cache_slots ~driver ~minor:t.minor
+    Cache.create ~base_addr:cache_base ~slots:cache_slots ~driver ~minor
       ~wait_new_driver:(wait_new_driver t)
   in
   t.cache <- Some cache;
-  ignore (Api.sendrec driver (Message.Dev_open { minor = t.minor }));
+  ignore (Api.sendrec driver (Message.Dev_open { minor }));
   let mem = Api.memory () in
   (* Mount: read the superblock. *)
   let sb =
@@ -504,7 +503,7 @@ let body t () =
         match ds_drain_updates t with
         | Some ep ->
             Cache.set_driver cache ep;
-            ignore (Api.sendrec ep (Message.Dev_open { minor = t.minor }))
+            ignore (Api.sendrec ep (Message.Dev_open { minor }))
         | None -> ()
       end
     | Ok (Sysif.Rx_notify _) -> ()
@@ -531,7 +530,7 @@ let body t () =
             ignore (Api.send src (Message.Fs_reply { result = Ok () }))
         | Message.Fs_new_driver { endpoint; _ } ->
             Cache.set_driver cache endpoint;
-            ignore (Api.sendrec endpoint (Message.Dev_open { minor = t.minor }));
+            ignore (Api.sendrec endpoint (Message.Dev_open { minor }));
             ignore (Api.send src (Message.Fs_reply { result = Ok () }))
         | _ -> ignore (Api.send src (Message.Fs_reply { result = Error Errno.E_inval }))
       end);

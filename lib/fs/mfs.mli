@@ -14,14 +14,13 @@ type t
 
 val create :
   driver_key:string ->
-  ?minor:int ->
-  ?cache_slots:int ->
   spans:Resilix_obs.Span.t ->
   metrics:Resilix_obs.Metrics.t ->
   unit ->
   t
 (** [driver_key] is the stable service name of the block driver
-    (e.g. ["blk.sata"]); [spans] is the system-wide collector MFS marks
+    (e.g. ["blk.sata"]), whose minor device 0 MFS mounts through a
+    192-block cache; [spans] is the system-wide collector MFS marks
     its driver's re-open phase in, and [metrics] holds MFS's outage
     counter. *)
 

@@ -26,7 +26,6 @@ type t = {
   fds : (int * int * int, open_file) Hashtbl.t; (* (owner slot, owner gen, fd) *)
   mutable next_fd : int;
   drivers : (string, Endpoint.t) Hashtbl.t; (* ds key -> cached endpoint *)
-  mutable chardev_errors : int;
   degraded_drivers : (string, unit) Hashtbl.t; (* ds key -> breaker open *)
 }
 
@@ -42,14 +41,12 @@ let create ?(chardevs = []) ~metrics () =
       fds = Hashtbl.create 32;
       next_fd = 3;
       drivers = Hashtbl.create 8;
-      chardev_errors = 0;
       degraded_drivers = Hashtbl.create 4;
     }
   in
   List.iter (fun (path, target) -> Hashtbl.replace t.chardevs path target) chardevs;
   t
 
-let chardev_errors t = t.chardev_errors
 let degraded t = List.sort String.compare (Hashtbl.fold (fun k () acc -> k :: acc) t.degraded_drivers [])
 
 (* The degradation contract, VFS side: RS publishes ["degraded.<key>"]
@@ -114,7 +111,6 @@ let chardev_request t key msg =
       | Ok (Sysif.Rx_msg { body = Message.Dev_reply { result }; _ }) -> result
       | Ok _ -> Error Errno.E_io
       | Error (Errno.E_dead_src_dst | Errno.E_bad_endpoint) -> (
-          t.chardev_errors <- t.chardev_errors + 1;
           Metrics.incr t.ctrs.c_stale_endpoints;
           (* Refresh the endpoint for the *next* operation; this one
              fails upward. *)
@@ -232,7 +228,6 @@ let handle_io t ~src ~fd ~grant ~len ~write =
                               | Ok (Sysif.Rx_msg { body = Message.Dev_reply { result }; _ }) -> result
                               | Ok _ -> Error Errno.E_io
                               | Error (Errno.E_dead_src_dst | Errno.E_bad_endpoint) ->
-                                  t.chardev_errors <- t.chardev_errors + 1;
                                   ignore (resolve_driver t key ~fresh:true);
                                   Error Errno.E_io
                               | Error e -> Error e
@@ -276,7 +271,6 @@ let handle_io t ~src ~fd ~grant ~len ~write =
                             | Ok (Sysif.Rx_msg { body = Message.Dev_reply { result }; _ }) -> result
                             | Ok _ -> Error Errno.E_io
                             | Error (Errno.E_dead_src_dst | Errno.E_bad_endpoint) ->
-                                t.chardev_errors <- t.chardev_errors + 1;
                                 ignore (resolve_driver t key ~fresh:true);
                                 Error Errno.E_io
                             | Error e -> Error e

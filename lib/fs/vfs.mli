@@ -27,9 +27,6 @@ val body : t -> unit -> unit
 val memory_kb : int
 (** Address-space size VFS needs. *)
 
-val chardev_errors : t -> int
-(** Character-device operations that failed because the driver died —
-    each is an error pushed to the application layer. *)
 
 val degraded : t -> string list
 (** The driver keys VFS currently treats as degraded (sorted).  VFS

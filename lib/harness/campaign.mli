@@ -21,10 +21,6 @@
     path (drive a stderr progress line with it — see {!Progress}), so
     enabling it cannot perturb the deterministic output contract. *)
 
-val default_jobs : unit -> int
-(** [Domain.recommended_domain_count ()] — the worker-pool size used
-    when [?jobs] is omitted. *)
-
 type progress = {
   p_index : int;  (** the finished trial's index in the input list *)
   p_name : string;  (** its {!Trial.t} name *)

@@ -13,8 +13,12 @@ let fmt_eta s =
   else if s < 3600. then Printf.sprintf "%dm%02ds" (int_of_float s / 60) (int_of_float s mod 60)
   else Printf.sprintf "%dh%02dm" (int_of_float s / 3600) (int_of_float s mod 3600 / 60)
 
-let reporter ?(oc = stderr) ?live ~label () =
-  let live = match live with Some l -> l | None -> Unix.isatty Unix.stderr in
+(* A fresh observer per campaign: it carries the campaign's start time
+   and failure count.  On a tty it keeps one line updated in place
+   (newline-terminated when the campaign completes); otherwise it
+   appends one line per trial. *)
+let reporter ~label =
+  let live = Unix.isatty Unix.stderr in
   let started_at = ref None in
   let failed = ref 0 in
   fun (p : Campaign.progress) ->
@@ -46,13 +50,13 @@ let reporter ?(oc = stderr) ?live ~label () =
     in
     if live then begin
       (* \027[K erases the remnant of a longer previous line. *)
-      Printf.fprintf oc "\r\027[K%s%!" line;
-      if p.Campaign.p_completed >= p.Campaign.p_total then Printf.fprintf oc "\n%!"
+      Printf.eprintf "\r\027[K%s%!" line;
+      if p.Campaign.p_completed >= p.Campaign.p_total then Printf.eprintf "\n%!"
     end
-    else Printf.fprintf oc "%s\n%!" line
+    else Printf.eprintf "%s\n%!" line
 
-let make ?oc ~when_ ~label () =
+let make ~when_ ~label () =
   match when_ with
   | `Never -> None
-  | `Always -> Some (reporter ?oc ~label ())
-  | `Auto -> if Unix.isatty Unix.stderr then Some (reporter ?oc ~label ()) else None
+  | `Always -> Some (reporter ~label)
+  | `Auto -> if Unix.isatty Unix.stderr then Some (reporter ~label) else None

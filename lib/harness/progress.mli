@@ -7,20 +7,13 @@
     stay byte-identical whether progress reporting is on or off, and
     for every [--jobs] value. *)
 
-val reporter : ?oc:out_channel -> ?live:bool -> label:string -> unit -> Campaign.progress -> unit
-(** A fresh observer (one per campaign — it carries the campaign's
-    start time and failure count).  [live] (default: whether stderr
-    is a tty) chooses between a single in-place line (carriage
-    return + erase-line, newline-terminated when the campaign
-    completes) and one appended line per trial.  [oc] defaults to
-    [stderr]. *)
-
 val make :
-  ?oc:out_channel ->
   when_:[ `Auto | `Always | `Never ] ->
   label:string ->
   unit ->
   (Campaign.progress -> unit) option
-(** CLI-flag plumbing: [`Never] disables reporting, [`Always] forces
-    it, [`Auto] enables it only when stderr is a tty (so redirected
-    or CI runs stay quiet). *)
+(** A fresh observer for one campaign, or [None]: [`Never] disables
+    reporting, [`Always] forces it, [`Auto] enables it only when
+    stderr is a tty (so redirected or CI runs stay quiet).  On a tty
+    the observer keeps a single line updated in place (carriage
+    return + erase-line); otherwise it appends one line per trial. *)

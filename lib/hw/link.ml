@@ -14,7 +14,6 @@ type t = {
   corrupt_prob : float;
   a : endpoint;
   b : endpoint;
-  mutable sent : int;
   mutable dropped : int;
 }
 
@@ -29,7 +28,6 @@ let create ~engine ~rng ?(latency = 200) ?(bytes_per_us = 100) ?(drop_prob = 0.)
     corrupt_prob;
     a = { deliver = None; busy_until = 0 };
     b = { deliver = None; busy_until = 0 };
-    sent = 0;
     dropped = 0;
   }
 
@@ -39,7 +37,6 @@ let other_ep t = function A -> t.b | B -> t.a
 let attach t side callback = (side_ep t side).deliver <- Some callback
 
 let send t side frame =
-  t.sent <- t.sent + 1;
   let src = side_ep t side and dst = other_ep t side in
   let now = Engine.now t.engine in
   let start = max now src.busy_until in
@@ -62,5 +59,4 @@ let send t side frame =
            match dst.deliver with Some f -> f frame | None -> ()))
   end
 
-let frames_sent t = t.sent
 let frames_dropped t = t.dropped

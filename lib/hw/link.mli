@@ -30,8 +30,5 @@ val send : t -> side -> bytes -> unit
     dropped or corrupted per the link's probabilities.  Frames sent
     while the transmitter is busy queue behind it (FIFO). *)
 
-val frames_sent : t -> int
-(** Total frames offered to the link (both directions). *)
-
 val frames_dropped : t -> int
 (** Frames the link dropped. *)

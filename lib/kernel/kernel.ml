@@ -52,8 +52,10 @@ type pstate =
       filter : Sysif.source;
       for_reply : bool;
           (* true while in the receive phase of sendrec: notifications
-             and async messages must queue rather than intercept the
-             reply (MINIX's MF_REPLY_PEND) *)
+             must queue rather than intercept the reply (MINIX's
+             MF_REPLY_PEND).  Messages are not held back: a send or an
+             asend from the sendrec's destination completes the call as
+             its reply. *)
       resume : (Sysif.rx, Errno.t) result -> unit;
       abort : exn -> unit;
     }
@@ -97,7 +99,6 @@ type t = {
   engine : Engine.t;
   trace : Trace.t;
   rng : Rng.t;
-  costs : costs;
   mutable procs : proc option array;
   mutable slot_gen : int array; (* next generation per slot *)
   programs : (string, unit -> unit) Hashtbl.t;
@@ -110,13 +111,12 @@ type t = {
   ctr : counters;
 }
 
-let create ~engine ~trace ~rng ?(costs = default_costs) ?metrics () =
+let create ~engine ~trace ~rng ?metrics () =
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
   {
     engine;
     trace;
     rng;
-    costs;
     procs = Array.make 64 None;
     slot_gen = Array.make 64 0;
     programs = Hashtbl.create 32;
@@ -147,9 +147,7 @@ let trace t = t.trace
 let metrics t = t.metrics
 let set_io_handler t handler = t.io_handler <- handler
 let register_program t key main = Hashtbl.replace t.programs key main
-let has_program t key = Hashtbl.mem t.programs key
 
-let log t fmt = Trace.emit t.trace ~now:(Engine.now t.engine) Trace.Debug "kernel" fmt
 let kemit t ?level payload = Trace.emit_event t.trace ~now:(Engine.now t.engine) ?level "kernel" payload
 
 let proc_of_slot t slot =
@@ -186,10 +184,6 @@ let find_by_name t name =
   !found
 
 let proc_memory t ep = match lookup_ep t ep with Lookup_ok p -> Some p.memory | _ -> None
-let proc_name t ep = match lookup_ep t ep with Lookup_ok p -> Some p.p_name | _ -> None
-
-let process_count t =
-  Array.fold_left (fun acc p -> match p with Some p when p.state <> Dead -> acc + 1 | _ -> acc) 0 t.procs
 
 (* ------------------------------------------------------------------ *)
 (* Scheduling primitives                                               *)
@@ -232,7 +226,7 @@ let rec deliver_notify t ~src ~(dst : proc) kind =
   Metrics.incr t.ctr.c_notifications;
   match dst.state with
   | Recv_wait { filter; for_reply = false; _ } when filter_accepts filter src ->
-      wake_receiver t dst ~cost:t.costs.notify (Ok (Sysif.Rx_notify { src; kind }))
+      wake_receiver t dst ~cost:default_costs.notify (Ok (Sysif.Rx_notify { src; kind }))
   | Running | Runnable _ | Recv_wait _ | Send_wait _ | Sleep_wait _ ->
       let already =
         List.exists
@@ -272,14 +266,14 @@ and finalize t proc status =
             | Send_wait sw when sw.dst_slot = proc.slot -> begin
                 match sw.completion with
                 | C_send resume ->
-                    make_runnable t other ~cost:t.costs.ipc ~abort:sw.sw_abort (fun () ->
+                    make_runnable t other ~cost:default_costs.ipc ~abort:sw.sw_abort (fun () ->
                         resume (Error Errno.E_dead_src_dst))
                 | C_sendrec resume ->
-                    make_runnable t other ~cost:t.costs.ipc ~abort:sw.sw_abort (fun () ->
+                    make_runnable t other ~cost:default_costs.ipc ~abort:sw.sw_abort (fun () ->
                         resume (Error Errno.E_dead_src_dst))
               end
             | Recv_wait { filter = Sysif.From e; _ } when Endpoint.equal e ep ->
-                wake_receiver t other ~cost:t.costs.ipc (Error Errno.E_dead_src_dst)
+                wake_receiver t other ~cost:default_costs.ipc (Error Errno.E_dead_src_dst)
             | Running | Runnable _ | Recv_wait _ | Send_wait _ | Sleep_wait _ | Dead -> ()
           end
         | Some _ | None -> ())
@@ -325,12 +319,11 @@ let ipc_allowed t proc (dst : proc) =
   Privilege.allows proc.priv.Privilege.ipc_to dst.p_name || String_set.mem dst.p_name proc.peers
 
 (* Attempt to deliver [msg] from [src_proc] to [dst]; returns true when
-   the destination was receiving and the rendezvous completed. *)
-let try_deliver t ~(src_proc : proc) ~(dst : proc) ?(async = false) msg =
+   the destination was receiving and the rendezvous completed.  Send,
+   sendrec and asend all come here, so a destination waiting for its
+   sendrec reply takes whichever of them its filter accepts first. *)
+let try_deliver t ~(src_proc : proc) ~(dst : proc) msg =
   match dst.state with
-  | Recv_wait { for_reply = true; _ } when async ->
-      (* An async message never stands in for a sendrec reply. *)
-      false
   | Recv_wait { filter; _ } when filter_accepts filter (ep_of_proc src_proc) ->
       Metrics.incr t.ctr.c_messages;
       (* [add] on a persistent set allocates even when the element is
@@ -338,7 +331,7 @@ let try_deliver t ~(src_proc : proc) ~(dst : proc) ?(async = false) msg =
          guard with [mem] to keep the per-message path allocation-free. *)
       if not (String_set.mem src_proc.p_name dst.peers) then
         dst.peers <- String_set.add src_proc.p_name dst.peers;
-      wake_receiver t dst ~cost:t.costs.ipc
+      wake_receiver t dst ~cost:default_costs.ipc
         (Ok (Sysif.Rx_msg { src = ep_of_proc src_proc; body = msg }));
       true
   | Running | Runnable _ | Recv_wait _ | Send_wait _ | Sleep_wait _ | Dead -> false
@@ -410,7 +403,8 @@ let try_complete_receive t (receiver : proc) filter =
           let sender_ep = ep_of_proc sender in
           (match sw.completion with
           | C_send resume ->
-              make_runnable t sender ~cost:t.costs.ipc ~abort:sw.sw_abort (fun () -> resume (Ok ()))
+              make_runnable t sender ~cost:default_costs.ipc ~abort:sw.sw_abort (fun () ->
+                  resume (Ok ()))
           | C_sendrec resume ->
               (* Sender now waits for our reply. *)
               sender.state <-
@@ -490,7 +484,7 @@ let ret_after t proc k ~cost v =
     make_runnable t proc ~cost ~abort (fun () -> continue k v)
 
 (* The common case: a plain syscall's cost. *)
-let ret t proc k v = ret_after t proc k ~cost:t.costs.syscall v
+let ret t proc k v = ret_after t proc k ~cost:default_costs.syscall v
 
 (* Privilege gate for kernel calls. *)
 let kcall_denied proc op = not (Sysif.kcall_allowed proc.kcall_mask op)
@@ -535,15 +529,8 @@ and handle_syscall : type a. t -> proc -> a Sysif.syscall -> (a, unit) Effect.De
   | Sysif.Metric_add (name, n) ->
       Metrics.add_named t.metrics name n;
       continue k ()
-  | Sysif.Metric_observe (name, v) ->
-      Metrics.observe_named t.metrics name v;
-      continue k ()
-  | Sysif.Metric_set (name, v) ->
-      Metrics.set_named t.metrics name v;
-      continue k ()
   | Sysif.Metric_counter name -> continue k (Metrics.counter t.metrics name)
   | Sysif.Metric_gauge name -> continue k (Metrics.gauge t.metrics name)
-  | Sysif.Metric_histogram name -> continue k (Metrics.histogram t.metrics name)
   | Sysif.Yield cost -> ret_after t proc k ~cost:(max 0 cost) ()
   | Sysif.Sleep d ->
       let abort e = discontinue k e in
@@ -571,7 +558,7 @@ and handle_syscall : type a. t -> proc -> a Sysif.syscall -> (a, unit) Effect.De
           if dst_proc.slot = proc.slot then ret t proc k (Error Errno.E_inval)
           else if not (ipc_allowed t proc dst_proc) then ret t proc k (Error Errno.E_no_perm)
           else if try_deliver t ~src_proc:proc ~dst:dst_proc msg then
-            ret_after t proc k ~cost:t.costs.ipc (Ok ())
+            ret_after t proc k ~cost:default_costs.ipc (Ok ())
           else begin
             Queue.push proc.slot dst_proc.senders;
             proc.state <-
@@ -628,7 +615,7 @@ and handle_syscall : type a. t -> proc -> a Sysif.syscall -> (a, unit) Effect.De
       | Lookup_ok dst_proc ->
           if not (ipc_allowed t proc dst_proc) then ret t proc k (Error Errno.E_no_perm)
           else if try_deliver t ~src_proc:proc ~dst:dst_proc msg then
-            ret_after t proc k ~cost:t.costs.ipc (Ok ())
+            ret_after t proc k ~cost:default_costs.ipc (Ok ())
           else begin
             Metrics.incr t.ctr.c_async_messages;
             Queue.push (ep_of_proc proc, msg) dst_proc.async_in;
@@ -643,7 +630,7 @@ and handle_syscall : type a. t -> proc -> a Sysif.syscall -> (a, unit) Effect.De
           if not (ipc_allowed t proc dst_proc) then ret t proc k (Error Errno.E_no_perm)
           else begin
             deliver_notify t ~src:(ep_of_proc proc) ~dst:dst_proc kind;
-            ret_after t proc k ~cost:t.costs.notify (Ok ())
+            ret_after t proc k ~cost:default_costs.notify (Ok ())
           end
     end
   | Sysif.Receive filter -> begin
@@ -657,7 +644,7 @@ and handle_syscall : type a. t -> proc -> a Sysif.syscall -> (a, unit) Effect.De
             else match lookup_ep t e with Lookup_ok _ -> false | Lookup_stale | Lookup_bad -> true)
       in
       match try_complete_receive t proc filter with
-      | Some rx -> ret_after t proc k ~cost:t.costs.ipc (Ok rx)
+      | Some rx -> ret_after t proc k ~cost:default_costs.ipc (Ok rx)
       | None ->
           if stale_source then ret t proc k (Error Errno.E_dead_src_dst)
           else
@@ -672,9 +659,9 @@ and handle_syscall : type a. t -> proc -> a Sysif.syscall -> (a, unit) Effect.De
     end
   | Sysif.Safecopy { dir; owner; grant; grant_off; local_addr; len } ->
       if kcall_denied proc op then ret t proc k (Error Errno.E_no_perm)
-      else if len < 0 then ret_after t proc k ~cost:t.costs.copy_base (Error Errno.E_range)
+      else if len < 0 then ret_after t proc k ~cost:default_costs.copy_base (Error Errno.E_range)
       else
-        let cost = t.costs.copy_base + (len / t.costs.copy_bytes_per_us) in
+        let cost = default_costs.copy_base + (len / default_costs.copy_bytes_per_us) in
         ret_after t proc k ~cost
           (do_safecopy t proc ~dir ~owner ~grant_id:grant ~grant_off ~local_addr ~len)
   | Sysif.Grant_create { for_; base; len; access } ->
@@ -698,7 +685,7 @@ and handle_syscall : type a. t -> proc -> a Sysif.syscall -> (a, unit) Effect.De
       else if not (Privilege.allows_port proc.priv port) then ret t proc k (Error Errno.E_no_perm)
       else begin
         Metrics.incr t.ctr.c_devios;
-        ret_after t proc k ~cost:t.costs.devio (t.io_handler (`In port))
+        ret_after t proc k ~cost:default_costs.devio (t.io_handler (`In port))
       end
   | Sysif.Devio_out (port, value) ->
       if kcall_denied proc op then ret t proc k (Error Errno.E_no_perm)
@@ -706,8 +693,8 @@ and handle_syscall : type a. t -> proc -> a Sysif.syscall -> (a, unit) Effect.De
       else begin
         Metrics.incr t.ctr.c_devios;
         match t.io_handler (`Out (port, value)) with
-        | Ok _ -> ret_after t proc k ~cost:t.costs.devio (Ok ())
-        | Error e -> ret_after t proc k ~cost:t.costs.devio (Error e)
+        | Ok _ -> ret_after t proc k ~cost:default_costs.devio (Ok ())
+        | Error e -> ret_after t proc k ~cost:default_costs.devio (Error e)
       end
   | Sysif.Irq_register line ->
       if kcall_denied proc op then ret t proc k (Error Errno.E_no_perm)
@@ -756,7 +743,8 @@ and handle_syscall : type a. t -> proc -> a Sysif.syscall -> (a, unit) Effect.De
   | Sysif.Proc_create { name; program; args; priv; mem_kb } ->
       if kcall_denied proc op then ret t proc k (Error Errno.E_no_perm)
       else
-        ret_after t proc k ~cost:t.costs.spawn (spawn_dynamic t ~name ~program ~args ~priv ~mem_kb)
+        ret_after t proc k ~cost:default_costs.spawn
+          (spawn_dynamic t ~name ~program ~args ~priv ~mem_kb)
   | Sysif.Proc_kill (target, signal) ->
       if kcall_denied proc op then ret t proc k (Error Errno.E_no_perm)
       else begin
@@ -856,10 +844,10 @@ and spawn_dynamic :
       (* The creating kernel call itself costs [spawn]; the child's
          first instruction runs strictly after that work finished, so
          the creator (and RS's endpoint publication) wins the race. *)
-      start_fiber t proc ~delay:(t.costs.spawn + 100) main;
+      start_fiber t proc ~delay:(default_costs.spawn + 100) main;
       Ok (ep_of_proc proc)
 
-let spawn_wellknown t ~ep ~name ~priv ?(args = []) ?(mem_kb = 1024) body =
+let spawn_wellknown t ~ep ~name ~priv ?(mem_kb = 1024) body =
   let slot = ep.Endpoint.slot in
   if slot < 0 || slot >= Array.length t.procs then
     invalid_arg "spawn_wellknown: slot out of range";
@@ -867,7 +855,7 @@ let spawn_wellknown t ~ep ~name ~priv ?(args = []) ?(mem_kb = 1024) body =
   | Some p when p.state <> Dead -> invalid_arg "spawn_wellknown: slot in use"
   | Some _ | None -> ());
   t.slot_gen.(slot) <- ep.Endpoint.gen - 1;
-  let proc = make_proc t ~slot ~name ~args ~priv ~mem_kb in
+  let proc = make_proc t ~slot ~name ~args:[] ~priv ~mem_kb in
   Metrics.incr t.ctr.c_spawns;
   kemit t ~level:Trace.Debug (Event.Spawn { ep = ep_of_proc proc; name; program = "<boot>" });
   start_fiber t proc ~delay:0 body

@@ -9,8 +9,8 @@
     and an IOMMU for device DMA (Sec. 4 of the paper).
 
     All activity is driven by a {!Resilix_sim.Engine}; each kernel
-    operation advances virtual time by a configurable cost, which is
-    what the performance experiments measure.
+    operation advances virtual time by a fixed cost ({!default_costs}),
+    which is what the performance experiments measure.
 
     {2 Error conventions}
 
@@ -50,7 +50,6 @@ val create :
   engine:Resilix_sim.Engine.t ->
   trace:Resilix_sim.Trace.t ->
   rng:Resilix_sim.Rng.t ->
-  ?costs:costs ->
   ?metrics:Resilix_obs.Metrics.t ->
   unit ->
   t
@@ -106,15 +105,11 @@ val register_program : t -> string -> (unit -> unit) -> unit
     restarts) services by program key, which models reloading a fresh
     copy of the driver binary. *)
 
-val has_program : t -> string -> bool
-(** Whether [key] is registered. *)
-
 val spawn_wellknown :
   t ->
   ep:Endpoint.t ->
   name:string ->
   priv:Privilege.t ->
-  ?args:string list ->
   ?mem_kb:int ->
   (unit -> unit) ->
   unit
@@ -175,8 +170,3 @@ val proc_memory : t -> Endpoint.t -> Memory.t option
 (** Address space of a live process — used by the software fault
     injector to mutate a running driver's loaded code image. *)
 
-val proc_name : t -> Endpoint.t -> string option
-(** Name of a live process. *)
-
-val process_count : t -> int
-(** Number of live processes. *)

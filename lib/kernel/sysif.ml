@@ -48,14 +48,11 @@ type 'a syscall =
   (* --- observability --- *)
   | Obs_emit : Event.level * string * Event.payload -> unit syscall (* level, subsystem, payload *)
   | Metric_add : string * int -> unit syscall (* named counter += n *)
-  | Metric_observe : string * int -> unit syscall (* named histogram sample *)
-  | Metric_set : string * int -> unit syscall (* named gauge := v *)
   (* Handle resolution: look the instrument up once (at registration
      time) and bump the returned handle directly thereafter, instead
      of paying a hashtable lookup per event on the fast path. *)
   | Metric_counter : string -> Metrics.counter syscall
   | Metric_gauge : string -> Metrics.gauge syscall
-  | Metric_histogram : string -> Metrics.histogram syscall
   (* --- kernel calls --- *)
   | Safecopy : {
       dir : [ `Read | `Write ];
@@ -135,7 +132,7 @@ let kcall_index : type a. a syscall -> int option = function
   | Privctl _ -> Some 10
   | Send _ | Asend _ | Receive _ | Sendrec _ | Notify _ | Sleep _ | Yield _ | Now | Self
   | My_memory | My_args | My_name | Random _ | Exit _ | Obs_emit _ | Metric_add _
-  | Metric_observe _ | Metric_set _ | Metric_counter _ | Metric_gauge _ | Metric_histogram _ ->
+  | Metric_counter _ | Metric_gauge _ ->
       None
 
 let kcall_mask = function
@@ -180,11 +177,8 @@ module Api = struct
 
   let metric_add name n = perform (Metric_add (name, n))
   let metric_incr name = metric_add name 1
-  let metric_observe name v = perform (Metric_observe (name, v))
-  let metric_set name v = perform (Metric_set (name, v))
   let metric_counter name = perform (Metric_counter name)
   let metric_gauge name = perform (Metric_gauge name)
-  let metric_histogram name = perform (Metric_histogram name)
 
   let safecopy_from ~owner ~grant ~grant_off ~local_addr ~len =
     perform (Safecopy { dir = `Read; owner; grant; grant_off; local_addr; len })
@@ -207,21 +201,4 @@ module Api = struct
   let proc_kill target signal = perform (Proc_kill (target, signal))
   let reap_exit () = perform Reap_exit
   let privctl target priv = perform (Privctl (target, priv))
-
-  (* Fail-fast helpers for code paths where an IPC error is a bug in
-     the caller (e.g. boot-time setup). *)
-  let send_exn dst msg =
-    match send dst msg with
-    | Ok () -> ()
-    | Error e -> panic (Format.asprintf "send to %a failed: %a" Endpoint.pp dst Errno.pp e)
-
-  let sendrec_exn dst msg =
-    match sendrec dst msg with
-    | Ok rx -> rx
-    | Error e -> panic (Format.asprintf "sendrec to %a failed: %a" Endpoint.pp dst Errno.pp e)
-
-  let receive_exn filter =
-    match receive filter with
-    | Ok rx -> rx
-    | Error e -> panic (Format.asprintf "receive failed: %a" Errno.pp e)
 end

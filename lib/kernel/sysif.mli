@@ -52,11 +52,8 @@ type 'a syscall =
   | Exit : Status.exit_status -> unit syscall
   | Obs_emit : Event.level * string * Event.payload -> unit syscall
   | Metric_add : string * int -> unit syscall
-  | Metric_observe : string * int -> unit syscall
-  | Metric_set : string * int -> unit syscall
   | Metric_counter : string -> Metrics.counter syscall
   | Metric_gauge : string -> Metrics.gauge syscall
-  | Metric_histogram : string -> Metrics.histogram syscall
   | Safecopy : {
       dir : [ `Read | `Write ];
       owner : Endpoint.t;
@@ -183,12 +180,6 @@ module Api : sig
   val metric_incr : string -> unit
   (** [metric_add name 1]. *)
 
-  val metric_observe : string -> int -> unit
-  (** Record a sample in the named histogram. *)
-
-  val metric_set : string -> int -> unit
-  (** Set the named gauge (e.g. a breaker-state indicator). *)
-
   val metric_counter : string -> Metrics.counter
   (** Resolve the named counter to a direct handle, creating it on
       first use.  Resolve once at startup and bump the handle with
@@ -197,10 +188,6 @@ module Api : sig
 
   val metric_gauge : string -> Metrics.gauge
   (** Resolve the named gauge to a direct handle (see
-      {!metric_counter}). *)
-
-  val metric_histogram : string -> Metrics.histogram
-  (** Resolve the named histogram to a direct handle (see
       {!metric_counter}). *)
 
   val safecopy_from :
@@ -262,13 +249,4 @@ module Api : sig
 
   val privctl : Endpoint.t -> Privilege.t -> (unit, Errno.t) result
   (** Replace a process's privileges (reincarnation server only). *)
-
-  val send_exn : Endpoint.t -> Message.t -> unit
-  (** {!send}, panicking on error — for boot-time setup paths. *)
-
-  val sendrec_exn : Endpoint.t -> Message.t -> rx
-  (** {!sendrec}, panicking on error. *)
-
-  val receive_exn : source -> rx
-  (** {!receive}, panicking on error. *)
 end

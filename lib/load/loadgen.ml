@@ -10,16 +10,8 @@ type config = {
   requests : int;
   concurrency : int;
   arrival_interval : int;
-  burst_every : int;
-  burst_size : int;
   slow_fraction : float;
-  slow_byte_delay : int;
   size_mix : (int * int) array;
-  port : int;
-  request_timeout : int;
-  retries : int;
-  retry_backoff : int;
-  bin_us : int;
 }
 
 let default_config =
@@ -27,17 +19,25 @@ let default_config =
     requests = 100;
     concurrency = 64;
     arrival_interval = 2_000;
-    burst_every = 16;
-    burst_size = 8;
     slow_fraction = 0.05;
-    slow_byte_delay = 20_000;
     size_mix = [| (6, 2_048); (3, 16_384); (1, 131_072) |];
-    port = 80;
-    request_timeout = 20_000_000;
-    retries = 2;
-    retry_backoff = 250_000;
-    bin_us = 100_000;
   }
+
+(* Every 16th arrival opens a burst of 8 simultaneous starts. *)
+let burst_every = 16
+let burst_size = 8
+
+(* us between a slow client's request bytes *)
+let slow_byte_delay = 20_000
+let server_port = 80
+
+(* us from a request's start to its forced abort *)
+let request_timeout = 20_000_000
+
+(* Re-connect budget after a reset, and the mean us before a retry. *)
+let retries = 2
+let retry_backoff = 250_000
+let bin_us = 100_000
 
 type stats = {
   mutable issued : int;
@@ -88,7 +88,6 @@ type t = {
   engine : Engine.t;
   rng : Rng.t;
   peer : Peer.t;
-  metrics : Metrics.t;
   cfg : config;
   dst_ip : int;
   dst_mac : int;
@@ -103,12 +102,11 @@ type t = {
   connect_hist : Metrics.histogram;
 }
 
-let create ~engine ~seed ~peer ~metrics ?(config = default_config) ~dst_ip ~dst_mac () =
+let create ~engine ~seed ~peer ~metrics ~config ~dst_ip ~dst_mac () =
   {
     engine;
     rng = Rng.create ~seed:(Rng.derive ~seed ~index:0x10ad);
     peer;
-    metrics;
     cfg = config;
     dst_ip;
     dst_mac;
@@ -128,13 +126,11 @@ let stats t = t.stats
 let goodput_bins t =
   Array.sub t.goodput 0 (min (Array.length t.goodput) (t.goodput_hi + 1))
 
-let bin_us t = t.cfg.bin_us
-
 let finished t = t.launched_all && t.outstanding = 0
 
 let record_bytes t n =
   t.stats.bytes_in <- t.stats.bytes_in + n;
-  let idx = Engine.now t.engine / t.cfg.bin_us in
+  let idx = Engine.now t.engine / bin_us in
   let len = Array.length t.goodput in
   if idx >= len then begin
     let bigger = Array.make (max (2 * len) (idx + 1)) 0 in
@@ -193,7 +189,7 @@ let rec send_slowly t req =
         req.sent <- req.sent + 1;
         if req.sent < String.length line then
           ignore
-            (Engine.schedule t.engine ~after:t.cfg.slow_byte_delay (fun () -> send_slowly t req))
+            (Engine.schedule t.engine ~after:slow_byte_delay (fun () -> send_slowly t req))
       end
 
 let send_request t req flow =
@@ -225,7 +221,7 @@ let rec launch t req =
   req.sent <- 0;
   let attempt_start = Engine.now t.engine in
   let flow =
-    Peer.open_flow t.peer ~dst_ip:t.dst_ip ~dst_mac:t.dst_mac ~dst_port:t.cfg.port
+    Peer.open_flow t.peer ~dst_ip:t.dst_ip ~dst_mac:t.dst_mac ~dst_port:server_port
       ~notify:(fun flow ev -> on_event t req flow ev attempt_start)
       ()
   in
@@ -263,9 +259,9 @@ and retry_or_fail t req ~refused =
      establishment — a half-served request — burn [retries].  The
      backoff is jittered so a herd of refused clients doesn't return
      in lockstep and re-overflow the backlog it just bounced off. *)
-  if refused || req.attempt <= t.cfg.retries then begin
-    let jitter = Rng.int_in t.rng ~min:0 ~max:t.cfg.retry_backoff in
-    ignore (Engine.schedule t.engine ~after:((t.cfg.retry_backoff / 2) + jitter) (fun () ->
+  if refused || req.attempt <= retries then begin
+    let jitter = Rng.int_in t.rng ~min:0 ~max:retry_backoff in
+    ignore (Engine.schedule t.engine ~after:((retry_backoff / 2) + jitter) (fun () ->
         if not req.resolved then launch t req))
   end
   else resolve t req `Failed
@@ -291,7 +287,7 @@ and start_request t req =
     req.t0 <- Engine.now t.engine;
     req.timeout_h <-
       Some
-        (Engine.schedule t.engine ~after:t.cfg.request_timeout (fun () ->
+        (Engine.schedule t.engine ~after:request_timeout (fun () ->
              req.timeout_h <- None;
              if not req.resolved then begin
                resolve t req `Timeout;
@@ -313,8 +309,7 @@ let start t =
     else begin
       let iv = max 1 cfg.arrival_interval in
       tcur := !tcur + Rng.int_in t.rng ~min:(max 1 (iv / 2)) ~max:(iv + (iv / 2));
-      if cfg.burst_every > 0 && k > 0 && k mod cfg.burst_every = 0 then
-        in_burst := cfg.burst_size
+      if k > 0 && k mod burst_every = 0 then in_burst := burst_size
     end;
     let size = pick_size t in
     let seed = Rng.derive ~seed:t.content_seed ~index:k in
@@ -338,8 +333,3 @@ let start t =
     ignore (Engine.schedule_at t.engine ~at:!tcur (fun () -> start_request t req))
   done;
   t.launched_all <- true
-
-let latency_quantile t q =
-  match List.assoc_opt "load.latency_us" (Metrics.snapshot t.metrics).Metrics.histograms with
-  | Some h -> Metrics.quantile h q
-  | None -> 0

@@ -6,7 +6,7 @@
     so any number of concurrent connections share one engine timer and
     stay deterministic.  Every request asks the in-machine
     {!Resilix_apps.Httpd} server for [gen:<seed>:<size>] content and
-    validates the FNV digest of what comes back, so corruption anywhere
+    validates the XXH64 digest of what comes back, so corruption anywhere
     on the path (NIC, driver restart, TCP reassembly) is detected
     end-to-end.
 
@@ -18,23 +18,18 @@ type config = {
   requests : int;  (** total requests to issue *)
   concurrency : int;  (** cap on simultaneously open flows *)
   arrival_interval : int;  (** mean us between request starts (jittered x0.5–1.5) *)
-  burst_every : int;  (** every Nth arrival opens a burst window (0 = never) *)
-  burst_size : int;  (** arrivals sharing the burst instant *)
   slow_fraction : float;  (** fraction of clients that dribble the request line *)
-  slow_byte_delay : int;  (** us between a slow client's request bytes *)
   size_mix : (int * int) array;  (** (weight, response bytes) request mix *)
-  port : int;  (** server port *)
-  request_timeout : int;  (** us from issue to forced abort *)
-  retries : int;  (** re-connect budget after refusal/reset *)
-  retry_backoff : int;  (** us before a retry *)
-  bin_us : int;  (** goodput-timeline bin width, us *)
 }
+(** What varies between storms.  Fixed for every storm: a burst of 8
+    simultaneous arrivals every 16th arrival, slow clients sending one
+    request byte per 20 ms, server port 80, a 20 s deadline per
+    request, 2 retries after a reset at a jittered ~250 ms backoff, and
+    100 ms goodput bins. *)
 
 val default_config : config
-(** 100 requests, concurrency 64, 2 ms mean arrivals, a burst of 8
-    every 16th arrival, 5% slow clients, sizes 2K/16K/128K weighted
-    6:3:1, port 80, 20 s timeout, 2 retries at 250 ms backoff, 100 ms
-    goodput bins. *)
+(** 100 requests, concurrency 64, 2 ms mean arrivals, 5% slow
+    clients, sizes 2K/16K/128K weighted 6:3:1. *)
 
 type stats = {
   mutable issued : int;  (** requests actually started (not parked) *)
@@ -57,7 +52,7 @@ val create :
   seed:int ->
   peer:Resilix_net.Peer.t ->
   metrics:Resilix_obs.Metrics.t ->
-  ?config:config ->
+  config:config ->
   dst_ip:int ->
   dst_mac:int ->
   unit ->
@@ -81,8 +76,6 @@ val goodput_bins : t -> int array
     the last bin that saw traffic — the timeline that shows the
     mid-storm outage dip. *)
 
-val bin_us : t -> int
+val bin_us : int
+(** Width of a goodput bin, us. *)
 
-val latency_quantile : t -> float -> int
-(** [latency_quantile t q] — {!Resilix_obs.Metrics.quantile} over the
-    completed-request latency histogram, us. *)

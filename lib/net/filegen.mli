@@ -6,12 +6,6 @@
     should have received — the MD5-comparison step of the paper's
     methodology. *)
 
-val read_into : seed:int -> off:int -> len:int -> bytes -> unit
-(** [read_into ~seed ~off ~len buf] writes the [len] bytes of the file
-    at offset [off] into [buf] at position 0.
-    @raise Invalid_argument if [off] or [len] is negative or [buf] is
-    shorter than [len]. *)
-
 val read : seed:int -> off:int -> len:int -> bytes
 (** The [len] bytes of the file at offset [off], in a fresh buffer. *)
 

@@ -87,7 +87,6 @@ type t = {
   timers : Timerset.t;
   drv : driver;
   mutable next_ephemeral : int;
-  mutable outage_queued : int;
   spans : Resilix_obs.Span.t;
 }
 
@@ -124,12 +123,10 @@ let create ~local_ip ~gateway_mac ~driver_key ~spans ~metrics () =
         degraded = false;
       };
     next_ephemeral = 40000;
-    outage_queued = 0;
     spans;
   }
 
 let driver_generation t = t.drv.generation
-let frames_queued_during_outage t = t.outage_queued
 let driver_degraded t = t.drv.degraded
 
 (* The degradation contract, INET side: while the driver's breaker is
@@ -166,7 +163,6 @@ let rec pump_tx t =
               ignore (Api.grant_revoke grant);
               t.drv.tx_grant <- None;
               t.drv.up <- false;
-              t.outage_queued <- t.outage_queued + 1;
               Metrics.incr t.ctrs.c_tx_postponed;
               Queue.push frame t.drv.tx_queue)
     end
@@ -175,7 +171,6 @@ let rec pump_tx t =
 (*@recovery-end*)
 let enqueue_frame t frame =
   if Queue.length t.drv.tx_queue < tx_queue_cap then begin
-    if not t.drv.up then t.outage_queued <- t.outage_queued + 1;
     Queue.push frame t.drv.tx_queue
   end;
   (* over cap: drop — TCP will retransmit *)

@@ -40,10 +40,6 @@ val body : t -> unit -> unit
 val driver_generation : t -> int
 (** How many times a driver endpoint has been (re)integrated. *)
 
-val frames_queued_during_outage : t -> int
-(** Transmit frames that had to be postponed because the driver was
-    dead (Sec. 6.1: "the request fails and is postponed until the
-    driver is back"). *)
 
 val driver_degraded : t -> bool
 (** Whether INET currently treats its driver as degraded (open circuit

@@ -16,7 +16,6 @@ type pconn = {
 
 type flow = {
   fl_key : int * int * int;
-  fl_local_port : int;
   fl_tkey : int;
   mutable fl_tcp : Tcp.t option; (* None only during construction *)
 }
@@ -41,17 +40,13 @@ type t = {
   mutable alarm : Engine.handle option;
   mutable alarm_deadline : int;
   mutable next_client_port : int;
-  mutable served : int;
   mutable accepted : int;
   mutable udp_seq : int;
 }
 
-let add_file t name ~size ~seed = Hashtbl.replace t.files name (size, seed)
-
 let file_md5 t name =
   Option.map (fun (size, seed) -> Filegen.md5_digest ~seed ~size) (Hashtbl.find_opt t.files name)
 
-let bytes_served t = t.served
 let connections t = t.accepted
 
 let emit_frame t ~dst_mac ~dst_ip body =
@@ -126,7 +121,6 @@ let rec pump_file t conn =
           let len = min (min space 16384) (size - sent) in
           let data = Filegen.read ~seed ~off:sent ~len in
           let accepted = Tcp.send conn.tcp ~now:(Engine.now t.engine) data ~off:0 ~len in
-          t.served <- t.served + accepted;
           conn.serving <- Some (seed, size, sent + accepted);
           if accepted > 0 then pump_file t conn
         end
@@ -258,12 +252,11 @@ let create ~engine ~rng ~link ~side ~ip ~mac ?(files = []) () =
       alarm = None;
       alarm_deadline = 0;
       next_client_port = 50_000;
-      served = 0;
       accepted = 0;
       udp_seq = 0;
     }
   in
-  List.iter (fun (name, (size, seed)) -> add_file t name ~size ~seed) files;
+  List.iter (fun (name, size_seed) -> Hashtbl.replace t.files name size_seed) files;
   Link.attach link side (on_frame t);
   t
 
@@ -274,24 +267,15 @@ let create ~engine ~rng ~link ~side ~ip ~mac ?(files = []) () =
 let flow_tcp f =
   match f.fl_tcp with Some tcp -> tcp | None -> invalid_arg "Peer.flow_tcp: under construction"
 
-let flow_local_port f = f.fl_local_port
-
-let open_flow t ~dst_ip ~dst_mac ~dst_port ?local_port ?(rx_window = 65536) ?(tx_buffer = 16384)
-    ~notify () =
-  let local_port =
-    match local_port with
-    | Some p -> p
-    | None ->
-        (* Sequential ephemeral ports: collision-free for any number of
-           concurrent flows (the old random pick had birthday
-           collisions by a few hundred). *)
-        let p = t.next_client_port in
-        t.next_client_port <- (if p >= 65_000 then 50_000 else p + 1);
-        p
-  in
+let open_flow t ~dst_ip ~dst_mac ~dst_port ~notify () =
+  (* Sequential ephemeral ports: collision-free for any number of
+     concurrent flows (the old random pick had birthday collisions by
+     a few hundred). *)
+  let local_port = t.next_client_port in
+  t.next_client_port <- (if local_port >= 65_000 then 50_000 else local_port + 1);
   let key = (dst_ip, dst_port, local_port) in
   let tkey = alloc_tkey t in
-  let flow = { fl_key = key; fl_local_port = local_port; fl_tkey = tkey; fl_tcp = None } in
+  let flow = { fl_key = key; fl_tkey = tkey; fl_tcp = None } in
   let cb =
     {
       Tcp.emit = (fun seg -> emit_frame t ~dst_mac ~dst_ip (Wire.Tcp seg));
@@ -309,8 +293,8 @@ let open_flow t ~dst_ip ~dst_mac ~dst_port ?local_port ?(rx_window = 65536) ?(tx
   let cfg =
     {
       (Tcp.default_config ~local_port ~remote_port:dst_port ~isn:(Rng.int t.rng 0x3FFFFFFF)) with
-      Tcp.rx_window;
-      tx_buffer;
+      Tcp.rx_window = 65536;
+      tx_buffer = 16384;
     }
   in
   let tcp = Tcp.create_active cfg ~now:(Engine.now t.engine) cb in

@@ -25,14 +25,8 @@ val create :
   t
 (** [files] maps file names to [(size_bytes, content_seed)]. *)
 
-val add_file : t -> string -> size:int -> seed:int -> unit
-(** Register another servable file. *)
-
 val file_md5 : t -> string -> string option
 (** MD5 digest of a registered file. *)
-
-val bytes_served : t -> int
-(** Total file bytes accepted into server-side TCP so far. *)
 
 val connections : t -> int
 (** TCP connections accepted so far. *)
@@ -55,24 +49,18 @@ val open_flow :
   dst_ip:int ->
   dst_mac:int ->
   dst_port:int ->
-  ?local_port:int ->
-  ?rx_window:int ->
-  ?tx_buffer:int ->
   notify:(flow -> Tcp.event -> unit) ->
   unit ->
   flow
 (** Actively open a connection (the SYN is emitted immediately).
     [notify] receives every TCP event; drive the stream with
-    {!flow_tcp} + [Tcp.send]/[Tcp.recv].  Buffers default to a 64 KB
+    {!flow_tcp} + [Tcp.send]/[Tcp.recv].  Each flow has a 64 KB
     receive window and a 16 KB send buffer — small enough that
     thousands of flows are cheap (the server side, not the client,
     needs deep buffers). *)
 
 val flow_tcp : flow -> Tcp.t
 (** The flow's TCP engine. *)
-
-val flow_local_port : flow -> int
-(** The ephemeral port the flow opened from. *)
 
 val flow_close : t -> flow -> unit
 (** Graceful close (FIN once the send buffer drains). *)

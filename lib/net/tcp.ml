@@ -6,23 +6,23 @@
 type config = {
   local_port : int;
   remote_port : int;
-  mss : int;
   rx_window : int;
   tx_buffer : int;
-  rto_initial : int;
-  rto_max : int;
   isn : int;
 }
+
+(* Maximum payload per segment, and the retransmission timeout's
+   initial value and backoff ceiling (us). *)
+let mss = Wire.max_payload
+let rto_initial = 200_000
+let rto_max = 8_000_000
 
 let default_config ~local_port ~remote_port ~isn =
   {
     local_port;
     remote_port;
-    mss = Wire.max_payload;
     rx_window = 262_144;
     tx_buffer = 262_144;
-    rto_initial = 200_000;
-    rto_max = 8_000_000;
     isn;
   }
 
@@ -119,11 +119,11 @@ let create cfg cb state =
     fin_offset = None;
     fin_requested = false;
     fin_acked = false;
-    peer_window = cfg.mss;
-    cwnd = 2 * cfg.mss;
+    peer_window = mss;
+    cwnd = 2 * mss;
     ssthresh = 65536;
     dup_acks = 0;
-    rto = cfg.rto_initial;
+    rto = rto_initial;
     srtt = 0;
     rttvar = 0;
     rtt_probe = None;
@@ -205,7 +205,7 @@ let transmit_at t ~now ~offset =
     t.cb.emit seg
   end
   else begin
-    let len = min t.cfg.mss (data_end - offset) in
+    let len = min mss (data_end - offset) in
     let payload = tx_slice t ~offset ~len in
     let seg = { (base_segment t) with Wire.seq = wire_seq t offset; payload } in
     (* Karn: only time segments that are not retransmissions. *)
@@ -217,7 +217,7 @@ let transmit_at t ~now ~offset =
 (* Send whatever the congestion + flow-control windows allow. *)
 let rec pump t ~now =
   if t.state = Established then begin
-    let window = min t.cwnd (max t.cfg.mss t.peer_window) in
+    let window = min t.cwnd (max mss t.peer_window) in
     let limit = t.snd_una + window in
     let data_end = tx_end t in
     let fin_off = t.fin_offset in
@@ -225,7 +225,7 @@ let rec pump t ~now =
     let can_send_fin = (match fin_off with Some f -> t.snd_nxt = f | None -> false) && t.snd_nxt <= limit in
     if can_send_data then begin
       transmit_at t ~now ~offset:t.snd_nxt;
-      let len = min t.cfg.mss (data_end - t.snd_nxt) in
+      let len = min mss (data_end - t.snd_nxt) in
       t.snd_nxt <- t.snd_nxt + len;
       if not t.timer_armed then arm_timer t;
       pump t ~now
@@ -323,12 +323,12 @@ let update_rtt t ~now ~acked_offset =
         t.rttvar <- ((3 * t.rttvar) + delta) / 4;
         t.srtt <- ((7 * t.srtt) + sample) / 8
       end;
-      t.rto <- max t.cfg.rto_initial (min t.cfg.rto_max (t.srtt + (4 * t.rttvar)))
+      t.rto <- max rto_initial (min rto_max (t.srtt + (4 * t.rttvar)))
   | Some _ | None -> ()
 
 let fast_retransmit t ~now =
   t.retransmissions <- t.retransmissions + 1;
-  t.ssthresh <- max (flight t / 2) (2 * t.cfg.mss);
+  t.ssthresh <- max (flight t / 2) (2 * mss);
   t.cwnd <- t.ssthresh;
   transmit_at t ~now ~offset:t.snd_una
 
@@ -345,8 +345,8 @@ let process_ack t ~now ack_offset window =
     if t.snd_nxt < t.snd_una then t.snd_nxt <- t.snd_una;
     t.dup_acks <- 0;
     (* Congestion window growth. *)
-    if t.cwnd < t.ssthresh then t.cwnd <- t.cwnd + t.cfg.mss
-    else t.cwnd <- t.cwnd + max 1 (t.cfg.mss * t.cfg.mss / t.cwnd);
+    if t.cwnd < t.ssthresh then t.cwnd <- t.cwnd + mss
+    else t.cwnd <- t.cwnd + max 1 (mss * mss / t.cwnd);
     (match t.fin_offset with
     | Some f when ack_offset >= f + 1 -> t.fin_acked <- true
     | Some _ | None -> ());
@@ -514,15 +514,15 @@ let handle_timer t ~now =
   match t.state with
   | Syn_sent | Syn_received ->
       t.retransmissions <- t.retransmissions + 1;
-      t.rto <- min (t.rto * 2) t.cfg.rto_max;
+      t.rto <- min (t.rto * 2) rto_max;
       send_syn t;
       arm_timer t
   | Established ->
       if flight t > 0 then begin
         t.retransmissions <- t.retransmissions + 1;
-        t.ssthresh <- max (flight t / 2) (2 * t.cfg.mss);
-        t.cwnd <- t.cfg.mss;
-        t.rto <- min (t.rto * 2) t.cfg.rto_max;
+        t.ssthresh <- max (flight t / 2) (2 * mss);
+        t.cwnd <- mss;
+        t.rto <- min (t.rto * 2) rto_max;
         t.rtt_probe <- None;
         (* Go-back-N: everything after snd_una is presumed lost (the
            whole flight dies with a crashed driver); retransmit from

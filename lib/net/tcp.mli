@@ -16,16 +16,15 @@
 type config = {
   local_port : int;
   remote_port : int;
-  mss : int;  (** maximum payload per segment *)
   rx_window : int;  (** receive buffer size, bytes *)
   tx_buffer : int;  (** send buffer size, bytes *)
-  rto_initial : int;  (** initial retransmission timeout, us *)
-  rto_max : int;  (** backoff ceiling, us *)
   isn : int;  (** initial sequence number (32-bit) *)
 }
 
 val default_config : local_port:int -> remote_port:int -> isn:int -> config
-(** MSS 1460, 256 KB windows, 200 ms initial RTO, 8 s ceiling. *)
+(** 256 KB windows.  Every connection sends segments of at most 1460
+    bytes and starts its retransmission timeout at 200 ms, backing off
+    to at most 8 s. *)
 
 (** Edge-triggered events surfaced to the embedder. *)
 type event =

@@ -22,10 +22,6 @@ let max_payload = 1460
 
 let ip a b c d = (a lsl 24) lor (b lsl 16) lor (c lsl 8) lor d
 
-let ip_to_string v =
-  Printf.sprintf "%d.%d.%d.%d" ((v lsr 24) land 0xFF) ((v lsr 16) land 0xFF) ((v lsr 8) land 0xFF)
-    (v land 0xFF)
-
 (* --- low-level byte helpers --- *)
 
 let set_u16 b i v = Bytes.set_uint16_be b i (v land 0xFFFF)

@@ -39,5 +39,3 @@ val max_payload : int
 val ip : int -> int -> int -> int -> int
 (** [ip a b c d] builds a dotted-quad address as an int. *)
 
-val ip_to_string : int -> string
-(** Dotted-quad rendering. *)

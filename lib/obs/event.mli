@@ -59,11 +59,6 @@ type t = {
   payload : payload;
 }
 
-val level_tag : level -> string
-(** Three-letter tag, e.g. ["INF"]. *)
-
-val kind_name : ipc_kind -> string
-
 val message : payload -> string
 (** One-line rendering of the payload; stable enough for legacy
     substring matching (e.g. exits render as

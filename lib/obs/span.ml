@@ -80,21 +80,15 @@ let close_component t component ~now =
 let spans t = List.rev t.all
 
 (* Invariant probes for the DST layer: a recovery campaign is complete
-   when every span the run opened was also closed — and, with a bound,
-   closed within [within] us of detection. *)
+   when every span the run opened was also closed within [within] us
+   of detection. *)
 let open_spans t = List.rev (List.filter (fun s -> s.closed_at = None) t.all)
 
-let incomplete ?within t =
+let incomplete ~within t =
   List.rev
     (List.filter
-       (fun s ->
-         match (s.closed_at, within) with
-         | None, _ -> true
-         | Some _, None -> false
-         | Some c, Some bound -> c - s.opened_at > bound)
+       (fun s -> match s.closed_at with None -> true | Some c -> c - s.opened_at > within)
        t.all)
-
-let complete ?within t = incomplete ?within t = []
 
 (* Campaign aggregation: one collector holding every source's spans,
    sources in list order, each source's spans oldest-first within it.

@@ -71,13 +71,10 @@ val open_spans : t -> span list
 (** The spans still open (recovery began but never completed),
     oldest first. *)
 
-val incomplete : ?within:int -> t -> span list
+val incomplete : within:int -> t -> span list
 (** Spans that violate recovery-span completeness, oldest first:
-    never closed, or — when [within] is given — closed more than
-    [within] us after detection.  The DST invariant probe. *)
-
-val complete : ?within:int -> t -> bool
-(** [incomplete ?within t = []]. *)
+    never closed, or closed more than [within] us after detection.
+    The DST invariant probe. *)
 
 val concat : t list -> t
 (** One collector holding every source's spans — {!spans} of the

@@ -15,10 +15,9 @@ type entry = {
   mutable waited : bool;
 }
 
-type t = { mutable table : entry list; mutable next_pid : int; mutable reaped : int }
+type t = { mutable table : entry list; mutable next_pid : int }
 
-let create () = { table = []; next_pid = 100; reaped = 0 }
-let zombies_reaped t = t.reaped
+let create () = { table = []; next_pid = 100 }
 
 let live_by_pid t pid =
   List.find_opt (fun e -> e.pid = pid && e.zombie = None && not e.waited) t.table
@@ -37,7 +36,6 @@ let reap t =
     match Api.reap_exit () with
     | None -> ()
     | Some (ep, name, status) ->
-        t.reaped <- t.reaped + 1;
         (match by_endpoint t ep with
         | Some entry -> entry.zombie <- Some status
         | None ->

@@ -17,5 +17,3 @@ val create : unit -> t
 val body : t -> unit -> unit
 (** The process body; boot code runs this at the well-known PM slot. *)
 
-val zombies_reaped : t -> int
-(** Number of exit statuses collected so far. *)

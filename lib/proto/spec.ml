@@ -6,13 +6,12 @@ type t = {
   heartbeat_period : int;
   max_heartbeat_misses : int;
   policy : string;
-  policy_params : string list;
   mem_kb : int;
 }
 [@@deriving show, eq]
 
 let make ~name ~program ?(args = []) ~privileges ?(heartbeat_period = 500_000)
-    ?(max_heartbeat_misses = 4) ?(policy = "") ?(policy_params = []) ?(mem_kb = 256) () =
+    ?(max_heartbeat_misses = 4) ?(policy = "") ?(mem_kb = 256) () =
   {
     name;
     program;
@@ -21,6 +20,5 @@ let make ~name ~program ?(args = []) ~privileges ?(heartbeat_period = 500_000)
     heartbeat_period;
     max_heartbeat_misses;
     policy;
-    policy_params;
     mem_kb;
   }

@@ -1,7 +1,7 @@
 (** Service specifications — the arguments passed to the reincarnation
     server when a driver or server is started through the service
     utility (Sec. 5): binary (program key), stable name, privileges,
-    heartbeat period, and an optional parametrized policy script. *)
+    heartbeat period, and a policy script. *)
 
 type t = {
   name : string;  (** stable name, e.g. ["eth.rtl8139"] *)
@@ -12,7 +12,6 @@ type t = {
       (** microseconds between heartbeat requests; [0] disables heartbeating *)
   max_heartbeat_misses : int;  (** consecutive misses before defect class 4 fires *)
   policy : string;  (** policy-script registry key; [""] = direct immediate restart *)
-  policy_params : string list;  (** parameters passed to the policy script *)
   mem_kb : int;  (** address-space size for the process *)
 }
 [@@deriving show, eq]
@@ -25,7 +24,6 @@ val make :
   ?heartbeat_period:int ->
   ?max_heartbeat_misses:int ->
   ?policy:string ->
-  ?policy_params:string list ->
   ?mem_kb:int ->
   unit ->
   t

@@ -81,11 +81,11 @@ let count_files paths =
     { code = 0; recovery = 0 }
     paths
 
-let find_repo_root ?(from = Sys.getcwd ()) () =
+let find_repo_root () =
   let rec ascend dir =
     if Sys.file_exists (Filename.concat dir "dune-project") then Some dir
     else
       let parent = Filename.dirname dir in
       if String.equal parent dir then None else ascend parent
   in
-  ascend from
+  ascend (Sys.getcwd ())

@@ -19,12 +19,10 @@ val count_string : string -> counts
 (** Count OCaml source given as a string (handles nested comments and
     string literals). *)
 
-val count_file : string -> counts
-(** Count one [.ml] file. *)
-
 val count_files : string list -> counts
 (** Sum over files; nonexistent files count zero. *)
 
-val find_repo_root : ?from:string -> unit -> string option
-(** Walk upward looking for a [dune-project] — locates the repository
-    so the Fig. 9 harness can run from any working directory. *)
+val find_repo_root : unit -> string option
+(** Walk upward from the working directory looking for a
+    [dune-project] — locates the repository so the Fig. 9 harness can
+    run from any working directory. *)

@@ -21,9 +21,6 @@ val derive : seed:int -> index:int -> int
     to give each trial of a campaign its own hermetic seed.
     [index] must be non-negative. *)
 
-val bits64 : t -> int64
-(** Next raw 64 bits. *)
-
 val int : t -> int -> int
 (** [int t n] is uniform in [\[0, n)].  [n] must be positive. *)
 

@@ -17,15 +17,6 @@ val usec : int -> t
 val msec : int -> t
 (** [msec n] is [n] milliseconds. *)
 
-val sec : int -> t
-(** [sec n] is [n] seconds. *)
-
-val of_sec_f : float -> t
-(** [of_sec_f s] converts a duration in (possibly fractional) seconds. *)
-
-val to_sec_f : t -> float
-(** [to_sec_f t] is the duration [t] expressed in seconds. *)
-
 val add : t -> t -> t
 (** Addition of durations / offsets. *)
 

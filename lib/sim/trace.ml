@@ -15,56 +15,41 @@ type event = Event.t = {
    small; once full, the oldest slot is overwritten in place. *)
 type t = {
   capacity : int;
-  mutable echo : bool;
   mutable buf : event array;
   mutable head : int; (* index of the oldest retained event *)
   mutable len : int;
 }
 
-let create ?(capacity = 65536) ?(echo = false) () =
-  { capacity; echo; buf = [||]; head = 0; len = 0 }
-
-let set_echo t echo = t.echo <- echo
+let create ?(capacity = 65536) () = { capacity; buf = [||]; head = 0; len = 0 }
 
 let pp_event = Event.pp
 
-(* With [capacity = 0] and echo off there is no sink: recording (and,
-   in [emit], even rendering the format string) is skipped. *)
-let sink_attached t = t.capacity > 0 || t.echo
-
 let record t e =
-  if t.echo then Format.eprintf "%a@." pp_event e;
-  if t.capacity > 0 then begin
-    if t.len < t.capacity then begin
-      let cap = Array.length t.buf in
-      if t.len = cap then begin
-        (* Not yet full: [head] is still 0, so a straight blit keeps
-           order while the ring grows toward [capacity]. *)
-        let ncap = min t.capacity (max 64 (cap * 2)) in
-        let nbuf = Array.make ncap e in
-        Array.blit t.buf 0 nbuf 0 t.len;
-        t.buf <- nbuf
-      end;
-      t.buf.(t.len) <- e;
-      t.len <- t.len + 1
-    end
-    else begin
-      t.buf.(t.head) <- e;
-      t.head <- (t.head + 1) mod t.capacity
-    end
+  if t.len < t.capacity then begin
+    let cap = Array.length t.buf in
+    if t.len = cap then begin
+      (* Not yet full: [head] is still 0, so a straight blit keeps
+         order while the ring grows toward [capacity]. *)
+      let ncap = min t.capacity (max 64 (cap * 2)) in
+      let nbuf = Array.make ncap e in
+      Array.blit t.buf 0 nbuf 0 t.len;
+      t.buf <- nbuf
+    end;
+    t.buf.(t.len) <- e;
+    t.len <- t.len + 1
+  end
+  else begin
+    t.buf.(t.head) <- e;
+    t.head <- (t.head + 1) mod t.capacity
   end
 
 let emit_event t ~now ?(level = Info) subsystem payload =
-  if sink_attached t then record t { time = now; level; subsystem; payload }
+  record t { time = now; level; subsystem; payload }
 
 let emit t ~now level subsystem fmt =
-  if sink_attached t then
-    Format.kasprintf
-      (fun text -> record t { time = now; level; subsystem; payload = Event.Log { text } })
-      fmt
-  else
-    (* No sink: consume the format arguments without rendering. *)
-    Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
+  Format.kasprintf
+    (fun text -> record t { time = now; level; subsystem; payload = Event.Log { text } })
+    fmt
 
 let events t =
   let n = Array.length t.buf in

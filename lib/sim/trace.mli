@@ -4,8 +4,7 @@
     events: the kernel, servers, drivers and experiments emit either a
     typed payload ({!emit_event}) or a free-form message ({!emit},
     which wraps it in [Event.Log]).  Tests assert on the recorded
-    history structurally via {!query}.  [echo] mirrors events to
-    stderr for interactive runs. *)
+    history structurally via {!query}. *)
 
 (** Re-exported so existing [Trace.Info] / [e.Trace.time] code keeps
     working; a trace event {e is} an observability event. *)
@@ -21,22 +20,9 @@ type event = Resilix_obs.Event.t = {
 type t
 (** A bounded in-memory trace buffer. *)
 
-val create : ?capacity:int -> ?echo:bool -> unit -> t
+val create : ?capacity:int -> unit -> t
 (** [create ()] makes an empty trace keeping the last [capacity]
-    (default 65536) events in a ring buffer.  With [echo:true] events
-    are also printed to stderr as they happen.  [capacity:0] (with
-    echo off) detaches the sink entirely: {!emit} then skips even the
-    rendering of its format arguments, making tracing free for
-    benchmark and exploration runs that never read the history. *)
-
-val sink_attached : t -> bool
-(** Whether anything would observe a recorded event (a ring with
-    [capacity > 0], or echo).  Callers building expensive payloads by
-    hand may use this as a guard; {!emit} and {!emit_event} already
-    check it. *)
-
-val set_echo : t -> bool -> unit
-(** Toggle mirroring to stderr. *)
+    (default 65536; at least 1) events in a ring buffer. *)
 
 val emit : t -> now:Time.t -> level -> string -> ('a, Format.formatter, unit, unit) format4 -> 'a
 (** [emit t ~now level subsystem fmt ...] records one free-form

@@ -17,21 +17,18 @@ module Service = Resilix_core.Service
 type opts = {
   seed : int;
   engine_policy : Engine.policy;
-  trace_echo : bool;
   inet_driver : string;
   disk_mb : int;
   fs_files : (string * int) list;
   peer_files : (string * (int * int)) list;
   nic_wedge_prob : float;
   policies : (string * Policy.t) list;
-  heartbeat_tick : int;
 }
 
 let default_opts =
   {
     seed = 42;
     engine_policy = Engine.Fifo;
-    trace_echo = false;
     inet_driver = "eth.rtl8139";
     disk_mb = 64;
     fs_files = [];
@@ -43,7 +40,6 @@ let default_opts =
         ("generic", Policy.generic ~alert:"root" ());
         ("breaker", Policy.breaker ());
       ];
-    heartbeat_tick = 100_000;
   }
 
 type t = {
@@ -88,9 +84,9 @@ let device_spec ~name ~ipc_to ~base ~ports ~irq ?heartbeat_period ~policy ~mem_k
     ~privileges:(Privilege.driver ~ipc_to ~io_ports:[ (base, base + ports - 1) ] ~irqs:[ irq ])
     ?heartbeat_period ~policy ~mem_kb ()
 
-let spec_rtl8139 ?(policy = "direct") ?(heartbeat_period = 500_000) () =
+let spec_rtl8139 ?(policy = "direct") () =
   device_spec ~name:"eth.rtl8139" ~ipc_to:[ "inet" ] ~base:Hwmap.rtl8139_base
-    ~ports:Resilix_hw.Nic8139.ports ~irq:Hwmap.rtl8139_irq ~heartbeat_period ~policy
+    ~ports:Resilix_hw.Nic8139.ports ~irq:Hwmap.rtl8139_irq ~heartbeat_period:500_000 ~policy
     ~mem_kb:Resilix_drivers.Netdriver_rtl8139.memory_kb ()
 
 let spec_dp8390 ?(policy = "direct") ?(heartbeat_period = 500_000) () =
@@ -98,36 +94,37 @@ let spec_dp8390 ?(policy = "direct") ?(heartbeat_period = 500_000) () =
     ~ports:Resilix_hw.Nic8390.ports ~irq:Hwmap.dp8390_irq ~heartbeat_period ~policy
     ~mem_kb:Resilix_drivers.Netdriver_dp8390.memory_kb ()
 
-let spec_sata ?(policy = "direct") ?(heartbeat_period = 500_000) () =
+let spec_sata ?(policy = "direct") () =
   device_spec ~name:"blk.sata" ~ipc_to:[ "mfs"; "vfs" ] ~base:Hwmap.sata_base
-    ~ports:Resilix_hw.Disk.ports ~irq:Hwmap.sata_irq ~heartbeat_period ~policy
+    ~ports:Resilix_hw.Disk.ports ~irq:Hwmap.sata_irq ~heartbeat_period:500_000 ~policy
     ~mem_kb:Resilix_drivers.Blockdriver_disk.memory_kb ()
 
-let spec_floppy ?(policy = "generic") () =
+let spec_floppy () =
   device_spec ~name:"blk.floppy" ~ipc_to:[ "mfs"; "vfs" ] ~base:Hwmap.floppy_base
-    ~ports:Resilix_hw.Disk.ports ~irq:Hwmap.floppy_irq ~policy
+    ~ports:Resilix_hw.Disk.ports ~irq:Hwmap.floppy_irq ~policy:"generic"
     ~mem_kb:Resilix_drivers.Blockdriver_disk.memory_kb ()
 
-let spec_ramdisk ?(size_kb = 512) () =
+let spec_ramdisk () =
+  let size_kb = 512 in
   Spec.make ~name:"blk.ram" ~program:"blk.ram" ~args:[ string_of_int size_kb ]
     ~privileges:(Privilege.driver ~ipc_to:[ "mfs"; "vfs" ] ~io_ports:[] ~irqs:[])
     ~policy:""
     ~mem_kb:(Resilix_drivers.Blockdriver_ramdisk.memory_needed_kb ~size_kb)
     ()
 
-let spec_audio ?(policy = "direct") () =
+let spec_audio () =
   device_spec ~name:"chr.audio" ~ipc_to:[ "vfs" ] ~base:Hwmap.audio_base
-    ~ports:Resilix_hw.Audio_dev.ports ~irq:Hwmap.audio_irq ~policy
+    ~ports:Resilix_hw.Audio_dev.ports ~irq:Hwmap.audio_irq ~policy:"direct"
     ~mem_kb:Resilix_drivers.Chardriver_audio.memory_kb ()
 
-let spec_printer ?(policy = "direct") () =
+let spec_printer () =
   device_spec ~name:"chr.printer" ~ipc_to:[ "vfs" ] ~base:Hwmap.printer_base
-    ~ports:Resilix_hw.Printer_dev.ports ~irq:Hwmap.printer_irq ~policy
+    ~ports:Resilix_hw.Printer_dev.ports ~irq:Hwmap.printer_irq ~policy:"direct"
     ~mem_kb:Resilix_drivers.Chardriver_printer.memory_kb ()
 
-let spec_cd ?(policy = "direct") () =
+let spec_cd () =
   device_spec ~name:"chr.cd" ~ipc_to:[ "vfs" ] ~base:Hwmap.cd_base ~ports:Resilix_hw.Cd_dev.ports
-    ~irq:Hwmap.cd_irq ~policy ~mem_kb:Resilix_drivers.Chardriver_cd.memory_kb ()
+    ~irq:Hwmap.cd_irq ~policy:"direct" ~mem_kb:Resilix_drivers.Chardriver_cd.memory_kb ()
 
 (* ------------------------------------------------------------------ *)
 (* Boot                                                                *)
@@ -137,7 +134,7 @@ let server_priv = Privilege.server ~ipc_to:Privilege.All
 
 let boot ?(opts = default_opts) () =
   let engine = Engine.create ~policy:opts.engine_policy () in
-  let trace = Trace.create ~echo:opts.trace_echo () in
+  let trace = Trace.create () in
   let master_rng = Rng.create ~seed:opts.seed in
   let rng_kernel = Rng.split master_rng in
   let rng_hw = Rng.split master_rng in
@@ -227,7 +224,7 @@ let boot ?(opts = default_opts) () =
       ~register_program:(Kernel.register_program kernel)
       ~policies:opts.policies
       ~complainers:[ Wellknown.vfs; Wellknown.mfs; Wellknown.inet ]
-      ~heartbeat_tick:opts.heartbeat_tick ~spans ~metrics ()
+      ~spans ~metrics ()
   in
   let vfs =
     Resilix_fs.Vfs.create
@@ -307,15 +304,15 @@ let obs_lines ?label t =
 (* The program key is made unique with a per-boot counter: a global
    one would leak cross-trial state into trace events (the key appears
    in [Spawn] payloads), breaking trial hermeticity. *)
-let spawn_app t ~name ?(priv = Privilege.app) ?(mem_kb = 256) body =
+let spawn_app t ~name ?(priv = Privilege.app) body =
   t.app_counter <- t.app_counter + 1;
   let key = Printf.sprintf "app#%s#%d" name t.app_counter in
   Kernel.register_program t.kernel key body;
-  match Kernel.spawn_dynamic t.kernel ~name ~program:key ~args:[] ~priv ~mem_kb with
+  match Kernel.spawn_dynamic t.kernel ~name ~program:key ~args:[] ~priv ~mem_kb:256 with
   | Ok ep -> ep
   | Error e -> failwith ("spawn_app failed: " ^ Errno.to_string e)
 
-let run ?until ?max_events t = Engine.run ?until ?max_events t.engine
+let run ?until t = Engine.run ?until t.engine
 
 let run_until t ?(timeout = 60_000_000) pred =
   Engine.run_until t.engine ~deadline:(Engine.now t.engine + timeout) pred

@@ -17,19 +17,17 @@ type opts = {
   engine_policy : Resilix_sim.Engine.policy;
       (** same-instant event ordering (default FIFO; the DST layer
           boots machines under seeded/scripted tie-breaking) *)
-  trace_echo : bool;  (** mirror the trace to stderr *)
   inet_driver : string;  (** which Ethernet driver INET binds, e.g. ["eth.rtl8139"] *)
   disk_mb : int;  (** SATA disk size *)
   fs_files : (string * int) list;  (** contiguous files created by mkfs: (name, bytes) *)
   peer_files : (string * (int * int)) list;  (** files served by the RTL-side peer *)
   nic_wedge_prob : float;  (** probability that garbage programming wedges a NIC *)
   policies : (string * Resilix_core.Policy.t) list;  (** policy-script registry for RS *)
-  heartbeat_tick : int;  (** RS polling period *)
 }
 
 val default_opts : opts
 (** Seed 42, FIFO tie-breaking, 64 MB disk, no NIC wedging,
-    RTL8139 bound, 100 ms RS tick, policies [direct] and [generic]
+    RTL8139 bound, policies [direct], [generic] and [breaker]
     predefined. *)
 
 type t = {
@@ -78,16 +76,18 @@ val obs_lines : ?label:string -> t -> string list
 
     Each follows the paper's service-utility arguments: stable name,
     binary, least-authority privileges (exactly its own ports and IRQ),
-    heartbeat period, policy. *)
+    heartbeat period, policy.  The NICs and the SATA disk are pinged
+    every 500 ms; the policy is [direct] unless given, [generic] for
+    the floppy; the RAM disk holds 512 KB. *)
 
-val spec_rtl8139 : ?policy:string -> ?heartbeat_period:int -> unit -> Spec.t
+val spec_rtl8139 : ?policy:string -> unit -> Spec.t
 val spec_dp8390 : ?policy:string -> ?heartbeat_period:int -> unit -> Spec.t
-val spec_sata : ?policy:string -> ?heartbeat_period:int -> unit -> Spec.t
-val spec_floppy : ?policy:string -> unit -> Spec.t
-val spec_ramdisk : ?size_kb:int -> unit -> Spec.t
-val spec_audio : ?policy:string -> unit -> Spec.t
-val spec_printer : ?policy:string -> unit -> Spec.t
-val spec_cd : ?policy:string -> unit -> Spec.t
+val spec_sata : ?policy:string -> unit -> Spec.t
+val spec_floppy : unit -> Spec.t
+val spec_ramdisk : unit -> Spec.t
+val spec_audio : unit -> Spec.t
+val spec_printer : unit -> Spec.t
+val spec_cd : unit -> Spec.t
 
 (** {1 Running workloads} *)
 
@@ -95,7 +95,6 @@ val spawn_app :
   t ->
   name:string ->
   ?priv:Resilix_proto.Privilege.t ->
-  ?mem_kb:int ->
   (unit -> unit) ->
   Endpoint.t
 (** Start an application process running the given body. *)
@@ -104,7 +103,7 @@ val start_services : t -> Spec.t list -> unit
 (** Start drivers through the service utility (spawns a setup app that
     issues [service up] for each spec and waits until it is up). *)
 
-val run : ?until:int -> ?max_events:int -> t -> unit
+val run : ?until:int -> t -> unit
 (** Advance the simulation. *)
 
 val run_until : t -> ?timeout:int -> (unit -> bool) -> bool

@@ -33,7 +33,10 @@ let base p = p.base
 
 let mask32 v = v land 0xFFFF_FFFF
 
-let run ?(fuel_slice = 32) program ~regs =
+(* Instructions between two 1-us yields. *)
+let fuel_slice = 32
+
+let run program ~regs =
   if Array.length regs <> 8 then invalid_arg "Interp.run: want 8 registers";
   let mem = Api.memory () in
   let sigill () = raise (Sysif.Killed_exn (Status.Killed Signal.Sig_ill)) in

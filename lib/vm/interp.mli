@@ -42,11 +42,11 @@ val attach : base:int -> insn_count:int -> program
 val base : program -> int
 (** Address of the program's first instruction. *)
 
-val run : ?fuel_slice:int -> program -> regs:int array -> int
+val run : program -> regs:int array -> int
 (** Execute from instruction 0 until [Ret], returning r0.  [regs] is
     the 8-register file (mutated in place; index 0 = r0), which is how
     the OCaml part of a driver passes parameters in and reads results
-    out.  Every [fuel_slice] instructions (default 32) the interpreter
+    out.  Every 32 instructions the interpreter
     yields ~1 microsecond of simulated CPU time, so runaway loops
     advance virtual time instead of hanging the simulator.
 

@@ -49,9 +49,6 @@ val assemble : instr list -> bytes
     instruction indices.  @raise Invalid_argument on unknown labels,
     duplicate labels, or immediates that do not fit in 32 bits. *)
 
-val encoded_length : instr list -> int
-(** Number of encoded (non-label) instructions. *)
-
 (** A decoded instruction as the interpreter sees it (jumps are
     absolute indices after assembly). *)
 type decoded =

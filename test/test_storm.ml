@@ -125,7 +125,6 @@ let test_many_connections_clean () =
   done;
   let config =
     {
-      Loadgen.default_config with
       Loadgen.requests = 40;
       concurrency = 40;
       arrival_interval = 500;

@@ -231,6 +231,76 @@ let test_floppy_raw_io () =
   ignore (System.run_until t ~timeout:60_000_000 (fun () -> !ok));
   Alcotest.(check bool) "floppy write/read roundtrip" true !ok
 
+(* The RAM disk is Fig. 9's one driver that no experiment runs: raw
+   sector I/O against it, its range and minor checks (including
+   positions whose end overflows), and the driver still serving
+   afterwards. *)
+let test_ramdisk_raw_io () =
+  let t, _ = boot_with_net () in
+  System.start_services t [ System.spec_ramdisk () ];
+  let module Api = Resilix_kernel.Sysif.Api in
+  let module Sysif = Resilix_kernel.Sysif in
+  let module Message = Resilix_proto.Message in
+  let module Memory = Resilix_kernel.Memory in
+  let module Privilege = Resilix_proto.Privilege in
+  let module Errno = Resilix_proto.Errno in
+  let results = ref [] and data_ok = ref false and drv_ep = ref None in
+  let finished = ref false in
+  ignore
+    (System.spawn_app t ~name:"rawio"
+       ~priv:{ Privilege.app with Privilege.ipc_to = Privilege.All }
+       (fun () ->
+         (match Resilix_core.Service.lookup "blk.ram" with
+         | Error _ -> ()
+         | Ok (drv, _) ->
+             drv_ep := Some drv;
+             let mem = Api.memory () in
+             let pattern = Bytes.init 512 (fun i -> Char.chr (i land 0xFF)) in
+             Memory.write mem ~addr:0x2000 pattern;
+             let request label access make =
+               match Api.grant_create ~for_:drv ~base:0x2000 ~len:512 ~access with
+               | Error _ -> failwith "grant_create"
+               | Ok grant ->
+                   let r =
+                     match Api.sendrec drv (make grant) with
+                     | Ok (Sysif.Rx_msg { body = Message.Dev_reply { result }; _ }) -> result
+                     | _ -> Error Errno.E_io
+                   in
+                   ignore (Api.grant_revoke grant);
+                   results := (label, r) :: !results
+             in
+             let write ~minor ~pos grant = Message.Dev_write { minor; pos; grant; len = 512 } in
+             let read ~minor ~pos grant = Message.Dev_read { minor; pos; grant; len = 512 } in
+             request "write 4096" Sysif.Read_only (write ~minor:0 ~pos:4096);
+             Memory.write mem ~addr:0x2000 (Bytes.make 512 '\000');
+             request "read 4096" Sysif.Write_only (read ~minor:0 ~pos:4096);
+             data_ok := Bytes.equal (Memory.read mem ~addr:0x2000 ~len:512) pattern;
+             request "read past the end" Sysif.Write_only (read ~minor:0 ~pos:(512 * 1024));
+             request "read at max_int" Sysif.Write_only (read ~minor:0 ~pos:max_int);
+             request "write ending past max_int" Sysif.Read_only
+               (write ~minor:0 ~pos:(max_int - 100));
+             request "read minor 1" Sysif.Write_only (read ~minor:1 ~pos:0));
+         finished := true));
+  ignore (System.run_until t ~timeout:60_000_000 (fun () -> !finished));
+  let reply = Alcotest.(result int (testable Errno.pp Errno.equal)) in
+  Alcotest.(check (list (pair string reply)))
+    "ramdisk replies"
+    [
+      ("write 4096", Ok 512);
+      ("read 4096", Ok 512);
+      ("read past the end", Error Errno.E_range);
+      ("read at max_int", Error Errno.E_range);
+      ("write ending past max_int", Error Errno.E_range);
+      ("read minor 1", Error Errno.E_nodev);
+    ]
+    (List.rev !results);
+  Alcotest.(check bool) "read returns the written bytes" true !data_ok;
+  Alcotest.(check bool) "ramdisk still up" true (Reincarnation.service_up t.System.rs "blk.ram");
+  Alcotest.(check bool) "same incarnation" true
+    (match !drv_ep with
+    | Some ep -> Resilix_kernel.Kernel.find_by_name t.System.kernel "blk.ram" = Some ep
+    | None -> false)
+
 (* Service utility lifecycle: duplicate up is EBUSY; down stops
    monitoring for good. *)
 let test_service_down_and_duplicate_up () =
@@ -439,6 +509,7 @@ let tests =
     Alcotest.test_case "run_until stops mid-burst as stepping does" `Quick test_run_until_mid_burst;
     Alcotest.test_case "inbound TCP listen/accept" `Quick test_inbound_tcp_accept;
     Alcotest.test_case "floppy raw sector I/O" `Quick test_floppy_raw_io;
+    Alcotest.test_case "ramdisk raw sector I/O" `Quick test_ramdisk_raw_io;
     Alcotest.test_case "service down / duplicate up" `Quick test_service_down_and_duplicate_up;
     Alcotest.test_case "wget (no faults)" `Quick test_wget_clean;
     Alcotest.test_case "wget with driver kills" `Quick test_wget_with_driver_kills;
