@@ -30,20 +30,23 @@ let make ~path ?(with_sha1 = false) result () =
   | Ok fd ->
       let digest = Xxh64.init () in
       let sha1 = if with_sha1 then Some (Sha1.init ()) else None in
+      (* Hashed straight from the bounce buffer; an empty read (end of
+         file) hashes nothing. *)
+      let hash buf off len =
+        Xxh64.update digest buf ~off ~len;
+        (match sha1 with Some ctx -> Sha1.update ctx buf ~off ~len | None -> ());
+        len
+      in
       let rec pump () =
-        match Fslib.read fd ~len:chunk with
+        match Fslib.read_with fd ~len:chunk hash with
         | Error _ -> finish false
-        | Ok data when Bytes.length data = 0 ->
+        | Ok 0 ->
             result.digest <- Xxh64.to_hex (Xxh64.digest digest);
             (match sha1 with Some ctx -> result.sha1 <- Sha1.hex (Sha1.finalize ctx) | None -> ());
             ignore (Fslib.close fd);
             finish true
-        | Ok data ->
-            result.bytes <- result.bytes + Bytes.length data;
-            Xxh64.update digest data ~off:0 ~len:(Bytes.length data);
-            (match sha1 with
-            | Some ctx -> Sha1.update ctx data ~off:0 ~len:(Bytes.length data)
-            | None -> ());
+        | Ok n ->
+            result.bytes <- result.bytes + n;
             pump ()
       in
       pump ()

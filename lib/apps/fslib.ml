@@ -25,15 +25,17 @@ let with_grant ~for_ ~len ~access f =
       ignore (Api.grant_revoke g);
       r
 
-let read fd ~len =
+let read_with fd ~len f =
   let len = min len buf_size in
   with_grant ~for_:Wellknown.vfs ~len ~access:Sysif.Write_only (fun grant ->
       match Api.sendrec Wellknown.vfs (Message.Vfs_read { fd; grant; len }) with
       | Ok (Sysif.Rx_msg { body = Message.Vfs_io_reply { result = Ok n }; _ }) ->
-          Ok (Memory.read (Api.memory ()) ~addr:buf_addr ~len:n)
+          Ok (Memory.view (Api.memory ()) ~addr:buf_addr ~len:n (fun buf off -> f buf off n))
       | Ok (Sysif.Rx_msg { body = Message.Vfs_io_reply { result = Error e }; _ }) -> Error e
       | Ok _ -> Error Errno.E_io
       | Error e -> Error e)
+
+let read fd ~len = read_with fd ~len Bytes.sub
 
 let write fd data =
   let len = Bytes.length data in

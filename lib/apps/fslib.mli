@@ -8,9 +8,16 @@ val open_file :
   ?wr:bool -> ?create:bool -> ?trunc:bool -> string -> (int, Errno.t) result
 (** Open a path; returns a file descriptor. *)
 
+val read_with : int -> len:int -> (bytes -> int -> int -> 'a) -> ('a, Errno.t) result
+(** [read_with fd ~len f] reads up to [len] bytes at the current
+    position (max 60 KB per call) into the bounce buffer and is
+    [f buf off n]: the [n] bytes read are [buf]'s from [off] on, and
+    [n = 0] means end of file.  [buf] is the bounce buffer itself, so
+    nothing is copied: [f] must not write to it nor keep it. *)
+
 val read : int -> len:int -> (bytes, Errno.t) result
-(** Read up to [len] bytes at the current position (max 60 KB per
-    call); an empty result means end of file. *)
+(** [read_with] into a fresh copy; an empty result means end of
+    file. *)
 
 val write : int -> bytes -> (int, Errno.t) result
 (** Write the whole buffer (max 60 KB per call); returns bytes

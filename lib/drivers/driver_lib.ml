@@ -158,6 +158,4 @@ let run_nic vm ~tx_r2 ~setup_r1 ~setup_r2 ~on_rx =
     | Message.Dl_readv { grant; len } ->
         rx_slot := Some (src, grant, len);
         deliver_rx ()
-    | Message.Dl_getstat ->
-        ignore (Api.asend src (Message.Dl_stat_reply { frames_rx = 0; frames_tx = 0; errors = 0 }))
     | _ -> ignore (Api.send src (Message.Err_reply Errno.E_inval)))

@@ -20,11 +20,19 @@ let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-(* Never-written sector [lba] into [buf] at [pos]. *)
+(* Unchecked little-endian store: [read_into] has checked the whole
+   destination range once. *)
+external set64u : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
+external bswap64 : int64 -> int64 = "%bswap_int64"
+
+let[@inline] store_le buf i v = set64u buf i (if Sys.big_endian then bswap64 v else v)
+
+(* Never-written sector [lba] into [buf] at [pos], which the caller
+   has range-checked. *)
 let generate_into t lba buf pos =
   let key = Int64.add (Int64.of_int t.seed) (Int64.mul 0x9E3779B97F4A7C15L (Int64.of_int (lba + 1))) in
   for w = 0 to (t.sector_size / 8) - 1 do
-    Bytes.set_int64_le buf (pos + (w * 8)) (mix (Int64.add key (Int64.of_int w)))
+    store_le buf (pos + (w * 8)) (mix (Int64.add key (Int64.of_int w)))
   done
 
 let sector t lba =
@@ -35,15 +43,23 @@ let sector t lba =
       generate_into t lba buf 0;
       buf
 
-let read t ~lba ~count =
-  if lba < 0 || count < 0 || count > t.sectors - lba then invalid_arg "Blockstore.read";
+let read_into t ~lba ~count buf pos =
   let size = t.sector_size in
-  let out = Bytes.create (count * size) in
+  (* [count * size] is never formed before [count] is known to fit. *)
+  if
+    lba < 0 || count < 0 || count > t.sectors - lba || pos < 0 || pos > Bytes.length buf
+    || count > (Bytes.length buf - pos) / size
+  then invalid_arg "Blockstore.read";
   for i = 0 to count - 1 do
     match Hashtbl.find_opt t.written (lba + i) with
-    | Some b -> Bytes.blit b 0 out (i * size) size
-    | None -> generate_into t (lba + i) out (i * size)
-  done;
+    | Some b -> Bytes.blit b 0 buf (pos + (i * size)) size
+    | None -> generate_into t (lba + i) buf (pos + (i * size))
+  done
+
+let read t ~lba ~count =
+  if count < 0 || count > t.sectors then invalid_arg "Blockstore.read";
+  let out = Bytes.create (count * t.sector_size) in
+  read_into t ~lba ~count out 0;
   out
 
 let write t ~lba data =

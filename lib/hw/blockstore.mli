@@ -24,11 +24,17 @@ val sector : t -> int -> bytes
 (** A fresh copy of sector [lba]: what was last written there, or its
     generated content.  [read] returns the concatenation of these. *)
 
+val read_into : t -> lba:int -> count:int -> bytes -> int -> unit
+(** [read_into t ~lba ~count buf pos] writes [count] consecutive
+    sectors into [buf] from [pos] on and touches no other byte of
+    [buf]; a never-written sector is generated in place, so this
+    allocates nothing.  @raise Invalid_argument, before writing
+    anything, when the range is outside the device or [buf] has fewer
+    than [count * sector_size] bytes from [pos]. *)
+
 val read : t -> lba:int -> count:int -> bytes
-(** Read [count] consecutive sectors into one fresh buffer; a
-    never-written sector is generated in place and allocates nothing
-    more.  @raise Invalid_argument when the range is outside the
-    device. *)
+(** [read_into] a fresh buffer of [count] sectors.
+    @raise Invalid_argument when the range is outside the device. *)
 
 val write : t -> lba:int -> bytes -> unit
 (** Write whole sectors starting at [lba]; length must be a multiple

@@ -49,8 +49,11 @@ let start_read t =
     ignore
       (Engine.schedule (engine t) ~after:duration (fun () ->
            t.busy <- false;
-           let data = Blockstore.read t.store ~lba:t.lba ~count:t.count in
-           match Kernel.dma t.kernel ~handle:t.dmah ~off:0 ~op:(`Write data) with
+           let lba = t.lba and size = sector_size t in
+           (* The sector count comes from the length the kernel checked
+              against the grant, so the fill writes no byte past it. *)
+           let fill buf pos len = Blockstore.read_into t.store ~lba ~count:(len / size) buf pos in
+           match Kernel.dma t.kernel ~handle:t.dmah ~off:0 ~op:(`Fill (t.count * size, fill)) with
            | Ok _ ->
                t.isr <- t.isr lor isr_done;
                raise_irq t

@@ -21,7 +21,8 @@ let pump t nic =
     let len = Bytes.length frame in
     if len > t.rxcap then Nic.fail nic
     else
-      match Kernel.dma (Nic.kernel nic) ~handle:t.rxh ~off:0 ~op:(`Write frame) with
+      let copy b pos n = Bytes.blit frame 0 b pos n in
+      match Kernel.dma (Nic.kernel nic) ~handle:t.rxh ~off:0 ~op:(`Fill (len, copy)) with
       | Ok _ ->
           t.rxlen <- len;
           Nic.signal_rx nic

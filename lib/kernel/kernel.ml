@@ -906,14 +906,14 @@ let dma t ~handle ~off ~op =
           match Hashtbl.find_opt owner.grants entry.grant_id with
           | None -> Error Errno.E_no_perm
           | Some g -> (
-              let len = match op with `Read n -> n | `Write b -> Bytes.length b in
+              let len = match op with `Read n | `Fill (n, _) -> n in
               if off < 0 || len < 0 || off > g.len - len then Error Errno.E_range
               else
                 try
                   match op with
                   | `Read n -> Ok (Memory.read owner.memory ~addr:(g.base + off) ~len:n)
-                  | `Write b ->
-                      Memory.write owner.memory ~addr:(g.base + off) b;
+                  | `Fill (n, f) ->
+                      Memory.fill owner.memory ~addr:(g.base + off) ~len:n f;
                       Ok Bytes.empty
                 with Memory.Fault _ -> Error Errno.E_range))
       | Some _ | None -> Error Errno.E_no_perm)

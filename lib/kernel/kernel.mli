@@ -150,13 +150,18 @@ val dma :
   t ->
   handle:int ->
   off:int ->
-  op:[ `Read of int | `Write of bytes ] ->
+  op:[ `Read of int | `Fill of int * (bytes -> int -> int -> unit) ] ->
   (bytes, Errno.t) result
 (** Device DMA through the IOMMU: [handle] was produced by the
-    [Iommu_map] kernel call over a memory grant.  Reads return the
-    bytes; writes return an empty buffer.  Fails with [E_no_perm] for
-    stale mappings (e.g. after the owning driver died) and [E_range]
-    for out-of-grant accesses. *)
+    [Iommu_map] kernel call over a memory grant.  [`Read len] returns
+    the bytes.  [`Fill (len, f)] is the one device-to-memory direction:
+    the device produces [len] bytes in place, [f] being called as in
+    {!Memory.fill} on the owner's memory once every check has passed,
+    and the result is an empty buffer.  A producer must write only the
+    [len] bytes it is given; the grant check covers no more.  Fails
+    with [E_no_perm] for stale mappings (e.g. after the owning driver
+    died) and [E_range] for out-of-grant accesses; [f] does not run
+    then. *)
 
 (** {1 Introspection (tests, fault injector, experiment harness)} *)
 

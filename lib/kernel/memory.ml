@@ -37,6 +37,14 @@ let blit_in t ~addr ~src ~src_off ~len =
   check t ~addr ~len;
   Bytes.blit src src_off (writable t) addr len
 
+let fill t ~addr ~len f =
+  check t ~addr ~len;
+  f (writable t) addr len
+
+let view t ~addr ~len f =
+  check t ~addr ~len;
+  if allocated t then f t.data addr else f (Bytes.make len '\000') 0
+
 let equal_u64 t ~addr key ~off =
   check t ~addr ~len:8;
   let w : int64 = if allocated t then Bytes.get_int64_ne t.data addr else 0L in

@@ -34,6 +34,22 @@ val blit_out : t -> addr:int -> dst:bytes -> dst_off:int -> len:int -> unit
 val blit_in : t -> addr:int -> src:bytes -> src_off:int -> len:int -> unit
 (** Copy from a caller buffer into the space. *)
 
+val fill : t -> addr:int -> len:int -> (bytes -> int -> int -> unit) -> unit
+(** [fill t ~addr ~len f] checks the range, then calls [f data pos len]
+    with the space's own bytes: [f] writes the [len] bytes from [pos]
+    on in place.  [data] is the whole space, so [f] must write within
+    the [len] it is given: a byte past it lands in the owner's other
+    memory.  It is how a device DMAs into a space without staging the
+    data in a buffer of its own.
+    @raise Fault on out-of-bounds access, before [f] runs. *)
+
+val view : t -> addr:int -> len:int -> (bytes -> int -> 'a) -> 'a
+(** [view t ~addr ~len f] checks the range, then is [f data pos] where
+    the [len] bytes from [pos] in [data] are the range's content.
+    [data] is the space's own bytes (a fresh zero buffer while the
+    space has never been written): [f] must not write to it nor keep
+    it.  @raise Fault on out-of-bounds access, before [f] runs. *)
+
 val equal_u64 : t -> addr:int -> bytes -> off:int -> bool
 (** [equal_u64 t ~addr key ~off] is whether the 8 bytes at [addr]
     equal bytes [off .. off+7] of [key].  Does not allocate.

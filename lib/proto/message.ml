@@ -18,8 +18,6 @@ type t =
   | Dl_writev of { grant : int; len : int }
   | Dl_readv of { grant : int; len : int }
   | Dl_task_reply of { flags : dl_flags; read_len : int }
-  | Dl_getstat
-  | Dl_stat_reply of { frames_rx : int; frames_tx : int; errors : int }
   | Rs_up of Spec.t
   | Rs_down of { name : string }
   | Rs_restart of { name : string }
@@ -116,8 +114,6 @@ let tag = function
   | Dl_writev _ -> "Dl_writev"
   | Dl_readv _ -> "Dl_readv"
   | Dl_task_reply _ -> "Dl_task_reply"
-  | Dl_getstat -> "Dl_getstat"
-  | Dl_stat_reply _ -> "Dl_stat_reply"
   | Rs_up _ -> "Rs_up"
   | Rs_down _ -> "Rs_down"
   | Rs_restart _ -> "Rs_restart"

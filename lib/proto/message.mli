@@ -43,8 +43,6 @@ type t =
   | Dl_readv of { grant : int; len : int }  (** post a receive buffer of size [len] *)
   | Dl_task_reply of { flags : dl_flags; read_len : int }
       (** asynchronous completion: a frame was sent and/or received *)
-  | Dl_getstat
-  | Dl_stat_reply of { frames_rx : int; frames_tx : int; errors : int }
   (* ------- reincarnation server protocol ------- *)
   | Rs_up of Spec.t  (** start a service (the `service up` command) *)
   | Rs_down of { name : string }  (** stop and forget a service *)

@@ -107,6 +107,40 @@ let test_create_write_read () =
       assert (Bytes.length eof = 0);
       ignore (Fslib.close fd))
 
+(* [read_with] hands the caller the bounce buffer in place: a 60 KB
+   chunk from the cache allocates no data buffer (7,682 words on the
+   major heap, which [read] still pays for its copy).  The VFS and MFS
+   requests in between allocate only small values on the minor heap
+   (~1,900 words).  Bytecode boxes everything. *)
+let test_read_with_allocation () =
+  if Sys.backend_type <> Sys.Native then Alcotest.skip ();
+  let t = boot_fs () in
+  let chunk = 61440 in
+  with_app t (fun () ->
+      let fd = expect_ok "open" (Fslib.open_file "/chunk" ~wr:true ~create:true) in
+      ignore (expect_ok "write" (Fslib.write fd (Bytes.init chunk (fun i -> Char.chr (i land 0xFF)))));
+      ignore (Fslib.close fd);
+      let fd = expect_ok "reopen" (Fslib.open_file "/chunk") in
+      let direct_major () =
+        let _, promoted, major = Gc.counters () in
+        major -. promoted
+      in
+      let major = direct_major () and minor = Gc.minor_words () in
+      let sum =
+        expect_ok "read_with"
+          (Fslib.read_with fd ~len:chunk (fun buf off n ->
+               let s = ref n in
+               for i = off to off + n - 1 do
+                 s := !s + Char.code (Bytes.unsafe_get buf i)
+               done;
+               !s))
+      in
+      let major = direct_major () -. major and minor = Gc.minor_words () -. minor in
+      Alcotest.(check int) "all of the chunk, in place" (chunk + (chunk / 256 * (255 * 256 / 2))) sum;
+      Alcotest.(check (float 0.)) "major words" 0. major;
+      if minor >= 7682. then Alcotest.failf "%.0f minor words: a data buffer's worth" minor;
+      ignore (Fslib.close fd))
+
 let test_large_file_spans_indirect_zones () =
   let t = boot_fs () in
   with_app t (fun () ->
@@ -290,6 +324,7 @@ let tests =
     Alcotest.test_case "geometry covers the device" `Quick test_geometry_covers_device;
     Alcotest.test_case "mkfs writes a valid structure" `Quick test_mkfs_structure;
     Alcotest.test_case "create/write/read/EOF" `Quick test_create_write_read;
+    Alcotest.test_case "read_with allocation" `Quick test_read_with_allocation;
     Alcotest.test_case "large file uses indirect zones" `Quick test_large_file_spans_indirect_zones;
     Alcotest.test_case "lseek + sparse holes read zero" `Quick test_lseek_and_sparse_holes;
     Alcotest.test_case "truncate on open" `Quick test_truncate_on_open;

@@ -19,6 +19,7 @@ module Fnv = Resilix_checksum.Fnv
 module Audio_dev = Resilix_hw.Audio_dev
 module Printer_dev = Resilix_hw.Printer_dev
 module Cd_dev = Resilix_hw.Cd_dev
+module Disk = Resilix_hw.Disk
 module Nic = Resilix_hw.Nic
 module Nic8139 = Resilix_hw.Nic8139
 module Nic8390 = Resilix_hw.Nic8390
@@ -165,6 +166,72 @@ let test_blockstore_read_allocation () =
   let words = Gc.minor_words () -. before in
   ignore (Sys.opaque_identity b);
   Alcotest.(check (float 0.)) "minor words" 0. words
+
+(* The splitmix64 content of a never-written sector, written out
+   word by word with checked stores: a reference for the generator's
+   unchecked stores, whatever the sector size. *)
+let reference_sector ~seed ~sector_size lba =
+  let mix z =
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+    Int64.logxor z (Int64.shift_right_logical z 31)
+  in
+  let key = Int64.add (Int64.of_int seed) (Int64.mul 0x9E3779B97F4A7C15L (Int64.of_int (lba + 1))) in
+  let b = Bytes.create sector_size in
+  for w = 0 to (sector_size / 8) - 1 do
+    Bytes.set_int64_le b (w * 8) (mix (Int64.add key (Int64.of_int w)))
+  done;
+  b
+
+(* [read_into] at any [pos] writes exactly the concatenated [sector]s
+   and no byte around them, over ranges that mix written and
+   never-written sectors, for sector sizes from one word up. *)
+let prop_blockstore_read_into =
+  QCheck.Test.make ~name:"blockstore read_into = its sectors, in place" ~count:300
+    QCheck.(
+      pair
+        (quad (oneofl [ 8; 24; 40; 512 ]) (int_bound 30) (int_range 0 6) (int_bound 40))
+        (pair (small_list (int_bound 39)) (int_bound 9)))
+    (fun ((sector_size, lba, count, pos), (writes, slack)) ->
+      let seed = 13 in
+      let s = Blockstore.create ~seed ~sectors:40 ~sector_size in
+      List.iteri
+        (fun i w -> Blockstore.write s ~lba:w (Bytes.make sector_size (Char.chr (65 + (i mod 26)))))
+        writes;
+      let len = count * sector_size in
+      let buf = Bytes.make (pos + len + slack) '#' in
+      Blockstore.read_into s ~lba ~count buf pos;
+      let expected = Bytes.concat Bytes.empty (List.init count (fun i -> Blockstore.sector s (lba + i))) in
+      let untouched off n = Bytes.equal (Bytes.sub buf off n) (Bytes.make n '#') in
+      let generated_ok =
+        List.for_all
+          (fun i ->
+            List.mem (lba + i) writes
+            || Bytes.equal (Blockstore.sector s (lba + i)) (reference_sector ~seed ~sector_size (lba + i)))
+          (List.init count Fun.id)
+      in
+      Bytes.equal expected (Bytes.sub buf pos len)
+      && untouched 0 pos && untouched (pos + len) slack && generated_ok)
+
+(* Every refusal comes from one overflow-safe check, before a byte of
+   the destination is written. *)
+let test_blockstore_read_into_refusals () =
+  let s = Blockstore.create ~seed:7 ~sectors:128 ~sector_size:512 in
+  let buf = Bytes.make 1024 '#' in
+  let refused name f =
+    Alcotest.check_raises name (Invalid_argument "Blockstore.read") f;
+    Alcotest.(check bool) (name ^ ": nothing written") true (Bytes.equal buf (Bytes.make 1024 '#'))
+  in
+  refused "pos max_int" (fun () -> Blockstore.read_into s ~lba:0 ~count:1 buf max_int);
+  refused "count max_int" (fun () -> Blockstore.read_into s ~lba:1 ~count:max_int buf 0);
+  refused "one byte short" (fun () -> Blockstore.read_into s ~lba:0 ~count:2 buf 1);
+  refused "negative pos" (fun () -> Blockstore.read_into s ~lba:0 ~count:1 buf (-1));
+  refused "negative count" (fun () -> Blockstore.read_into s ~lba:0 ~count:(-1) buf 0);
+  refused "past the device" (fun () -> Blockstore.read_into s ~lba:127 ~count:2 buf 0);
+  refused "lba max_int" (fun () -> Blockstore.read_into s ~lba:max_int ~count:1 buf 0);
+  Blockstore.read_into s ~lba:0 ~count:0 buf 1024;
+  Alcotest.(check bool) "an empty read at the end writes nothing" true
+    (Bytes.equal buf (Bytes.make 1024 '#'))
 
 (* --- devices, driven through raw bus I/O --- *)
 
@@ -401,13 +468,13 @@ let all_priv =
     irqs = List.init 32 Fun.id;
   }
 
-let spawn_dma_owner kernel handle =
+let spawn_dma_owner ?(len = 64) ?(mem_kb = 64) kernel handle =
   Kernel.register_program kernel "drv" (fun () ->
-      (match Api.grant_create ~for_:Wellknown.hardware ~base:0x200 ~len:64 ~access:Sysif.Read_write with
+      (match Api.grant_create ~for_:Wellknown.hardware ~base:0x200 ~len ~access:Sysif.Read_write with
       | Ok g -> ( match Api.iommu_map g with Ok h -> handle := Some h | Error _ -> ())
       | Error _ -> ());
       Api.sleep 1_000_000_000);
-  match Kernel.spawn_dynamic kernel ~name:"drv" ~program:"drv" ~args:[] ~priv:all_priv ~mem_kb:64 with
+  match Kernel.spawn_dynamic kernel ~name:"drv" ~program:"drv" ~args:[] ~priv:all_priv ~mem_kb with
   | Ok ep -> ep
   | Error _ -> Alcotest.fail "spawn failed"
 
@@ -441,6 +508,48 @@ let test_rtl8139_rx_enable_pumps () =
         (Bytes.to_string (frame ~dst:nic_mac ~fill:'r' 32))
         (Bytes.to_string (Memory.read mem ~addr:0x200 ~len:32))
 
+(* A disk read is generated straight into the driver's buffer by the
+   DMA fill op.  Staging it in a buffer of its own (128 KB, 16,386
+   words on the major heap) fails this; the completion's closure and
+   DMA op are the few minor words.  The first read allocates the
+   driver's address space, so the second one is measured.  Bytecode
+   boxes everything. *)
+let test_disk_read_allocation () =
+  if Sys.backend_type <> Sys.Native then Alcotest.skip ();
+  let engine, kernel = make_kernel () in
+  let bus = Bus.create () in
+  let store = Blockstore.create ~seed:7 ~sectors:2048 ~sector_size:512 in
+  let _disk = Disk.create ~kernel ~bus ~base:0x1F0 ~irq:13 ~store () in
+  let handle = ref None in
+  let owner = spawn_dma_owner ~len:(256 * 512) ~mem_kb:192 kernel handle in
+  Engine.run engine ~until:10_000;
+  let h = match !handle with Some h -> h | None -> Alcotest.fail "no DMA handle" in
+  let read_256 lba =
+    wr bus 0x1F6 0x1;
+    wr bus 0x1F1 lba;
+    wr bus 0x1F2 256;
+    wr bus 0x1F3 h;
+    wr bus 0x1F4 0x20;
+    Alcotest.(check int) "busy" 1 (rd bus 0x1F5)
+  in
+  read_256 0;
+  Engine.run engine ~until:100_000;
+  read_256 1000;
+  Gc.minor ();
+  let minor, promoted, major = Gc.counters () in
+  Engine.run engine ~until:200_000;
+  let minor', promoted', major' = Gc.counters () in
+  Alcotest.(check int) "done" 0x1 (rd bus 0x1F6);
+  Alcotest.(check (float 0.)) "major words" 0. (major' -. promoted' -. (major -. promoted));
+  let words = minor' -. minor in
+  if words > 16. then Alcotest.failf "%.0f minor words (at most 16)" words;
+  match Kernel.proc_memory kernel owner with
+  | None -> Alcotest.fail "owner died"
+  | Some mem ->
+      Alcotest.(check bool) "sectors 1000-1255 DMAed into the buffer" true
+        (Bytes.equal (Blockstore.read store ~lba:1000 ~count:256)
+           (Memory.read mem ~addr:0x200 ~len:(256 * 512)))
+
 let tests =
   [
     Alcotest.test_case "bus routing" `Quick test_bus_routing;
@@ -455,7 +564,9 @@ let tests =
     Alcotest.test_case "blockstore read = its sectors" `Quick test_blockstore_read_is_sectors;
     Alcotest.test_case "blockstore refuses bad ranges" `Quick test_blockstore_bad_ranges;
     Alcotest.test_case "blockstore read allocation" `Quick test_blockstore_read_allocation;
+    Alcotest.test_case "blockstore read_into refusals" `Quick test_blockstore_read_into_refusals;
     QCheck_alcotest.to_alcotest prop_blockstore_reads_stable;
+    QCheck_alcotest.to_alcotest prop_blockstore_read_into;
     Alcotest.test_case "audio underruns counted" `Quick test_audio_underruns;
     Alcotest.test_case "printer prints in order" `Quick test_printer_prints_in_order;
     Alcotest.test_case "cd burn gap ruins disc" `Quick test_cd_gap_ruins_disc;
@@ -468,4 +579,5 @@ let tests =
     Alcotest.test_case "dp8390 err without wedge" `Quick test_dp8390_err_without_wedge;
     Alcotest.test_case "nic wedge draw per fault" `Quick test_nic_wedge_draw_per_fault;
     Alcotest.test_case "rtl8139 rx enable delivers queued frame" `Quick test_rtl8139_rx_enable_pumps;
+    Alcotest.test_case "disk read allocation" `Quick test_disk_read_allocation;
   ]

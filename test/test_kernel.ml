@@ -424,6 +424,8 @@ type mem_op =
   | M_set_u8 of int * int * int
   | M_get_u32 of int * int
   | M_set_u32 of int * int * int
+  | M_fill of int * int * int * char
+  | M_view of int * int * int
 
 let mem_sizes = [| 0; 24; 48 |]
 
@@ -438,6 +440,8 @@ let show_mem_op = function
   | M_set_u8 (s, a, v) -> Printf.sprintf "set_u8 %d @%d %d" s a v
   | M_get_u32 (s, a) -> Printf.sprintf "get_u32 %d @%d" s a
   | M_set_u32 (s, a, v) -> Printf.sprintf "set_u32 %d @%d %d" s a v
+  | M_fill (s, a, l, c) -> Printf.sprintf "fill %d @%d len %d %C" s a l c
+  | M_view (s, a, l) -> Printf.sprintf "view %d @%d len %d" s a l
 
 let gen_mem_op =
   QCheck.Gen.(
@@ -461,6 +465,10 @@ let gen_mem_op =
         (1, map3 (fun s a v -> M_set_u8 (s, a, v)) space addr int);
         (1, map2 (fun s a -> M_get_u32 (s, a)) space addr);
         (1, map3 (fun s a v -> M_set_u32 (s, a, v)) space addr int);
+        ( 1,
+          let* s = space and* a = addr and* l = len and* c = oneofl [ '\000'; 'f' ] in
+          return (M_fill (s, a, l, c)) );
+        (1, map3 (fun s a l -> M_view (s, a, l)) space addr len);
       ])
 
 (* One operation on the eager reference: [None] is a fault. *)
@@ -493,6 +501,8 @@ let model_mem_op (spaces : Bytes.t array) op =
   | M_get_u32 (s, a) ->
       guard s a 4 (fun b -> string_of_int (Int32.to_int (Bytes.get_int32_le b a) land 0xFFFFFFFF))
   | M_set_u32 (s, a, v) -> guard s a 4 (fun b -> Bytes.set_int32_le b a (Int32.of_int v); "")
+  | M_fill (s, a, l, c) -> guard s a l (fun b -> Bytes.fill b a l c; "")
+  | M_view (s, a, l) -> guard s a l (fun b -> Bytes.sub_string b a l)
 
 let real_mem_op (spaces : Memory.t array) op =
   try
@@ -517,7 +527,9 @@ let real_mem_op (spaces : Memory.t array) op =
       | M_get_u8 (s, a) -> string_of_int (Memory.get_u8 spaces.(s) a)
       | M_set_u8 (s, a, v) -> Memory.set_u8 spaces.(s) a v; ""
       | M_get_u32 (s, a) -> string_of_int (Memory.get_u32 spaces.(s) a)
-      | M_set_u32 (s, a, v) -> Memory.set_u32 spaces.(s) a v; "")
+      | M_set_u32 (s, a, v) -> Memory.set_u32 spaces.(s) a v; ""
+      | M_fill (s, a, l, c) -> Memory.fill spaces.(s) ~addr:a ~len:l (fun b pos len -> Bytes.fill b pos len c); ""
+      | M_view (s, a, l) -> Memory.view spaces.(s) ~addr:a ~len:l (fun b pos -> Bytes.sub_string b pos l))
   with Memory.Fault _ -> None
 
 let prop_memory_matches_eager_model =
@@ -532,6 +544,89 @@ let prop_memory_matches_eager_model =
       && Array.for_all2
            (fun m r -> Bytes.equal m (Memory.read r ~addr:0 ~len:(Memory.size r)))
            model real)
+
+(* [fill] and [view] check their range before the callback runs, with
+   the MMU's [Fault] and never [Invalid_argument], whether or not the
+   space has bytes yet. *)
+let test_memory_fill_view_fault () =
+  let written = Memory.create ~size:64 in
+  Memory.write written ~addr:0 (Bytes.make 64 'w');
+  let ran = ref false in
+  let fill _ _ _ = ran := true and view _ _ = ran := true in
+  List.iter
+    (fun (mem, state) ->
+      List.iter
+        (fun (addr, len) ->
+          let name what = Printf.sprintf "%s %s @%d len %d" state what addr len in
+          let faults what g =
+            match g () with
+            | () -> Alcotest.fail (name what ^ ": no fault")
+            | exception Memory.Fault _ -> Alcotest.(check bool) (name what ^ ": callback ran") false !ran
+          in
+          faults "fill" (fun () -> Memory.fill mem ~addr ~len fill);
+          faults "view" (fun () -> Memory.view mem ~addr ~len view))
+        [ (0, max_int); (1, max_int); (max_int, 1); (max_int, max_int); (-1, 1); (0, -1); (0, 65) ])
+    [ (Memory.create ~size:64, "never written"); (written, "written") ]
+
+(* Both DMA directions are refused by the same checks (a stale handle
+   or a dead owner, an out-of-grant range, overflowing offsets and
+   lengths), and a fill's producer runs only once every check has
+   passed, with the checked length. *)
+let test_dma_refusals () =
+  let engine, kernel = make_kernel () in
+  let mapped = ref None and revoked = ref None in
+  let map ~base ~len =
+    match Api.grant_create ~for_:Wellknown.hardware ~base ~len ~access:Sysif.Read_write with
+    | Ok g -> ( match Api.iommu_map g with Ok h -> Some (g, h) | Error _ -> None)
+    | Error _ -> None
+  in
+  let owner =
+    spawn kernel "drv" (fun () ->
+        mapped := Option.map snd (map ~base:0x200 ~len:64);
+        (match map ~base:0x300 ~len:16 with
+        | Some (g, h) ->
+            ignore (Api.grant_revoke g);
+            revoked := Some h
+        | None -> ());
+        Api.sleep 1_000_000_000)
+  in
+  Engine.run engine ~until:10_000;
+  let get = function Some h -> h | None -> Alcotest.fail "no DMA handle" in
+  let h = get !mapped and stale_grant = get !revoked in
+  let ran = ref 0 in
+  let fill len =
+    `Fill
+      ( len,
+        fun b pos n ->
+          incr ran;
+          Bytes.fill b pos n 'f' )
+  in
+  let result = Alcotest.(result unit errno) in
+  let refused name ~handle ~off ~len expected =
+    let got op = Result.map ignore (Kernel.dma kernel ~handle ~off ~op) in
+    Alcotest.check result (name ^ ": read") (Error expected) (got (`Read len));
+    Alcotest.check result (name ^ ": fill") (Error expected) (got (fill len));
+    Alcotest.(check int) (name ^ ": producer never ran") 0 !ran
+  in
+  refused "unknown handle" ~handle:(h + 1000) ~off:0 ~len:8 Errno.E_no_perm;
+  refused "revoked grant" ~handle:stale_grant ~off:0 ~len:8 Errno.E_no_perm;
+  refused "past the grant" ~handle:h ~off:8 ~len:64 Errno.E_range;
+  refused "offset max_int" ~handle:h ~off:max_int ~len:1 Errno.E_range;
+  refused "negative offset" ~handle:h ~off:(-1) ~len:8 Errno.E_range;
+  refused "length max_int" ~handle:h ~off:0 ~len:max_int Errno.E_range;
+  refused "negative length" ~handle:h ~off:0 ~len:(-1) Errno.E_range;
+  Alcotest.check result "in range" (Ok ())
+    (Result.map ignore (Kernel.dma kernel ~handle:h ~off:8 ~op:(fill 56)));
+  Alcotest.(check int) "producer ran once" 1 !ran;
+  ran := 0;
+  (match Kernel.proc_memory kernel owner with
+  | None -> Alcotest.fail "owner died"
+  | Some mem ->
+      Alcotest.(check string) "filled in place, neighbours kept"
+        (String.make 9 '\000' ^ String.make 56 'f' ^ "\000")
+        (Bytes.to_string (Memory.read mem ~addr:0x1FF ~len:66)));
+  ignore (Kernel.kill kernel owner (Status.Killed Signal.Sig_kill));
+  refused "dead owner" ~handle:h ~off:0 ~len:8 Errno.E_no_perm
 
 let test_ipc_privilege_enforced () =
   let engine, kernel = make_kernel () in
@@ -1241,6 +1336,8 @@ let tests =
     Alcotest.test_case "IRQ routing" `Quick test_irq_routing;
     Alcotest.test_case "DMA through IOMMU" `Quick test_dma_through_iommu;
     Alcotest.test_case "DMA stale after driver death" `Quick test_dma_stale_after_death;
+    Alcotest.test_case "DMA refusals, fill producer not run" `Quick test_dma_refusals;
+    Alcotest.test_case "memory fill and view fault" `Quick test_memory_fill_view_fault;
     Alcotest.test_case "sendrec to self rejected" `Quick test_sendrec_to_self_rejected;
     Alcotest.test_case "receive from dead source" `Quick test_receive_from_dead_source_fails;
     Alcotest.test_case "receive aborted when source dies" `Quick test_receive_aborted_when_source_dies;
