@@ -1,6 +1,5 @@
 (*@recovery-begin*)
 module Api = Resilix_kernel.Sysif.Api
-module Sysif = Resilix_kernel.Sysif
 module Message = Resilix_proto.Message
 module Status = Resilix_proto.Status
 module Wellknown = Resilix_proto.Wellknown
@@ -64,9 +63,13 @@ let action_name = function
   | Reboot_after _ -> "reboot-after"
 
 let request_restart ctx =
-  match Api.sendrec Wellknown.rs (Message.Rs_service_restart { name = ctx.component }) with
-  | Ok (Sysif.Rx_msg { body = Message.Rs_reply { result = Ok () }; _ }) -> true
-  | Ok _ | Error _ ->
+  match
+    Api.call Wellknown.rs (Message.Rs_service_restart { name = ctx.component }) (function
+      | Message.Rs_reply { result } -> Some result
+      | _ -> None)
+  with
+  | Ok () -> true
+  | Error _ ->
       Api.emit ~level:Event.Warn "policy"
         (Event.Policy_decision
            { component = ctx.component; policy = "script"; decision = "restart request failed" });
@@ -78,12 +81,9 @@ let publish_alert ctx addr status =
       (Status.defect_number ctx.reason) ctx.repetition status
   in
   ignore
-    (Api.sendrec Wellknown.ds
-       (Message.Ds_publish
-          {
-            key = Printf.sprintf "alert.%s.%d" ctx.component ctx.repetition;
-            value = Message.V_str (Printf.sprintf "to:%s %s" addr text);
-          }))
+    (Api.ds_publish
+       (Printf.sprintf "alert.%s.%d" ctx.component ctx.repetition)
+       (Message.V_str (Printf.sprintf "to:%s %s" addr text)))
 
 let run ctx t =
   (* [restart_status] mirrors the $status variable of Fig. 2. *)
@@ -134,14 +134,12 @@ let run ctx t =
                      decision =
                        Printf.sprintf "failed %d times; giving up" ctx.repetition;
                    });
-              ignore (Api.sendrec Wellknown.rs (Message.Rs_down { name = ctx.component }));
+              ignore (Service.down ctx.component);
               publish_alert ctx "root" "gave-up"
             end
             else go rest
         | Restart_dependents names ->
-            List.iter
-              (fun name -> ignore (Api.sendrec Wellknown.rs (Message.Rs_restart { name })))
-              names;
+            List.iter (fun name -> ignore (Service.restart name)) names;
             go rest
         | Reboot_after { max_failures } ->
             if ctx.repetition > max_failures then begin

@@ -207,27 +207,22 @@ let log fmt = Api.trace "rs" fmt
 (* ------------------------------------------------------------------ *)
 
 let pm_spawn ~name ~program ~args ~priv ~mem_kb =
-  match Api.sendrec Wellknown.pm (Message.Pm_spawn { name; program; args; priv; mem_kb }) with
-  | Ok (Sysif.Rx_msg { body = Message.Pm_spawn_reply { result }; _ }) -> result
-  | Ok _ -> Error Errno.E_io
-  | Error e -> Error e
+  Api.call Wellknown.pm (Message.Pm_spawn { name; program; args; priv; mem_kb }) (function
+    | Message.Pm_spawn_reply { result } -> Some result
+    | _ -> None)
 
 let pm_kill ~pid ~signal =
-  match Api.sendrec Wellknown.pm (Message.Pm_kill { pid; signal }) with
-  | Ok (Sysif.Rx_msg { body = Message.Pm_reply { result }; _ }) -> result
-  | Ok _ -> Error Errno.E_io
-  | Error e -> Error e
+  Api.call Wellknown.pm (Message.Pm_kill { pid; signal }) (function
+    | Message.Pm_reply { result } -> Some result
+    | _ -> None)
 
 let pm_wait_any () =
-  match Api.sendrec Wellknown.pm (Message.Pm_waitpid { pid = -1 }) with
-  | Ok (Sysif.Rx_msg { body = Message.Pm_wait_reply { result }; _ }) -> result
-  | Ok _ -> Error Errno.E_io
-  | Error e -> Error e
+  Api.call Wellknown.pm (Message.Pm_waitpid { pid = -1 }) (function
+    | Message.Pm_wait_reply { result } -> Some result
+    | _ -> None)
 
-let ds_publish key value =
-  ignore (Api.sendrec Wellknown.ds (Message.Ds_publish { key; value }))
-
-let ds_delete key = ignore (Api.sendrec Wellknown.ds (Message.Ds_delete { key }))
+let ds_publish key value = ignore (Api.ds_publish key value)
+let ds_delete key = ignore (Api.ds_delete key)
 
 (* ------------------------------------------------------------------ *)
 (* Starting and restarting services                                    *)

@@ -25,11 +25,11 @@ let default_bound = 1_000_000
 (* Run specs: precomputed inputs for one exploration run               *)
 (* ------------------------------------------------------------------ *)
 
-(* Both blind and guided exploration execute the same thing: a batch
-   of fully-determined (seed, plan, policy) triples on the campaign
-   pool.  Precomputing them as specs keeps the two modes on one code
-   path and lets the crash path report the exact plan that ran (a
-   mutant's plan is not recoverable from its seed). *)
+(* Exploration executes batches of fully-determined (seed, plan,
+   policy) triples on the campaign pool.  Precomputing them as specs
+   lets fresh samples and mutants share one code path and lets the
+   crash path report the exact plan that ran (a mutant's plan is not
+   recoverable from its seed). *)
 type run_spec = {
   rs_index : int;
   rs_seed : int;
@@ -71,45 +71,10 @@ let crash_violation exn =
   { Invariant.v_invariant = "scenario-crash"; v_detail = Printexc.to_string exn }
 
 (* Judge one run: its violations, recorded decision trace, and shape. *)
-let judge ~bound spec = function
+let judge ~bound = function
   | Ok (report : Scenario.report) ->
       (Invariant.check ~bound report, report.Scenario.r_decisions, report.Scenario.r_shape)
-  | Error exn ->
-      ignore spec;
-      ([ crash_violation exn ], [||], crash_shape exn)
-
-(* ------------------------------------------------------------------ *)
-(* Blind exploration                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let run ?jobs ?on_progress ?faults ?(bound = default_bound) (scenario : Scenario.t) ~seed
-    ~runs () =
-  if runs <= 0 then invalid_arg "Explore.run: runs must be positive";
-  let faults = Option.value faults ~default:scenario.Scenario.default_faults in
-  let specs = List.init runs (fresh_spec scenario ~seed ~faults) in
-  let collected = execute ?jobs ?on_progress scenario specs in
-  let failures = ref [] in
-  List.iter2
-    (fun spec outcome ->
-      match judge ~bound spec outcome with
-      | [], _, _ -> ()
-      | violations, decisions, _ ->
-          failures :=
-            {
-              o_index = spec.rs_index;
-              o_seed = spec.rs_seed;
-              o_plan = spec.rs_plan;
-              o_decisions = decisions;
-              o_violations = violations;
-            }
-            :: !failures)
-    specs collected;
-  {
-    scenario = scenario.Scenario.name;
-    runs;
-    bound;
-    failures = List.rev !failures;
-  }
+  | Error exn -> ([ crash_violation exn ], [||], crash_shape exn)
 
 let to_repro result outcome =
   {
@@ -134,6 +99,7 @@ type guided = {
   g_mutants : int;
   g_signatures : string list;
   g_failing : (string * outcome) list;
+  g_failures : outcome list;
   g_corpus : Corpus.t;
   g_new_entries : int;
 }
@@ -179,6 +145,7 @@ let run_guided ?jobs ?on_progress ?faults ?(bound = default_bound)
   let corpus = match corpus with Some c -> c | None -> Corpus.create () in
   let seen = Hashtbl.create 64 in
   let failing = ref [] (* (key, outcome), reverse run order *) in
+  let failures = ref [] (* every violating run, reverse run order *) in
   let fresh = ref 0 and mutants = ref 0 and new_entries = ref 0 in
   let executed = ref 0 and batch_index = ref 0 in
   while !executed < runs do
@@ -206,7 +173,7 @@ let run_guided ?jobs ?on_progress ?faults ?(bound = default_bound)
        dedup are single-threaded and deterministic. *)
     List.iter2
       (fun spec outcome ->
-        let violations, decisions, shape = judge ~bound spec outcome in
+        let violations, decisions, shape = judge ~bound outcome in
         let key = Corpus.key (Corpus.signature_of ~violations ~shape) in
         if not (Hashtbl.mem seen key) then Hashtbl.add seen key ();
         let repro =
@@ -220,17 +187,19 @@ let run_guided ?jobs ?on_progress ?faults ?(bound = default_bound)
           }
         in
         if Corpus.add corpus ~key repro then incr new_entries;
-        if violations <> [] && not (List.mem_assoc key !failing) then
-          failing :=
-            ( key,
-              {
-                o_index = spec.rs_index;
-                o_seed = spec.rs_seed;
-                o_plan = spec.rs_plan;
-                o_decisions = decisions;
-                o_violations = violations;
-              } )
-            :: !failing)
+        if violations <> [] then begin
+          let o =
+            {
+              o_index = spec.rs_index;
+              o_seed = spec.rs_seed;
+              o_plan = spec.rs_plan;
+              o_decisions = decisions;
+              o_violations = violations;
+            }
+          in
+          failures := o :: !failures;
+          if not (List.mem_assoc key !failing) then failing := (key, o) :: !failing
+        end)
       specs collected;
     executed := !executed + count;
     incr batch_index
@@ -244,9 +213,20 @@ let run_guided ?jobs ?on_progress ?faults ?(bound = default_bound)
     g_mutants = !mutants;
     g_signatures = List.sort String.compare (Hashtbl.fold (fun k () acc -> k :: acc) seen []);
     g_failing = List.rev !failing;
+    g_failures = List.rev !failures;
     g_corpus = corpus;
     g_new_entries = !new_entries;
   }
+
+(* Blind exploration is fresh-only guided exploration in one batch:
+   the same specs, every failing run reported. *)
+let run ?jobs ?on_progress ?faults ?bound scenario ~seed ~runs () =
+  if runs <= 0 then invalid_arg "Explore.run: runs must be positive";
+  let g =
+    run_guided ?jobs ?on_progress ?faults ?bound ~batch:runs ~fresh_only:true scenario ~seed
+      ~runs ()
+  in
+  { scenario = g.g_scenario; runs; bound = g.g_bound; failures = g.g_failures }
 
 let guided_to_repro g outcome =
   {

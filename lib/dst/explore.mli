@@ -4,7 +4,9 @@
     {b Blind mode} ({!run}): run [i] of an exploration with master
     seed [s] uses child seed [Rng.derive ~seed:s ~index:i] for
     {e everything} — the machine's RNG, the fault-plan generator, and
-    the engine's [Seeded] tie-break policy.
+    the engine's [Seeded] tie-break policy.  It is guided mode with
+    [~fresh_only:true] in a single batch, reporting every failing
+    run instead of one per signature.
 
     {b Guided mode} ({!run_guided}): batches alternate between fresh
     sampling (exactly blind mode's specs, same child seeds) and
@@ -71,6 +73,7 @@ type guided = {
   g_failing : (string * outcome) list;
       (** one finding per failing signature key — the first run to hit
           it — in run order *)
+  g_failures : outcome list;  (** every violating run, in run order *)
   g_corpus : Corpus.t;
       (** the corpus after the exploration (the caller's [?corpus],
           grown, or a fresh one) *)

@@ -67,8 +67,7 @@ let rec device_io t ~write ~pos ~addr ~len =
       let outcome = Api.sendrec t.driver msg in
       ignore (Api.grant_revoke grant);
       match outcome with
-      | Ok (Sysif.Rx_msg { body = Message.Dev_reply { result = Ok n }; _ }) -> Ok n
-      | Ok (Sysif.Rx_msg { body = Message.Dev_reply { result = Error e }; _ }) -> Error e
+      | Ok (Sysif.Rx_msg { body = Message.Dev_reply { result }; _ }) -> result
       | Ok _ -> Error Errno.E_io
       (*@recovery-begin*)
       | Error (Errno.E_dead_src_dst | Errno.E_bad_endpoint) ->

@@ -4,7 +4,6 @@ module Memory = Resilix_kernel.Memory
 module Endpoint = Resilix_proto.Endpoint
 module Errno = Resilix_proto.Errno
 module Message = Resilix_proto.Message
-module Wellknown = Resilix_proto.Wellknown
 module Metrics = Resilix_obs.Metrics
 
 let cache_base = 0x40000
@@ -40,28 +39,15 @@ let bs = Layout.block_size
 (* Data-store interaction                                              *)
 (* ------------------------------------------------------------------ *)
 
-let ds_retrieve_driver t =
-  match Api.sendrec Wellknown.ds (Message.Ds_retrieve { key = t.driver_key }) with
-  | Ok (Sysif.Rx_msg { body = Message.Ds_retrieve_reply { result = Ok (Message.V_endpoint ep) }; _ })
-    ->
-      Some ep
-  | _ -> None
-
 (*@recovery-begin*)
 (* Drain pending data-store updates; remember the latest endpoint
    published for our driver. *)
 let ds_drain_updates t =
   let latest = ref None in
-  let rec loop () =
-    match Api.sendrec Wellknown.ds Message.Ds_check with
-    | Ok (Sysif.Rx_msg { body = Message.Ds_check_reply { result = Ok (Some (key, value)) }; _ }) ->
-        (match value with
-        | Message.V_endpoint ep when String.equal key t.driver_key -> latest := Some ep
-        | _ -> ());
-        loop ()
-    | _ -> ()
-  in
-  loop ();
+  Api.ds_check (fun key value ->
+      match value with
+      | Message.V_endpoint ep when String.equal key t.driver_key -> latest := Some ep
+      | _ -> ());
   !latest
 
 (* Block until the reincarnation server publishes a fresh endpoint for
@@ -461,10 +447,10 @@ let handle_truncate fs ~ino =
 
 let body t () =
   (* Subscribe to block-driver updates before anything can fail. *)
-  ignore (Api.sendrec Wellknown.ds (Message.Ds_subscribe { pattern = "blk.*" }));
+  ignore (Api.ds_subscribe "blk.*");
   (* Wait for the driver to appear. *)
   let rec find_driver () =
-    match ds_retrieve_driver t with
+    match Api.ds_retrieve_endpoint t.driver_key with
     | Some ep -> ep
     | None ->
         Api.sleep 10_000;

@@ -11,7 +11,7 @@ let staging_size = 65536
 let memory_kb = 1024
 
 type file_kind =
-  | F_file of { ino : int; mutable size : int }
+  | F_file of { ino : int }
   | F_chr of { key : string; minor : int }
 
 type open_file = { kind : file_kind; mutable pos : int }
@@ -62,20 +62,13 @@ let driver_degraded t key =
   end
   else false
 
-let drain_ds_updates t =
+let ds_update t key value =
   let plen = String.length degraded_prefix in
-  let rec drain () =
-    match Api.sendrec Wellknown.ds Message.Ds_check with
-    | Ok (Sysif.Rx_msg { body = Message.Ds_check_reply { result = Ok (Some (key, value)) }; _ }) ->
-        (if String.length key > plen && String.sub key 0 plen = degraded_prefix then
-           let component = String.sub key plen (String.length key - plen) in
-           match value with
-           | Message.V_int v when v <> 0 -> Hashtbl.replace t.degraded_drivers component ()
-           | _ -> Hashtbl.remove t.degraded_drivers component);
-        drain ()
-    | _ -> ()
-  in
-  drain ()
+  if String.length key > plen && String.sub key 0 plen = degraded_prefix then
+    let component = String.sub key plen (String.length key - plen) in
+    match value with
+    | Message.V_int v when v <> 0 -> Hashtbl.replace t.degraded_drivers component ()
+    | _ -> Hashtbl.remove t.degraded_drivers component
 
 let fd_key (owner : Endpoint.t) fd = (owner.Endpoint.slot, owner.Endpoint.gen, fd)
 
@@ -85,12 +78,9 @@ let fd_key (owner : Endpoint.t) fd = (owner.Endpoint.slot, owner.Endpoint.gen, f
 
 let resolve_driver t key ~fresh =
   let from_ds () =
-    match Api.sendrec Wellknown.ds (Message.Ds_retrieve { key }) with
-    | Ok (Sysif.Rx_msg { body = Message.Ds_retrieve_reply { result = Ok (Message.V_endpoint ep) }; _ })
-      ->
-        Hashtbl.replace t.drivers key ep;
-        Some ep
-    | _ -> None
+    let ep = Api.ds_retrieve_endpoint key in
+    Option.iter (Hashtbl.replace t.drivers key) ep;
+    ep
   in
   if fresh then from_ds ()
   else match Hashtbl.find_opt t.drivers key with Some ep -> Some ep | None -> from_ds ()
@@ -127,23 +117,20 @@ let chardev_request t key msg =
 (* MFS interaction                                                     *)
 (* ------------------------------------------------------------------ *)
 
+let mfs msg reply = Api.call Wellknown.mfs msg reply
+
 let mfs_lookup path ~create =
-  match Api.sendrec Wellknown.mfs (Message.Fs_lookup { path; create }) with
-  | Ok (Sysif.Rx_msg { body = Message.Fs_lookup_reply { result }; _ }) -> result
-  | Ok _ -> Error Errno.E_io
-  | Error e -> Error e
+  mfs (Message.Fs_lookup { path; create }) (function
+    | Message.Fs_lookup_reply { result } -> Some result
+    | _ -> None)
 
 let mfs_truncate ino =
-  match Api.sendrec Wellknown.mfs (Message.Fs_truncate { ino }) with
-  | Ok (Sysif.Rx_msg { body = Message.Fs_reply { result }; _ }) -> result
-  | Ok _ -> Error Errno.E_io
-  | Error e -> Error e
+  mfs (Message.Fs_truncate { ino }) (function Message.Fs_reply { result } -> Some result | _ -> None)
 
 let mfs_readwrite ~ino ~write ~pos ~grant ~len =
-  match Api.sendrec Wellknown.mfs (Message.Fs_readwrite { ino; write; pos; grant; len }) with
-  | Ok (Sysif.Rx_msg { body = Message.Fs_io_reply { result }; _ }) -> result
-  | Ok _ -> Error Errno.E_io
-  | Error e -> Error e
+  mfs (Message.Fs_readwrite { ino; write; pos; grant; len }) (function
+    | Message.Fs_io_reply { result } -> Some result
+    | _ -> None)
 
 (* ------------------------------------------------------------------ *)
 (* Request handlers                                                    *)
@@ -164,18 +151,42 @@ let handle_open t ~src ~path ~(flags : Message.open_flags) =
       match mfs_lookup path ~create:flags.Message.create with
       | Error e -> Error e
       | Ok (ino, size) ->
-          let size =
-            if flags.Message.trunc && size > 0 then begin
-              ignore (mfs_truncate ino);
-              0
-            end
-            else size
-          in
+          if flags.Message.trunc && size > 0 then ignore (mfs_truncate ino);
           let fd = t.next_fd in
           t.next_fd <- t.next_fd + 1;
-          Hashtbl.replace t.fds (fd_key src fd) { kind = F_file { ino; size }; pos = 0 };
+          Hashtbl.replace t.fds (fd_key src fd) { kind = F_file { ino }; pos = 0 };
           Ok fd
     end
+
+(* Move one staging buffer of [len] bytes to ([write]) or from the
+   open file's backing object: MFS for a regular file, the driver for
+   a character device.  A dead driver refreshes the cached endpoint
+   for the next operation and fails this one upward (Sec. 6.3). *)
+let transfer t file ~write ~len =
+  let access = if write then Sysif.Read_only else Sysif.Write_only in
+  match file.kind with
+  | F_file { ino } ->
+      Api.with_grant ~for_:Wellknown.mfs ~base:staging ~len ~access (fun grant ->
+          mfs_readwrite ~ino ~write ~pos:file.pos ~grant ~len)
+  | F_chr { key; minor } -> (
+      if driver_degraded t key then Error Errno.E_degraded
+      else
+        match resolve_driver t key ~fresh:false with
+        | None -> Error Errno.E_nodev
+        | Some ep ->
+            Api.with_grant ~for_:ep ~base:staging ~len ~access (fun grant ->
+                let pos = file.pos in
+                let msg =
+                  if write then Message.Dev_write { minor; pos; grant; len }
+                  else Message.Dev_read { minor; pos; grant; len }
+                in
+                match Api.sendrec ep msg with
+                | Ok (Sysif.Rx_msg { body = Message.Dev_reply { result }; _ }) -> result
+                | Ok _ -> Error Errno.E_io
+                | Error (Errno.E_dead_src_dst | Errno.E_bad_endpoint) ->
+                    ignore (resolve_driver t key ~fresh:true);
+                    Error Errno.E_io
+                | Error e -> Error e))
 
 (* Move [len] bytes between the app's grant and the backing object in
    staging-buffer-sized pieces. *)
@@ -188,112 +199,24 @@ let handle_io t ~src ~fd ~grant ~len ~write =
       let continue = ref true in
       while !continue && !progress < len do
         let chunk = min staging_size (len - !progress) in
-        (* Stage the app data (writes) or make room (reads). *)
+        (* Stage the app data (writes), move the chunk, then hand
+           what was read back to the app. *)
         let step =
-          if write then begin
-            match
+          let ( let* ) = Result.bind in
+          let* () =
+            if write then
               Api.safecopy_from ~owner:src ~grant ~grant_off:!progress ~local_addr:staging
                 ~len:chunk
-            with
-            | Error e -> Error e
-            | Ok () -> begin
-                match file.kind with
-                | F_file f -> begin
-                    match Api.grant_create ~for_:Wellknown.mfs ~base:staging ~len:chunk ~access:Sysif.Read_only with
-                    | Error e -> Error e
-                    | Ok g ->
-                        let r = mfs_readwrite ~ino:f.ino ~write:true ~pos:file.pos ~grant:g ~len:chunk in
-                        ignore (Api.grant_revoke g);
-                        (match r with
-                        | Ok n ->
-                            file.pos <- file.pos + n;
-                            if file.pos > f.size then f.size <- file.pos;
-                            Ok n
-                        | Error e -> Error e)
-                  end
-                | F_chr { key; minor } -> begin
-                    if driver_degraded t key then Error Errno.E_degraded
-                    else
-                    match resolve_driver t key ~fresh:false with
-                    | None -> Error Errno.E_nodev
-                    | Some ep -> begin
-                        match Api.grant_create ~for_:ep ~base:staging ~len:chunk ~access:Sysif.Read_only with
-                        | Error e -> Error e
-                        | Ok g ->
-                            let r =
-                              match
-                                Api.sendrec ep
-                                  (Message.Dev_write { minor; pos = file.pos; grant = g; len = chunk })
-                              with
-                              | Ok (Sysif.Rx_msg { body = Message.Dev_reply { result }; _ }) -> result
-                              | Ok _ -> Error Errno.E_io
-                              | Error (Errno.E_dead_src_dst | Errno.E_bad_endpoint) ->
-                                  ignore (resolve_driver t key ~fresh:true);
-                                  Error Errno.E_io
-                              | Error e -> Error e
-                            in
-                            ignore (Api.grant_revoke g);
-                            (match r with
-                            | Ok n ->
-                                file.pos <- file.pos + n;
-                                Ok n
-                            | Error e -> Error e)
-                      end
-                  end
-              end
-          end
-          else begin
-            (* read *)
-            let fetched =
-              match file.kind with
-              | F_file f -> begin
-                  match Api.grant_create ~for_:Wellknown.mfs ~base:staging ~len:chunk ~access:Sysif.Write_only with
-                  | Error e -> Error e
-                  | Ok g ->
-                      let r = mfs_readwrite ~ino:f.ino ~write:false ~pos:file.pos ~grant:g ~len:chunk in
-                      ignore (Api.grant_revoke g);
-                      r
-                end
-              | F_chr { key; minor } -> begin
-                  if driver_degraded t key then Error Errno.E_degraded
-                  else
-                  match resolve_driver t key ~fresh:false with
-                  | None -> Error Errno.E_nodev
-                  | Some ep -> begin
-                      match Api.grant_create ~for_:ep ~base:staging ~len:chunk ~access:Sysif.Write_only with
-                      | Error e -> Error e
-                      | Ok g ->
-                          let r =
-                            match
-                              Api.sendrec ep
-                                (Message.Dev_read { minor; pos = file.pos; grant = g; len = chunk })
-                            with
-                            | Ok (Sysif.Rx_msg { body = Message.Dev_reply { result }; _ }) -> result
-                            | Ok _ -> Error Errno.E_io
-                            | Error (Errno.E_dead_src_dst | Errno.E_bad_endpoint) ->
-                                ignore (resolve_driver t key ~fresh:true);
-                                Error Errno.E_io
-                            | Error e -> Error e
-                          in
-                          ignore (Api.grant_revoke g);
-                          r
-                    end
-                end
-            in
-            match fetched with
-            | Error e -> Error e
-            | Ok n -> (
-                if n = 0 then Ok 0
-                else
-                  match
-                    Api.safecopy_to ~owner:src ~grant ~grant_off:!progress ~local_addr:staging
-                      ~len:n
-                  with
-                  | Error e -> Error e
-                  | Ok () ->
-                      file.pos <- file.pos + n;
-                      Ok n)
-          end
+            else Ok ()
+          in
+          let* n = transfer t file ~write ~len:chunk in
+          let* () =
+            if write || n = 0 then Ok ()
+            else
+              Api.safecopy_to ~owner:src ~grant ~grant_off:!progress ~local_addr:staging ~len:n
+          in
+          file.pos <- file.pos + n;
+          Ok n
         in
         match step with
         | Ok 0 -> continue := false (* EOF / device has nothing *)
@@ -318,11 +241,11 @@ let handle_ioctl t ~src ~fd ~op ~arg =
 
 let body t () =
   (* Watch for breaker-driven degradation markers (policy v2). *)
-  ignore (Api.sendrec Wellknown.ds (Message.Ds_subscribe { pattern = "degraded.*" }));
+  ignore (Api.ds_subscribe "degraded.*");
   let rec loop () =
     (match Api.receive Sysif.Any with
     | Error _ -> ()
-    | Ok (Sysif.Rx_notify { kind = Message.N_ds_update; _ }) -> drain_ds_updates t
+    | Ok (Sysif.Rx_notify { kind = Message.N_ds_update; _ }) -> Api.ds_check (ds_update t)
     | Ok (Sysif.Rx_notify _) -> ()
     | Ok (Sysif.Rx_msg { src; body }) -> begin
         match body with
@@ -351,9 +274,7 @@ let body t () =
                  (Message.Vfs_reply
                     { result = (if existed then Ok () else Error Errno.E_bad_fd) }))
         | Message.Vfs_ioctl { fd; op; arg } ->
-            let result =
-              match handle_ioctl t ~src ~fd ~op ~arg with Ok n -> Ok n | Error e -> Error e
-            in
+            let result = handle_ioctl t ~src ~fd ~op ~arg in
             ignore (Api.send src (Message.Vfs_io_reply { result }))
         | _ -> ignore (Api.send src (Message.Vfs_reply { result = Error Errno.E_inval }))
       end);

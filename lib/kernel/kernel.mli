@@ -67,36 +67,6 @@ val trace : t -> Resilix_sim.Trace.t
 val metrics : t -> Resilix_obs.Metrics.t
 (** The metric registry (kernel counters live under ["kernel.*"]). *)
 
-(** Immutable views of the kernel's counters, for benchmarks and
-    tests.  Replaces the old mutable [stats] record: read a
-    {!Stats.snapshot} before and after the interval of interest and
-    {!Stats.diff} them. *)
-module Stats : sig
-  type snapshot = {
-    at : int;  (** virtual time of the snapshot *)
-    messages : int;  (** rendezvous messages delivered *)
-    notifications : int;
-    async_messages : int;
-    safecopies : int;
-    safecopy_bytes : int;
-    devios : int;
-    irqs : int;
-    irqs_dropped : int;  (** raised with no live handler registered *)
-    spawns : int;
-    kills : int;
-    exits : int;
-  }
-
-  val snapshot : t -> snapshot
-  (** Current counter values. *)
-
-  val diff : snapshot -> snapshot -> snapshot
-  (** [diff before after]: activity between two snapshots
-      (fields subtract; [at] is [after.at]). *)
-
-  val pp : Format.formatter -> snapshot -> unit
-end
-
 (** {1 Programs and processes} *)
 
 val register_program : t -> string -> (unit -> unit) -> unit

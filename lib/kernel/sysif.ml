@@ -195,6 +195,48 @@ module Api = struct
   let iommu_map grant = perform (Iommu_map grant)
   let iommu_unmap handle = perform (Iommu_unmap handle)
 
+  (* The client half of every request/reply protocol: [reply] picks
+     the expected reply's result; any other reply is [E_io] and IPC
+     errors pass through unchanged. *)
+  let call dst msg reply =
+    match sendrec dst msg with
+    | Ok (Rx_msg { body; _ }) -> ( match reply body with Some r -> r | None -> Error Errno.E_io)
+    | Ok (Rx_notify _) -> Error Errno.E_io
+    | Error e -> Error e
+
+  let with_grant ~for_ ~base ~len ~access f =
+    match grant_create ~for_ ~base ~len ~access with
+    | Error e -> Error e
+    | Ok g ->
+        let r = f g in
+        ignore (grant_revoke g);
+        r
+
+  (* The data-store client (MINIX's ds_publish/ds_retrieve/...). *)
+  let ds = Resilix_proto.Wellknown.ds
+  let ds_reply = function Message.Ds_reply { result } -> Some result | _ -> None
+  let ds_publish key value = call ds (Message.Ds_publish { key; value }) ds_reply
+  let ds_delete key = call ds (Message.Ds_delete { key }) ds_reply
+  let ds_subscribe pattern = call ds (Message.Ds_subscribe { pattern }) ds_reply
+
+  let ds_retrieve_endpoint key =
+    match
+      call ds (Message.Ds_retrieve { key }) (function
+        | Message.Ds_retrieve_reply { result } -> Some result
+        | _ -> None)
+    with
+    | Ok (Message.V_endpoint ep) -> Some ep
+    | Ok _ | Error _ -> None
+
+  let rec ds_check f =
+    match
+      call ds Message.Ds_check (function Message.Ds_check_reply { result } -> Some result | _ -> None)
+    with
+    | Ok (Some (key, value)) ->
+        f key value;
+        ds_check f
+    | Ok None | Error _ -> ()
+
   let proc_create ~name ~program ~args ~priv ~mem_kb =
     perform (Proc_create { name; program; args; priv; mem_kb })
 

@@ -234,6 +234,39 @@ module Api : sig
   val iommu_unmap : int -> (unit, Errno.t) result
   (** Tear down a DMA mapping. *)
 
+  val call :
+    Endpoint.t -> Message.t -> (Message.t -> ('a, Errno.t) result option) -> ('a, Errno.t) result
+  (** [call dst msg reply]: {!sendrec}, then [reply] picks the
+      expected reply's result ([None] for any other message).  A reply
+      [reply] rejects, or a notification, is [E_io]; IPC errors
+      ([E_dead_src_dst], ...) pass through unchanged.  Every
+      request/reply stub goes through here; raw {!sendrec} is left to
+      callers whose error branch is a recovery step. *)
+
+  val with_grant :
+    for_:Endpoint.t -> base:int -> len:int -> access:grant_access ->
+    (int -> ('a, Errno.t) result) -> ('a, Errno.t) result
+  (** Create a grant, run [f] on its id, revoke it, return [f]'s
+      result (the grant is revoked whatever [f] returns). *)
+
+  val ds_publish : string -> Message.ds_value -> (unit, Errno.t) result
+  (** Publish a key in the data store; subscribers get [N_ds_update]. *)
+
+  val ds_delete : string -> (unit, Errno.t) result
+
+  val ds_subscribe : string -> (unit, Errno.t) result
+  (** Subscribe to keys matching a pattern (["eth.*"]). *)
+
+  val ds_retrieve_endpoint : string -> Endpoint.t option
+  (** The endpoint published under a key; [None] if the key is
+      absent, holds another kind of value, or the store cannot be
+      reached. *)
+
+  val ds_check : (string -> Message.ds_value -> unit) -> unit
+  (** Drain this process's pending data-store updates: [f key value]
+      for each, in publication order, until none is left (or the store
+      cannot be reached). *)
+
   val proc_create :
     name:string -> program:string -> args:string list -> priv:Privilege.t -> mem_kb:int ->
     (Endpoint.t, Errno.t) result

@@ -729,21 +729,14 @@ let handle_request t ~src body =
 (* ------------------------------------------------------------------ *)
 
 (*@recovery-begin*)
-let drain_ds_updates t =
-  let rec loop () =
-    match Api.sendrec Wellknown.ds Message.Ds_check with
-    | Ok (Sysif.Rx_msg { body = Message.Ds_check_reply { result = Ok (Some (key, value)) }; _ }) ->
-        (match value with
-        | Message.V_endpoint ep when String.equal key t.driver_key -> integrate_driver t ep
-        | Message.V_int v when String.equal key ("degraded." ^ t.driver_key) ->
-            t.drv.degraded <- v <> 0;
-            if t.drv.degraded then log "driver %s degraded: refusing new work" t.driver_key
-            else log "driver %s degradation cleared" t.driver_key
-        | _ -> ());
-        loop ()
-    | _ -> ()
-  in
-  loop ()
+let ds_update t key value =
+  match value with
+  | Message.V_endpoint ep when String.equal key t.driver_key -> integrate_driver t ep
+  | Message.V_int v when String.equal key ("degraded." ^ t.driver_key) ->
+      t.drv.degraded <- v <> 0;
+      if t.drv.degraded then log "driver %s degraded: refusing new work" t.driver_key
+      else log "driver %s degradation cleared" t.driver_key
+  | _ -> ()
 
 (*@recovery-end*)
 let handle_alarm t =
@@ -759,19 +752,15 @@ let handle_alarm t =
 let body t () =
   (* Subscribe to Ethernet driver updates (Sec. 5.3: "the network
      server subscribes ... by registering the expression 'eth.*'"). *)
-  ignore (Api.sendrec Wellknown.ds (Message.Ds_subscribe { pattern = "eth.*" }));
+  ignore (Api.ds_subscribe "eth.*");
   (* ... and to breaker-driven degradation markers (policy v2). *)
-  ignore (Api.sendrec Wellknown.ds (Message.Ds_subscribe { pattern = "degraded.*" }));
+  ignore (Api.ds_subscribe "degraded.*");
   (* The driver may already be up. *)
-  (match Api.sendrec Wellknown.ds (Message.Ds_retrieve { key = t.driver_key }) with
-  | Ok (Sysif.Rx_msg { body = Message.Ds_retrieve_reply { result = Ok (Message.V_endpoint ep) }; _ })
-    ->
-      integrate_driver t ep
-  | _ -> ());
+  Option.iter (integrate_driver t) (Api.ds_retrieve_endpoint t.driver_key);
   let rec loop () =
     (match Api.receive Sysif.Any with
     | Error _ -> ()
-    | Ok (Sysif.Rx_notify { kind = Message.N_ds_update; _ }) -> drain_ds_updates t
+    | Ok (Sysif.Rx_notify { kind = Message.N_ds_update; _ }) -> Api.ds_check (ds_update t)
     | Ok (Sysif.Rx_notify { kind = Message.N_alarm; _ }) -> handle_alarm t
     | Ok (Sysif.Rx_notify _) -> ()
     | Ok (Sysif.Rx_msg { src; body }) -> begin

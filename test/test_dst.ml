@@ -372,6 +372,21 @@ let test_explore_crash_is_a_finding () =
       Alcotest.(check int) "plan recovered from the seed" 4 (List.length o.Explore.o_plan))
     r.Explore.failures
 
+(* Blind exploration reports every failing run; guided exploration
+   keeps one finding per signature but still records every failing
+   run. *)
+let test_blind_reports_every_failure () =
+  let crashing = { toy with Scenario.run = (fun ~seed ~policy ~plan ->
+      ignore (seed, policy, plan);
+      failwith "boom") }
+  in
+  let blind = Explore.run ~jobs:1 crashing ~seed:3 ~runs:4 () in
+  let g = Explore.run_guided ~jobs:1 crashing ~seed:3 ~runs:4 () in
+  Alcotest.(check int) "blind: one finding per failing run" 4 (List.length blind.Explore.failures);
+  Alcotest.(check int) "guided: one finding per signature" 1 (List.length g.Explore.g_failing);
+  Alcotest.(check (list int)) "guided records every failing run" [ 0; 1; 2; 3 ]
+    (List.map (fun o -> o.Explore.o_index) g.Explore.g_failures)
+
 (* Plans are applied after boot, and mutated or loaded plans can hold
    entries due before "now" (mutants clamp shifted entries to 0): such
    an entry must fire at once, not raise out of the scenario. *)
@@ -664,6 +679,7 @@ let tests =
     Alcotest.test_case "explore finds, jobs-invariant" `Quick
       test_explore_finds_and_is_jobs_invariant;
     Alcotest.test_case "explore treats crashes as findings" `Quick test_explore_crash_is_a_finding;
+    Alcotest.test_case "blind reports every failing run" `Quick test_blind_reports_every_failure;
     Alcotest.test_case "apply plan: early entry fires at once" `Quick test_apply_plan_early_entry;
     Alcotest.test_case "replay reproduces" `Quick test_replay_reproduces;
     Alcotest.test_case "replay rejects unknown scenario" `Quick test_replay_unknown_scenario;

@@ -112,6 +112,24 @@ let test_ds_subscription_notifies () =
           | _ -> failwith "check did not return the update")
       | _ -> failwith "expected a DS notification")
 
+(* Api.ds_check drains every pending update in publication order,
+   then returns. *)
+let test_ds_check_drains_in_order () =
+  let t = boot () in
+  with_app t (fun () ->
+      (match Api.ds_subscribe "cfg.*" with Ok () -> () | Error _ -> failwith "subscribe failed");
+      List.iter
+        (fun (key, v) -> ignore (Api.ds_publish key (Message.V_int v)))
+        [ ("cfg.a", 1); ("other.x", 9); ("cfg.b", 2); ("cfg.a", 3) ];
+      let seen = ref [] in
+      Api.ds_check (fun key value ->
+          match value with
+          | Message.V_int v -> seen := (key, v) :: !seen
+          | _ -> failwith "unexpected value");
+      Alcotest.(check (list (pair string int)))
+        "updates in publication order" [ ("cfg.a", 1); ("cfg.b", 2); ("cfg.a", 3) ] (List.rev !seen);
+      Api.ds_check (fun key _ -> failwith ("update left after the drain: " ^ key)))
+
 let test_snapshot_requires_identity () =
   let t = boot () in
   (* An anonymous app has no stable name in the registry, so the data
@@ -338,6 +356,7 @@ let tests =
     QCheck_alcotest.to_alcotest prop_star_pattern_is_prefix;
     Alcotest.test_case "ds publish/retrieve/delete" `Quick test_ds_publish_retrieve_delete;
     Alcotest.test_case "ds subscription notifies" `Quick test_ds_subscription_notifies;
+    Alcotest.test_case "ds_check drains in publication order" `Quick test_ds_check_drains_in_order;
     Alcotest.test_case "snapshot needs a stable name" `Quick test_snapshot_requires_identity;
     Alcotest.test_case "stateful recovery via DS snapshots" `Quick test_stateful_recovery_via_snapshots;
     Alcotest.test_case "pm pidof and kill" `Quick test_pm_pidof_and_kill;
