@@ -438,7 +438,7 @@ let test_driver_trace_pinned () =
         at 300_000 (kill "chr.printer");
         at 400_000 (kill "eth.rtl8139"))
   in
-  Alcotest.(check string) "rtl8139/sata/audio/printer/cd digest" "28f096bab4116147" digest;
+  Alcotest.(check string) "rtl8139/sata/audio/printer/cd digest" "0ce4f19a1d3415cb" digest;
   Alcotest.(check (list string))
     "rtl8139/sata/audio/printer/cd exits"
     [
@@ -473,7 +473,7 @@ let test_driver_trace_pinned () =
         at 300_000 (inject "eth.dp8390");
         at 1_500_000 (kill "eth.dp8390"))
   in
-  Alcotest.(check string) "dp8390 digest" "230f260f9150f503" digest;
+  Alcotest.(check string) "dp8390 digest" "2842f312f02b333a" digest;
   Alcotest.(check (list string))
     "dp8390 exits"
     [
