@@ -41,19 +41,22 @@ let resetting t = Engine.now (engine t) < t.ready_at
 
 let valid_range t = t.count >= 1 && t.count <= 256 && t.lba >= 0 && t.lba + t.count <= Blockstore.sectors t.store
 
+(* A command latches LBA, COUNT and the DMA handle when it starts: a
+   register write while the transfer is in flight moves nothing. *)
 let start_read t =
   if t.busy || resetting t || not (valid_range t) then fail t
   else begin
     t.busy <- true;
-    let duration = t.seek_us + (t.count * sector_size t / t.rate) in
+    let lba = t.lba and count = t.count and dmah = t.dmah in
+    let duration = t.seek_us + (count * sector_size t / t.rate) in
     ignore
       (Engine.schedule (engine t) ~after:duration (fun () ->
            t.busy <- false;
-           let lba = t.lba and size = sector_size t in
+           let size = sector_size t in
            (* The sector count comes from the length the kernel checked
               against the grant, so the fill writes no byte past it. *)
            let fill buf pos len = Blockstore.read_into t.store ~lba ~count:(len / size) buf pos in
-           match Kernel.dma t.kernel ~handle:t.dmah ~off:0 ~op:(`Fill (t.count * size, fill)) with
+           match Kernel.dma t.kernel ~handle:dmah ~off:0 ~op:(`Fill (count * size, fill)) with
            | Ok _ ->
                t.isr <- t.isr lor isr_done;
                raise_irq t
@@ -71,11 +74,12 @@ let start_write t =
     | Error _ -> fail t
     | Ok data ->
         t.busy <- true;
+        let lba = t.lba in
         let duration = t.seek_us + (t.count * sector_size t / t.rate) in
         ignore
           (Engine.schedule (engine t) ~after:duration (fun () ->
                t.busy <- false;
-               Blockstore.write t.store ~lba:t.lba data;
+               Blockstore.write t.store ~lba data;
                t.isr <- t.isr lor isr_done;
                raise_irq t))
   end

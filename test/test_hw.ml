@@ -550,6 +550,39 @@ let test_disk_read_allocation () =
         (Bytes.equal (Blockstore.read store ~lba:1000 ~count:256)
            (Memory.read mem ~addr:0x200 ~len:(256 * 512)))
 
+(* The controller latches LBA, COUNT and the DMA handle when a read
+   starts: rewriting one of them mid-transfer (LBA past the end of the
+   disk, one sector, a handle that maps nothing) moves nothing. *)
+let test_disk_latches_range () =
+  let engine, kernel = make_kernel () in
+  let bus = Bus.create () in
+  let store = Blockstore.create ~seed:7 ~sectors:2048 ~sector_size:512 in
+  let _disk = Disk.create ~kernel ~bus ~base:0x1F0 ~irq:13 ~store () in
+  let handle = ref None in
+  let owner = spawn_dma_owner ~len:1024 kernel handle in
+  Engine.run engine ~until:10_000;
+  let h = match !handle with Some h -> h | None -> Alcotest.fail "no DMA handle" in
+  List.iteri
+    (fun i (reg, v) ->
+      let lba = 10 * i in
+      wr bus 0x1F6 0x1;
+      wr bus 0x1F1 lba;
+      wr bus 0x1F2 2;
+      wr bus 0x1F3 h;
+      wr bus 0x1F4 0x20;
+      Alcotest.(check int) "busy" 1 (rd bus 0x1F5);
+      wr bus reg v;
+      Engine.run engine ~until:(Engine.now engine + 100_000);
+      Alcotest.(check int) (Printf.sprintf "register %#x: done, no error" reg) 0x1 (rd bus 0x1F6);
+      match Kernel.proc_memory kernel owner with
+      | None -> Alcotest.fail "owner died"
+      | Some mem ->
+          Alcotest.(check bool)
+            (Printf.sprintf "register %#x: sectors %d-%d DMAed" reg lba (lba + 1))
+            true
+            (Bytes.equal (Blockstore.read store ~lba ~count:2) (Memory.read mem ~addr:0x200 ~len:1024)))
+    [ (0x1F1, 2047); (0x1F2, 1); (0x1F3, h + 1000) ]
+
 let tests =
   [
     Alcotest.test_case "bus routing" `Quick test_bus_routing;
@@ -580,4 +613,5 @@ let tests =
     Alcotest.test_case "nic wedge draw per fault" `Quick test_nic_wedge_draw_per_fault;
     Alcotest.test_case "rtl8139 rx enable delivers queued frame" `Quick test_rtl8139_rx_enable_pumps;
     Alcotest.test_case "disk read allocation" `Quick test_disk_read_allocation;
+    Alcotest.test_case "disk latches its range at command time" `Quick test_disk_latches_range;
   ]
