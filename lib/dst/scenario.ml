@@ -11,7 +11,6 @@ module Fslib = Resilix_apps.Fslib
 module Httpd = Resilix_apps.Httpd
 module Loadgen = Resilix_load.Loadgen
 module Metrics = Resilix_obs.Metrics
-module Filegen = Resilix_net.Filegen
 module Reincarnation = Resilix_core.Reincarnation
 module Spec = Resilix_proto.Spec
 module Privilege = Resilix_proto.Privilege
@@ -192,33 +191,15 @@ let report_of ?storm t ~completed ~checksum_ok ~applied ~expected_spans ~targets
 (* Built-in scenario: wget under Ethernet-driver kills                 *)
 (* ------------------------------------------------------------------ *)
 
-let wget_file_seed = 77
-
 let wget_run ~size ~seed ~policy ~plan =
-  let opts =
-    {
-      System.default_opts with
-      System.seed;
-      engine_policy = policy;
-      peer_files = [ ("file.bin", (size, wget_file_seed)) ];
-      disk_mb = 8;
-    }
-  in
-  let t = System.boot ~opts () in
-  System.start_services t [ System.spec_rtl8139 ~policy:"direct" () ];
-  let result = Wget.fresh_result () in
-  ignore
-    (System.spawn_app t ~name:"wget"
-       (Wget.make ~server:Hwmap.rtl_peer_ip ~port:80 ~file:"file.bin" result));
+  let t, result = Rig.wget ~engine_policy:policy ~seed ~size () in
   let applied, expected_spans = apply_plan t plan in
   let finished = System.run_until t ~timeout:60_000_000 (fun () -> result.Wget.finished) in
   (* Let the last recovery close and dependents re-bind before the
      consistency probes run. *)
   System.run t ~until:(Engine.now t.System.engine + 1_500_000);
   report_of t ~completed:finished
-    ~checksum_ok:
-      (finished && result.Wget.ok
-      && String.equal result.Wget.digest (Filegen.digest ~seed:wget_file_seed ~size))
+    ~checksum_ok:(finished && Rig.wget_intact ~size result)
     ~applied:!applied ~expected_spans:!expected_spans ~targets:[ "eth.rtl8139" ]
 
 let wget_sized ?name ~size () =
@@ -241,42 +222,12 @@ let wget_kills = wget_sized ~name:"wget" ~size:(1024 * 1024) ()
 (* ------------------------------------------------------------------ *)
 
 let dp_inject_run ~horizon ~seed ~policy ~plan =
-  let opts =
-    {
-      System.default_opts with
-      System.seed;
-      engine_policy = policy;
-      inet_driver = "eth.dp8390";
-      disk_mb = 8;
-    }
-  in
-  let t = System.boot ~opts () in
-  System.start_services t [ System.spec_dp8390 ~policy:"direct" ~heartbeat_period:200_000 () ];
-  let received = ref 0 in
-  ignore
-    (System.spawn_app t ~name:"udp-sink" (Resilix_apps.Udp_sink.make ~port:9 received));
-  let _stop =
-    Resilix_net.Peer.start_udp_stream t.System.dp_peer ~dst_ip:Hwmap.local_ip
-      ~dst_mac:Hwmap.dp8390_mac ~dst_port:9 ~src_port:7777 ~payload_len:700 ~interval:10_000
-  in
+  let t, received = Rig.udp_sink ~engine_policy:policy ~seed ~policy:"direct" () in
   let applied, expected_spans = apply_plan t plan in
-  (* Silent-but-disabling faults (the paper's defect class 3): when
-     traffic stalls with a healthy-looking driver, the "user" requests
-     a restart so the run can make progress again. *)
-  let last_rx = ref 0 and last_progress = ref 0 in
+  let stalled = Rig.stall_watchdog t ~received ~bound:1_000_000 ~pause:false in
   let rec watchdog () =
-    let now = Engine.now t.System.engine in
-    if now < horizon + 2_000_000 then begin
-      if !received > !last_rx then begin
-        last_rx := !received;
-        last_progress := now
-      end
-      else if now - !last_progress > 1_000_000 then begin
-        last_progress := now;
-        match Kernel.find_by_name t.System.kernel "eth.dp8390" with
-        | Some _ -> ignore (System.kill_service_once t ~target:"eth.dp8390")
-        | None -> ()
-      end;
+    if Engine.now t.System.engine < horizon + 2_000_000 then begin
+      ignore (stalled ());
       ignore (Engine.schedule t.System.engine ~after:100_000 watchdog)
     end
   in
@@ -313,18 +264,16 @@ let dp_inject =
 let flaky_horizon = 12_000_000
 
 let flaky_run ~seed ~policy ~plan =
-  let opts = { System.default_opts with System.seed; engine_policy = policy; disk_mb = 8 } in
-  let t = System.boot ~opts () in
-  Kernel.register_program t.System.kernel "chr.audio.flaky" (fun () ->
-      let module Api = Resilix_kernel.Sysif.Api in
-      Api.sleep 60_000;
-      Api.exit (Resilix_proto.Status.Panicked "flaky hardware"));
+  let flaky () =
+    Resilix_kernel.Sysif.Api.sleep 60_000;
+    Resilix_kernel.Sysif.Api.exit (Resilix_proto.Status.Panicked "flaky hardware")
+  in
   let spec =
     Spec.make ~name:"chr.audio" ~program:"chr.audio.flaky"
       ~privileges:(Privilege.driver ~ipc_to:[ "vfs" ] ~io_ports:[] ~irqs:[])
       ~policy:"breaker" ~mem_kb:64 ()
   in
-  System.start_services t [ spec ];
+  let t = Rig.machine ~engine_policy:policy ~programs:[ ("chr.audio.flaky", flaky) ] ~seed spec in
   let iterations = ref 0 and clean_errors = ref 0 and hung = ref false in
   ignore
     (System.spawn_app t ~name:"audio-user" (fun () ->
@@ -365,9 +314,7 @@ let flaky =
 let metric_of snap name = Metrics.counter_value snap name
 
 let storm_run ~requests ~concurrency ~workers ~backlog ~seed ~policy ~plan =
-  let opts = { System.default_opts with System.seed; engine_policy = policy; disk_mb = 8 } in
-  let t = System.boot ~opts () in
-  System.start_services t [ System.spec_rtl8139 ~policy:"direct" () ];
+  let t = Rig.machine ~engine_policy:policy ~seed (System.spec_rtl8139 ()) in
   (* The server: one listener app binds port 80, then a pool of
      workers blocks in accept on the shared socket. *)
   let hstats = Httpd.fresh_stats () in

@@ -1,4 +1,5 @@
 module System = Resilix_system.System
+module Rig = Resilix_dst.Rig
 module Engine = Resilix_sim.Engine
 module Kernel = Resilix_kernel.Kernel
 module Sysif = Resilix_kernel.Sysif
@@ -11,9 +12,7 @@ module Privilege = Resilix_proto.Privilege
 module Spec = Resilix_proto.Spec
 module Policy = Resilix_core.Policy
 module Reincarnation = Resilix_core.Reincarnation
-module Hwmap = Resilix_system.Hwmap
 module Status = Resilix_proto.Status
-module Fault = Resilix_vm.Fault
 module Span = Resilix_obs.Span
 module Event = Resilix_obs.Event
 
@@ -30,25 +29,21 @@ let heartbeat_trial ~seed ~period =
     ~name:(Printf.sprintf "ablation/heartbeat-%dus" period)
     ~seed
     (fun () ->
-      let t = System.boot ~opts:{ System.default_opts with System.seed; disk_mb = 8 } () in
-      Kernel.register_program t.System.kernel "stuck" (fun () ->
-          let rec spin () =
-            Api.yield ~cost:50 ();
-            spin ()
-          in
-          spin ());
+      let rec stuck () =
+        Api.yield ~cost:50 ();
+        stuck ()
+      in
       let spec =
         Spec.make ~name:"svc.stuck" ~program:"stuck" ~privileges:svc_priv
           ~heartbeat_period:period ~max_heartbeat_misses:4 ~mem_kb:64 ()
       in
-      let started_at = ref 0 in
-      System.start_services t [ spec ];
-      started_at := Engine.now t.System.engine;
+      let t = Rig.machine ~seed ~programs:[ ("stuck", stuck) ] spec in
+      let started_at = Engine.now t.System.engine in
       ignore
         (System.run_until t ~timeout:120_000_000 (fun () -> Span.spans t.System.spans <> []));
       let detection =
         match Span.spans t.System.spans with
-        | s :: _ -> s.Span.opened_at - !started_at
+        | s :: _ -> s.Span.opened_at - started_at
         | [] -> -1
       in
       { period_us = period; detection_us = detection })
@@ -89,23 +84,15 @@ let policy_window_us = 25_000_000
 
 let policy_trial ~seed (label, policy_key, policies) =
   Trial.make ~name:("ablation/policy-" ^ policy_key) ~seed (fun () ->
-      let opts =
-        {
-          System.default_opts with
-          System.seed;
-          disk_mb = 8;
-          policies = System.default_opts.System.policies @ policies;
-        }
+      let panicky () =
+        Api.sleep 10_000;
+        Api.panic "crash storm"
       in
-      let t = System.boot ~opts () in
-      Kernel.register_program t.System.kernel "panicky" (fun () ->
-          Api.sleep 10_000;
-          Api.panic "crash storm");
       let spec =
         Spec.make ~name:"svc.storm" ~program:"panicky" ~privileges:svc_priv ~heartbeat_period:0
           ~policy:policy_key ~mem_kb:64 ()
       in
-      System.start_services t [ spec ];
+      let t = Rig.machine ~seed ~programs:[ ("panicky", panicky) ] ~policies spec in
       System.run t ~until:(Engine.now t.System.engine + policy_window_us);
       {
         policy = label;
@@ -166,7 +153,6 @@ let service_state_label = function
 
 (* 120 faults per policy, one every 20 ms while the driver is up. *)
 let availability_faults = 120
-let availability_inject_period = 20_000
 
 (* One machine per policy: the DP8390 driver absorbs the same random
    binary-fault corpus that the Sec. 7.2 campaign uses, under receive-
@@ -178,70 +164,13 @@ let availability_inject_period = 20_000
    honestly. *)
 let availability_trial ~seed (label, policy_key, extra_policies) =
   Trial.make ~name:("ablation/availability-" ^ policy_key) ~seed (fun () ->
-      let opts =
-        {
-          System.default_opts with
-          System.seed;
-          disk_mb = 8;
-          inet_driver = "eth.dp8390";
-          policies = System.default_opts.System.policies @ extra_policies;
-        }
-      in
-      let t = System.boot ~opts () in
-      System.start_services t
-        [ System.spec_dp8390 ~policy:policy_key ~heartbeat_period:200_000 () ];
-      let received = ref 0 in
-      ignore
-        (System.spawn_app t ~name:"udp-sink" (Resilix_apps.Udp_sink.make ~port:9 received));
-      let _stop =
-        Resilix_net.Peer.start_udp_stream t.System.dp_peer ~dst_ip:Hwmap.local_ip
-          ~dst_mac:Hwmap.dp8390_mac ~dst_port:9 ~src_port:7777 ~payload_len:700
-          ~interval:10_000
-      in
-      System.run t ~until:(Engine.now t.System.engine + 1_000_000);
-      let started_at = Engine.now t.System.engine in
-      let injected = ref 0 in
-      let finished = ref false in
-      (* The Sec. 7.2 watchdog: silent-but-disabling faults are cleared
-         by a user-requested restart (defect class 3).  The stall clock
-         runs only while the driver is up: backoff and parked time are
-         the policy's, and a fresh incarnation gets a full timeout. *)
-      let last_rx = ref 0 and last_progress_at = ref 0 in
-      let rec tick () =
-        if !injected >= availability_faults then finished := true
-        else begin
-          let now = Engine.now t.System.engine in
-          if
-            !received > !last_rx
-            || Reincarnation.service_state t.System.rs "eth.dp8390" <> `Up
-          then begin
-            last_rx := !received;
-            last_progress_at := now
-          end
-          else if now - !last_progress_at > 1_500_000 then begin
-            last_progress_at := now;
-            match Kernel.find_by_name t.System.kernel "eth.dp8390" with
-            | Some _ -> ignore (System.kill_service_once t ~target:"eth.dp8390")
-            | None -> ()
-          end;
-          (match Kernel.find_by_name t.System.kernel "eth.dp8390" with
-          | Some _ ->
-              let ft = Fault.random_type t.System.rng in
-              (match System.inject_fault t ~target:"eth.dp8390" ft with
-              | Some _ -> incr injected
-              | None -> ())
-          | None -> ());
-          ignore (Engine.schedule t.System.engine ~after:availability_inject_period tick)
-        end
-      in
-      tick ();
-      ignore
-        (System.run_until t
-           ~timeout:(availability_faults * availability_inject_period * 8)
-           (fun () -> !finished));
-      System.run t ~until:(Engine.now t.System.engine + 5_000_000);
+      let t, received = Rig.udp_sink ~seed ~policy:policy_key ~policies:extra_policies () in
+      (* The stall clock runs only while the driver is up: backoff and
+         parked time are the policy's, and a fresh incarnation gets a
+         full timeout. *)
+      let inj = Rig.inject_loop t ~received ~faults:availability_faults ~pause:true in
       let end_time = Engine.now t.System.engine in
-      let horizon = end_time - started_at in
+      let horizon = end_time - inj.Rig.started_at in
       let spans = Span.spans t.System.spans in
       (* Breaker-close transitions, from the trace's typed records. *)
       let closes =
@@ -297,7 +226,7 @@ let availability_trial ~seed (label, policy_key, extra_policies) =
       in
       {
         a_policy = label;
-        a_injected = !injected;
+        a_injected = inj.Rig.injected;
         a_crashes = List.length spans;
         a_restarts = List.length (List.filter Reincarnation.restarted spans);
         a_downtime_us = downtime;

@@ -1,10 +1,9 @@
 module System = Resilix_system.System
-module Hwmap = Resilix_system.Hwmap
+module Rig = Resilix_dst.Rig
 module Span = Resilix_obs.Span
 module Rng = Resilix_sim.Rng
 module Trial = Resilix_harness.Trial
 module Campaign = Resilix_harness.Campaign
-module Filegen = Resilix_net.Filegen
 module Wget = Resilix_apps.Wget
 
 type row = {
@@ -20,8 +19,6 @@ type row = {
 
 type trial_result = { row : row; obs_lines : string list }
 
-let file_seed = 77
-
 (* Recovery latency comes from the typed spans RS records (opened at
    defect detection, closed at reintegration). *)
 let recovery_stats t =
@@ -35,20 +32,7 @@ let recovery_stats t =
    and returns the row plus its observability lines (emitted by the
    reducer in trial order, so parallel runs stay byte-identical). *)
 let one_transfer ~size ~seed ~kill_interval ~label () =
-  let opts =
-    {
-      System.default_opts with
-      System.seed;
-      peer_files = [ ("file.bin", (size, file_seed)) ];
-      disk_mb = 8;
-    }
-  in
-  let t = System.boot ~opts () in
-  System.start_services t [ System.spec_rtl8139 ~policy:"direct" () ];
-  let result = Wget.fresh_result () in
-  ignore
-    (System.spawn_app t ~name:"wget"
-       (Wget.make ~server:Hwmap.rtl_peer_ip ~port:80 ~file:"file.bin" result));
+  let t, result = Rig.wget ~seed ~size () in
   (match kill_interval with
   | Some interval -> System.start_crash_script t ~target:"eth.rtl8139" ~interval ()
   | None -> ());
@@ -66,9 +50,7 @@ let one_transfer ~size ~seed ~kill_interval ~label () =
         recoveries;
         mean_restart_us = mean_restart;
         overhead_pct = 0.;
-        integrity_ok =
-          finished && result.Wget.ok
-          && String.equal result.Wget.digest (Filegen.digest ~seed:file_seed ~size);
+        integrity_ok = finished && Rig.wget_intact ~size result;
       };
     obs_lines = System.obs_lines ~label t;
   }

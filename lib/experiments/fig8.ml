@@ -1,4 +1,5 @@
 module System = Resilix_system.System
+module Rig = Resilix_dst.Rig
 module Trial = Resilix_harness.Trial
 module Campaign = Resilix_harness.Campaign
 module Mfs = Resilix_fs.Mfs
@@ -19,19 +20,7 @@ type row = {
 type trial_result = { row : row; digest : string; obs_lines : string list }
 
 let one_run ~size ~seed ~kill_interval ~label () =
-  let disk_mb = (size / 1024 / 1024) + 8 in
-  let opts =
-    {
-      System.default_opts with
-      System.seed;
-      fs_files = [ ("big.bin", size) ];
-      disk_mb;
-    }
-  in
-  let t = System.boot ~opts () in
-  System.start_services t [ System.spec_sata ~policy:"direct" () ];
-  let result = Dd.fresh_result () in
-  ignore (System.spawn_app t ~name:"dd" (Dd.make ~path:"/big.bin" result));
+  let t, result = Rig.dd ~seed ~size in
   (match kill_interval with
   | Some interval -> System.start_crash_script t ~target:"blk.sata" ~interval ()
   | None -> ());

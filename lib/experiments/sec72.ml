@@ -1,10 +1,7 @@
 module System = Resilix_system.System
-module Hwmap = Resilix_system.Hwmap
+module Rig = Resilix_dst.Rig
 module Engine = Resilix_sim.Engine
-module Kernel = Resilix_kernel.Kernel
 module Status = Resilix_proto.Status
-module Fault = Resilix_vm.Fault
-module Nic = Resilix_hw.Nic
 module Rng = Resilix_sim.Rng
 module Metrics = Resilix_obs.Metrics
 module Span = Resilix_obs.Span
@@ -31,99 +28,16 @@ type shard_result = {
   spans : Span.t;
 }
 
-(* One fault every 20 ms of virtual time. *)
-let inject_period = 20_000
-
 (* One shard: a fresh machine absorbing [faults] injections.  This is
    the paper's campaign at reduced length; the full 12,500-fault run
    is the merge of many such hermetic shards, each on its own derived
    seed, so the campaign parallelizes without sharing any state.
    [shard] tags the shard's metric snapshot so campaign-level gauge
-   merges resolve deterministically by shard index. *)
+   merges resolve deterministically by shard index.  The sink acks
+   every 8th datagram, so the driver's transmit path runs too. *)
 let run_shard ~shard ~faults ~seed ~wedge_prob () =
-  let opts =
-    {
-      System.default_opts with
-      System.seed;
-      disk_mb = 8;
-      inet_driver = "eth.dp8390";
-      nic_wedge_prob = wedge_prob;
-    }
-  in
-  let t = System.boot ~opts () in
-  System.start_services t [ System.spec_dp8390 ~policy:"direct" ~heartbeat_period:200_000 () ];
-  (* Receive-side traffic: a UDP sink fed by the peer; the driver's
-     transmit path is exercised by the sink's periodic replies. *)
-  let received = ref 0 in
-  ignore
-    (System.spawn_app t ~name:"udp-sink"
-       (Resilix_apps.Udp_sink.make ~ack_every:8 ~port:9 received));
-  let _stop =
-    Resilix_net.Peer.start_udp_stream t.System.dp_peer ~dst_ip:Hwmap.local_ip
-      ~dst_mac:Hwmap.dp8390_mac ~dst_port:9 ~src_port:7777 ~payload_len:700 ~interval:10_000
-  in
-  System.run t ~until:(Engine.now t.System.engine + 1_000_000);
-  let injected = ref 0 in
-  let bios_resets = ref 0 in
-  let user_resets = ref 0 in
-  let type_counts = Hashtbl.create 7 in
-  let finished = ref false in
-  (* Watchdog: some faults are silent-but-disabling (e.g. the eliding
-     of an rx-enable write) — the driver looks healthy but traffic
-     stops and no further driver code executes.  As in the paper's
-    defect class 3, the "user" notices the weird behaviour and asks
-     the reincarnation server for a restart, which reloads a clean
-     binary and lets the campaign continue. *)
-  let last_rx = ref 0 in
-  let last_progress_at = ref 0 in
-  let stall_timeout = 1_500_000 in
-  let rec tick () =
-    if !injected >= faults then finished := true
-    else begin
-      let now = Engine.now t.System.engine in
-      if !received > !last_rx then begin
-        last_rx := !received;
-        last_progress_at := now
-      end
-      else if now - !last_progress_at > stall_timeout then begin
-        last_progress_at := now;
-        match Kernel.find_by_name t.System.kernel "eth.dp8390" with
-        | Some _ ->
-            incr user_resets;
-            ignore (System.kill_service_once t ~target:"eth.dp8390")
-        | None -> ()
-      end;
-      (* A wedged card defeats driver-level recovery: the restarted
-         driver keeps panicking on a dead device.  Perform the
-         "low-level BIOS reset" the paper needed in those cases. *)
-      if Nic.wedged t.System.nic_dp then begin
-        incr bios_resets;
-        Nic.bios_reset t.System.nic_dp
-      end;
-      (* Only inject into a live, settled driver (like injecting into
-         the running driver on a live system). *)
-      (match Kernel.find_by_name t.System.kernel "eth.dp8390" with
-      | Some _ ->
-          let ft = Fault.random_type t.System.rng in
-          (match System.inject_fault t ~target:"eth.dp8390" ft with
-          | Some _ ->
-              incr injected;
-              Hashtbl.replace type_counts (Fault.to_string ft)
-                (1 + Option.value ~default:0 (Hashtbl.find_opt type_counts (Fault.to_string ft)))
-          | None -> ())
-      | None -> ());
-      ignore (Engine.schedule t.System.engine ~after:inject_period tick)
-    end
-  in
-  tick ();
-  ignore (System.run_until t ~timeout:(faults * inject_period * 4) (fun () -> !finished));
-  (* Let the final crash (if any) recover. *)
-  System.run t ~until:(Engine.now t.System.engine + 5_000_000);
-  if Nic.wedged t.System.nic_dp then begin
-    incr bios_resets;
-    Nic.bios_reset t.System.nic_dp;
-    System.run t ~until:(Engine.now t.System.engine + 5_000_000)
-  end;
+  let t, received = Rig.udp_sink ~seed ~policy:"direct" ~wedge_prob ~ack_every:8 () in
+  let inj = Rig.inject_loop t ~received ~faults ~pause:false in
   (* User-requested restarts (the watchdog) are experimenter resets,
      not detected crashes. *)
   let crashes =
@@ -132,13 +46,13 @@ let run_shard ~shard ~faults ~seed ~wedge_prob () =
   let count p = List.length (List.filter p crashes) in
   (* Per-shard gauges: merged into min/max/last distributions across
      shards in the campaign-level report. *)
-  Metrics.set_named t.System.metrics "sec72.shard.user_resets" !user_resets;
-  Metrics.set_named t.System.metrics "sec72.shard.bios_resets" !bios_resets;
+  Metrics.set_named t.System.metrics "sec72.shard.user_resets" inj.Rig.user_resets;
+  Metrics.set_named t.System.metrics "sec72.shard.bios_resets" inj.Rig.bios_resets;
   Metrics.set_named t.System.metrics "sec72.shard.rx_datagrams" !received;
   {
     outcome =
       {
-        injected = !injected;
+        injected = inj.Rig.injected;
         crashes = List.length crashes;
         panics = count (fun s -> s.Span.defect = Status.D_exit);
         exceptions = count (fun s -> s.Span.defect = Status.D_exception);
@@ -149,10 +63,9 @@ let run_shard ~shard ~faults ~seed ~wedge_prob () =
               | Status.D_exit | Status.D_exception | Status.D_heartbeat -> false
               | _ -> true);
         recovered = count (fun s -> s.Span.closed_at <> None);
-        user_resets = !user_resets;
-        bios_resets = !bios_resets;
-        by_fault_type =
-          List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) type_counts []);
+        user_resets = inj.Rig.user_resets;
+        bios_resets = inj.Rig.bios_resets;
+        by_fault_type = inj.Rig.by_fault_type;
       };
     snapshot = Metrics.snapshot ~at:(Engine.now t.System.engine) ~shard t.System.metrics;
     spans = t.System.spans;
