@@ -86,18 +86,18 @@ let resolve_driver t key ~fresh =
   else match Hashtbl.find_opt t.drivers key with Some ep -> Some ep | None -> from_ds ()
 
 (*@recovery-begin*)
-(* One request to a character driver.  If the cached endpoint is
-   stale (driver restarted while we were not looking), refresh once
-   and retry the *request routing* — but a failure in the middle of an
-   operation is reported up, never silently retried (Sec. 6.3). *)
-let chardev_request t key msg =
-  let attempt ep = Api.sendrec ep msg in
+(* One request to a character driver: [request ep] sends it to the
+   driver's endpoint.  If the cached endpoint is stale (driver
+   restarted while we were not looking), refresh once and retry the
+   *request routing* — but a failure in the middle of an operation is
+   reported up, never silently retried (Sec. 6.3). *)
+let chardev_request t key request =
   if driver_degraded t key then Error Errno.E_degraded
   else
   match resolve_driver t key ~fresh:false with
   | None -> Error Errno.E_nodev
   | Some ep -> (
-      match attempt ep with
+      match request ep with
       | Ok (Sysif.Rx_msg { body = Message.Dev_reply { result }; _ }) -> result
       | Ok _ -> Error Errno.E_io
       | Error (Errno.E_dead_src_dst | Errno.E_bad_endpoint) -> (
@@ -139,7 +139,7 @@ let mfs_readwrite ~ino ~write ~pos ~grant ~len =
 let handle_open t ~src ~path ~(flags : Message.open_flags) =
   match Hashtbl.find_opt t.chardevs path with
   | Some (key, minor) -> begin
-      match chardev_request t key (Message.Dev_open { minor }) with
+      match chardev_request t key (fun ep -> Api.sendrec ep (Message.Dev_open { minor })) with
       | Ok _ ->
           let fd = t.next_fd in
           t.next_fd <- t.next_fd + 1;
@@ -168,25 +168,13 @@ let transfer t file ~write ~len =
   | F_file { ino } ->
       Api.with_grant ~for_:Wellknown.mfs ~base:staging ~len ~access (fun grant ->
           mfs_readwrite ~ino ~write ~pos:file.pos ~grant ~len)
-  | F_chr { key; minor } -> (
-      if driver_degraded t key then Error Errno.E_degraded
-      else
-        match resolve_driver t key ~fresh:false with
-        | None -> Error Errno.E_nodev
-        | Some ep ->
-            Api.with_grant ~for_:ep ~base:staging ~len ~access (fun grant ->
-                let pos = file.pos in
-                let msg =
-                  if write then Message.Dev_write { minor; pos; grant; len }
-                  else Message.Dev_read { minor; pos; grant; len }
-                in
-                match Api.sendrec ep msg with
-                | Ok (Sysif.Rx_msg { body = Message.Dev_reply { result }; _ }) -> result
-                | Ok _ -> Error Errno.E_io
-                | Error (Errno.E_dead_src_dst | Errno.E_bad_endpoint) ->
-                    ignore (resolve_driver t key ~fresh:true);
-                    Error Errno.E_io
-                | Error e -> Error e))
+  | F_chr { key; minor } ->
+      let pos = file.pos in
+      chardev_request t key (fun ep ->
+          Api.with_grant ~for_:ep ~base:staging ~len ~access (fun grant ->
+              Api.sendrec ep
+                (if write then Message.Dev_write { minor; pos; grant; len }
+                 else Message.Dev_read { minor; pos; grant; len })))
 
 (* Move [len] bytes between the app's grant and the backing object in
    staging-buffer-sized pieces. *)
@@ -236,7 +224,7 @@ let handle_ioctl t ~src ~fd ~op ~arg =
   match Hashtbl.find_opt t.fds (fd_key src fd) with
   | None -> Error Errno.E_bad_fd
   | Some { kind = F_chr { key; minor }; _ } ->
-      chardev_request t key (Message.Dev_ioctl { minor; op; arg })
+      chardev_request t key (fun ep -> Api.sendrec ep (Message.Dev_ioctl { minor; op; arg }))
   | Some _ -> Error Errno.E_inval
 
 let body t () =

@@ -40,7 +40,13 @@ let test_mp3_recovers_with_hiccup () =
     (Reincarnation.restarts_of t.System.rs "chr.audio");
   (* The listener heard it: buffered samples died with the driver. *)
   Alcotest.(check bool) "hiccup occurred (underruns)" true
-    (Audio_dev.underruns t.System.audio >= 1)
+    (Audio_dev.underruns t.System.audio >= 1);
+  (* The player's write met the dead driver: VFS counts the stale
+     endpoint on the data path as it does on open and ioctl. *)
+  Alcotest.(check int) "stale endpoint counted" 1
+    (Resilix_obs.Metrics.counter_value
+       (Resilix_obs.Metrics.snapshot t.System.metrics)
+       "vfs.chardev.stale_endpoints")
 
 let test_mp3_legacy_gives_up () =
   let t = boot () in
