@@ -438,7 +438,7 @@ let test_driver_trace_pinned () =
         at 300_000 (kill "chr.printer");
         at 400_000 (kill "eth.rtl8139"))
   in
-  Alcotest.(check string) "rtl8139/sata/audio/printer/cd digest" "0ce4f19a1d3415cb" digest;
+  Alcotest.(check string) "rtl8139/sata/audio/printer/cd digest" "82a2e418dfe38bed" digest;
   Alcotest.(check (list string))
     "rtl8139/sata/audio/printer/cd exits"
     [
@@ -447,19 +447,19 @@ let test_driver_trace_pinned () =
       "policy#blk.sata#1: exited 0";
       "chr.cd: killed by SIGKILL";
       "policy#chr.cd#2: exited 0";
-      "chr.audio: killed by SIGKILL";
       "eth.rtl8139: killed by SIGILL";
-      "policy#chr.audio#3: exited 0";
-      "policy#eth.rtl8139#4: exited 0";
+      "policy#eth.rtl8139#3: exited 0";
+      "chr.audio: killed by SIGKILL";
+      "policy#chr.audio#4: exited 0";
       "chr.printer: killed by SIGKILL";
       "policy#chr.printer#5: exited 0";
       "eth.rtl8139: killed by SIGKILL";
       "policy#eth.rtl8139#6: exited 0";
+      "wget: exited 0";
       "lpd: exited 0";
       "cdburn: exited 0";
       "dd: exited 0";
       "mp3: exited 0";
-      "wget: exited 0";
     ]
     exits;
   let digest, exits =
