@@ -23,7 +23,8 @@ let components =
     ("SATA driver", [ "lib/drivers/blockdriver_disk.ml" ], Some 2443, Some 5);
     ("RAM disk", [ "lib/drivers/blockdriver_ramdisk.ml" ], Some 454, Some 0);
     ( "Network server (INET)",
-      [ "lib/net/inet.ml"; "lib/net/tcp.ml"; "lib/net/wire.ml"; "lib/net/timerset.ml" ],
+      [ "lib/net/inet.ml"; "lib/net/host.ml"; "lib/net/tcp.ml"; "lib/net/wire.ml";
+        "lib/net/timerset.ml" ],
       Some 20019, Some 124 );
     ("RTL8139 driver", [ "lib/drivers/netdriver_rtl8139.ml" ], Some 2398, Some 5);
     ("DP8390 driver", [ "lib/drivers/netdriver_dp8390.ml" ], Some 2769, Some 5);

@@ -291,7 +291,7 @@ and start_request t req =
              req.timeout_h <- None;
              if not req.resolved then begin
                resolve t req `Timeout;
-               match req.flow with Some f -> Peer.flow_abort t.peer f | None -> ()
+               match req.flow with Some f -> Peer.flow_abort f | None -> ()
              end));
     launch t req
   end

@@ -2,7 +2,16 @@
 
     INET owns the TCP/UDP state for the whole system: applications get
     sockets over IPC, and frames flow to/from an Ethernet driver using
-    the asynchronous [DL_*] protocol with grants for frame data.
+    the asynchronous [DL_*] protocol with grants for frame data.  Its
+    TCP connections, their timers (one kernel alarm) and the reset for
+    a refused SYN live in a {!Host}, the same endpoint the remote
+    {!Peer} runs; INET keeps the sockets, listeners and their backlog,
+    the grants and the driver hand-off.
+
+    While the driver's circuit breaker is open (a ["degraded.*"]
+    data-store record), new TCP connects and UDP sends fail fast with
+    [E_degraded] instead of parking until a restart that may never
+    come.
 
     Driver recovery (Sec. 6.1): INET subscribes to ["eth.*"] in the
     data store.  When its driver crashes, in-flight sends fail with
@@ -39,10 +48,3 @@ val body : t -> unit -> unit
 
 val driver_generation : t -> int
 (** How many times a driver endpoint has been (re)integrated. *)
-
-
-val driver_degraded : t -> bool
-(** Whether INET currently treats its driver as degraded (open circuit
-    breaker, per the ["degraded.*"] data-store records).  While true,
-    new TCP connects and UDP sends fail fast with [E_degraded] instead
-    of parking until a restart that may never come. *)

@@ -4,21 +4,15 @@ module Rng = Resilix_sim.Rng
 
 (* Server-side connection state (the wget/storm file server). *)
 type pconn = {
-  key : int * int * int; (* remote ip, remote port, local port *)
-  remote_ip : int;
-  remote_mac : int;
+  key : Host.key;
+  tkey : int;
   tcp : Tcp.t;
-  tkey : int; (* timer key in the shared timer set *)
   request : Buffer.t;
   mutable serving : (int * int * int) option; (* seed, size, sent *)
   mutable done_serving : bool;
 }
 
-type flow = {
-  fl_key : int * int * int;
-  fl_tkey : int;
-  mutable fl_tcp : Tcp.t option; (* None only during construction *)
-}
+type flow = Tcp.t
 
 type t = {
   engine : Engine.t;
@@ -28,26 +22,14 @@ type t = {
   ip : int;
   mac : int;
   files : (string, int * int) Hashtbl.t;
-  conns : (int * int * int, Tcp.t) Hashtbl.t; (* segment demux *)
-  (* One engine event serves every connection's retransmission timer:
-     per-connection timers live in a shared Timerset (heap, lazy
-     deletion) keyed by a per-peer counter, exactly like INET's single
-     kernel alarm — at C10K one pending engine event instead of one
-     per connection. *)
-  timers : Timerset.t;
-  timer_conns : (int, Tcp.t) Hashtbl.t; (* timer key -> connection *)
+  host : Host.t;
   mutable next_tkey : int;
-  mutable alarm : Engine.handle option;
-  mutable alarm_deadline : int;
   mutable next_client_port : int;
-  mutable accepted : int;
   mutable udp_seq : int;
 }
 
 let file_md5 t name =
   Option.map (fun (size, seed) -> Filegen.md5_digest ~seed ~size) (Hashtbl.find_opt t.files name)
-
-let connections t = t.accepted
 
 let emit_frame t ~dst_mac ~dst_ip body =
   let frame =
@@ -55,50 +37,10 @@ let emit_frame t ~dst_mac ~dst_ip body =
   in
   Link.send t.link t.side (Wire.encode frame)
 
-(* ------------------------------------------------------------------ *)
-(* Shared timer plumbing                                               *)
-(* ------------------------------------------------------------------ *)
-
-let rec rearm t =
-  match Timerset.next_deadline t.timers with
-  | None -> ()
-  | Some deadline ->
-      let stale = match t.alarm with None -> true | Some _ -> deadline < t.alarm_deadline in
-      if stale then begin
-        (match t.alarm with Some h -> Engine.cancel h | None -> ());
-        t.alarm_deadline <- deadline;
-        t.alarm <-
-          Some
-            (Engine.schedule_at t.engine ~at:(max deadline (Engine.now t.engine)) (fun () ->
-                 t.alarm <- None;
-                 fire t))
-      end
-
-and fire t =
-  let now = Engine.now t.engine in
-  let due = Timerset.take_due t.timers ~now in
-  List.iter
-    (fun tkey ->
-      match Hashtbl.find_opt t.timer_conns tkey with
-      | Some tcp -> Tcp.handle_timer tcp ~now
-      | None -> ())
-    due;
-  rearm t
-
 let alloc_tkey t =
   let k = t.next_tkey in
   t.next_tkey <- t.next_tkey + 1;
   k
-
-let set_conn_timer t ~tkey delay =
-  (match delay with
-  | Some d -> Timerset.set t.timers ~key:tkey ~deadline:(Engine.now t.engine + d)
-  | None -> Timerset.cancel t.timers ~key:tkey);
-  rearm t
-
-let drop_timer t ~tkey =
-  Timerset.cancel t.timers ~key:tkey;
-  Hashtbl.remove t.timer_conns tkey
 
 (* ------------------------------------------------------------------ *)
 (* The file server (port 80)                                           *)
@@ -141,92 +83,58 @@ let handle_request t conn =
           | None -> Tcp.close conn.tcp ~now:(Engine.now t.engine))
       | _ -> Tcp.close conn.tcp ~now:(Engine.now t.engine))
 
-let make_conn t ~key ~remote_ip ~remote_port ~remote_mac =
+let on_server_event t c = function
+  | Tcp.Ev_rx_ready ->
+      Buffer.add_bytes c.request (Tcp.recv c.tcp ~max:4096);
+      if c.serving = None then handle_request t c
+  | Tcp.Ev_tx_space -> pump_file t c
+  | Tcp.Ev_established -> ()
+  | Tcp.Ev_peer_closed -> if c.serving = None then Tcp.close c.tcp ~now:(Engine.now t.engine)
+  | Tcp.Ev_reset | Tcp.Ev_closed -> Host.forget t.host ~key:c.key ~tkey:c.tkey c.tcp
+
+(* Passive open for a SYN to port 80. *)
+let accept t ~key ~remote_ip ~remote_mac =
   let tkey = alloc_tkey t in
+  let _, rport, lport = key in
+  let cfg = Tcp.default_config ~local_port:lport ~remote_port:rport ~isn:(Rng.int t.rng 0x3FFFFFFF) in
   let rec conn =
     lazy
-      (let cb =
-         {
-           Tcp.emit =
-             (fun seg ->
-               let c = Lazy.force conn in
-               emit_frame t ~dst_mac:c.remote_mac ~dst_ip:c.remote_ip (Wire.Tcp seg));
-           set_timer = (fun delay -> set_conn_timer t ~tkey delay);
-           notify =
-             (fun ev ->
-               let c = Lazy.force conn in
-               match ev with
-               | Tcp.Ev_rx_ready ->
-                   let data = Tcp.recv c.tcp ~max:4096 in
-                   Buffer.add_bytes c.request data;
-                   if c.serving = None then handle_request t c
-               | Tcp.Ev_tx_space -> pump_file t c
-               | Tcp.Ev_established -> ()
-               | Tcp.Ev_peer_closed ->
-                   if c.serving = None then Tcp.close c.tcp ~now:(Engine.now t.engine)
-               | Tcp.Ev_reset | Tcp.Ev_closed ->
-                   drop_timer t ~tkey:c.tkey;
-                   Hashtbl.remove t.conns c.key)
-         }
-       in
-       let _, rport, lport = key in
-       let cfg = Tcp.default_config ~local_port:lport ~remote_port:rport ~isn:(Rng.int t.rng 0x3FFFFFFF) in
-       {
-         key;
-         remote_ip;
-         remote_mac;
-         tcp = Tcp.create_passive cfg ~now:(Engine.now t.engine) cb;
-         tkey;
-         request = Buffer.create 64;
-         serving = None;
-         done_serving = false;
-       })
+      {
+        key;
+        tkey;
+        tcp =
+          Host.open_conn t.host ~key ~tkey ~active:false cfg
+            ~emit:(fun seg -> emit_frame t ~dst_mac:remote_mac ~dst_ip:remote_ip (Wire.Tcp seg))
+            ~notify:(fun ev -> on_server_event t (Lazy.force conn) ev);
+        request = Buffer.create 64;
+        serving = None;
+        done_serving = false;
+      }
   in
-  let c = Lazy.force conn in
-  Hashtbl.replace t.conns key c.tcp;
-  Hashtbl.replace t.timer_conns tkey c.tcp;
-  t.accepted <- t.accepted + 1;
-  c
+  ignore (Lazy.force conn)
 
 let on_frame t raw =
   match Wire.decode raw with
   | Error _ -> () (* corrupted on the wire: drop *)
   | Ok frame ->
       if frame.Wire.packet.dst_ip = t.ip then begin
+        let remote_ip = frame.Wire.packet.src_ip in
         match frame.Wire.packet.body with
-        | Wire.Tcp seg -> begin
-            let key = (frame.Wire.packet.src_ip, seg.Wire.src_port, seg.Wire.dst_port) in
-            match Hashtbl.find_opt t.conns key with
-            | Some tcp -> Tcp.handle_segment tcp ~now:(Engine.now t.engine) seg
-            | None ->
-                if seg.Wire.syn && seg.Wire.dst_port = 80 then begin
-                  let conn =
-                    make_conn t ~key ~remote_ip:frame.Wire.packet.src_ip
-                      ~remote_port:seg.Wire.src_port ~remote_mac:frame.Wire.src_mac
-                  in
-                  Tcp.handle_segment conn.tcp ~now:(Engine.now t.engine) seg
-                end
-                else if not seg.Wire.rst then
-                  (* Stateless reset for strays. *)
-                  emit_frame t ~dst_mac:frame.Wire.src_mac ~dst_ip:frame.Wire.packet.src_ip
-                    (Wire.Tcp
-                       {
-                         Wire.src_port = seg.Wire.dst_port;
-                         dst_port = seg.Wire.src_port;
-                         seq = seg.Wire.ack_no;
-                         ack_no = 0;
-                         syn = false;
-                         ack = false;
-                         fin = false;
-                         rst = true;
-                         window = 0;
-                         payload = Bytes.empty;
-                       })
-          end
+        | Wire.Tcp seg ->
+            if not (Host.input t.host ~remote_ip seg) then
+              if seg.Wire.syn && seg.Wire.dst_port = 80 then begin
+                accept t ~key:(remote_ip, seg.Wire.src_port, seg.Wire.dst_port) ~remote_ip
+                  ~remote_mac:frame.Wire.src_mac;
+                ignore (Host.input t.host ~remote_ip seg)
+              end
+              else
+                Option.iter
+                  (fun rst -> emit_frame t ~dst_mac:frame.Wire.src_mac ~dst_ip:remote_ip (Wire.Tcp rst))
+                  (Host.reset_for seg)
         | Wire.Udp dgram ->
             if dgram.Wire.dst_port = 7 then
               (* Echo service. *)
-              emit_frame t ~dst_mac:frame.Wire.src_mac ~dst_ip:frame.Wire.packet.src_ip
+              emit_frame t ~dst_mac:frame.Wire.src_mac ~dst_ip:remote_ip
                 (Wire.Udp
                    {
                      Wire.src_port = 7;
@@ -236,6 +144,24 @@ let on_frame t raw =
       end
 
 let create ~engine ~rng ~link ~side ~ip ~mac ?(files = []) () =
+  (* One engine event serves every connection's timer, moved only when
+     a timer comes due before it: at C10K one pending engine event
+     instead of one per connection. *)
+  let alarm = ref None and alarm_deadline = ref 0 in
+  let rec host = lazy (Host.create ~now:(fun () -> Engine.now engine) ~arm)
+  and arm = function
+    | None -> ()
+    | Some deadline ->
+        if Option.is_none !alarm || deadline < !alarm_deadline then begin
+          Option.iter Engine.cancel !alarm;
+          alarm_deadline := deadline;
+          alarm :=
+            Some
+              (Engine.schedule_at engine ~at:(max deadline (Engine.now engine)) (fun () ->
+                   alarm := None;
+                   Host.fire (Lazy.force host)))
+        end
+  in
   let t =
     {
       engine;
@@ -245,14 +171,9 @@ let create ~engine ~rng ~link ~side ~ip ~mac ?(files = []) () =
       ip;
       mac;
       files = Hashtbl.create 8;
-      conns = Hashtbl.create 64;
-      timers = Timerset.create ();
-      timer_conns = Hashtbl.create 64;
+      host = Lazy.force host;
       next_tkey = 0;
-      alarm = None;
-      alarm_deadline = 0;
       next_client_port = 50_000;
-      accepted = 0;
       udp_seq = 0;
     }
   in
@@ -264,8 +185,7 @@ let create ~engine ~rng ~link ~side ~ip ~mac ?(files = []) () =
 (* Outbound client flows                                               *)
 (* ------------------------------------------------------------------ *)
 
-let flow_tcp f =
-  match f.fl_tcp with Some tcp -> tcp | None -> invalid_arg "Peer.flow_tcp: under construction"
+let flow_tcp f = f
 
 let open_flow t ~dst_ip ~dst_mac ~dst_port ~notify () =
   (* Sequential ephemeral ports: collision-free for any number of
@@ -275,21 +195,6 @@ let open_flow t ~dst_ip ~dst_mac ~dst_port ~notify () =
   t.next_client_port <- (if local_port >= 65_000 then 50_000 else local_port + 1);
   let key = (dst_ip, dst_port, local_port) in
   let tkey = alloc_tkey t in
-  let flow = { fl_key = key; fl_tkey = tkey; fl_tcp = None } in
-  let cb =
-    {
-      Tcp.emit = (fun seg -> emit_frame t ~dst_mac ~dst_ip (Wire.Tcp seg));
-      set_timer = (fun delay -> set_conn_timer t ~tkey delay);
-      notify =
-        (fun ev ->
-          (match ev with
-          | Tcp.Ev_reset | Tcp.Ev_closed ->
-              drop_timer t ~tkey;
-              Hashtbl.remove t.conns key
-          | _ -> ());
-          notify flow ev);
-    }
-  in
   let cfg =
     {
       (Tcp.default_config ~local_port ~remote_port:dst_port ~isn:(Rng.int t.rng 0x3FFFFFFF)) with
@@ -297,24 +202,23 @@ let open_flow t ~dst_ip ~dst_mac ~dst_port ~notify () =
       tx_buffer = 16384;
     }
   in
-  let tcp = Tcp.create_active cfg ~now:(Engine.now t.engine) cb in
-  flow.fl_tcp <- Some tcp;
-  (* The SYN may be answered only after several RTOs; register for
-     demux and timers even if the handshake retransmits. *)
-  Hashtbl.replace t.conns key tcp;
-  Hashtbl.replace t.timer_conns tkey tcp;
-  flow
+  let rec flow =
+    lazy
+      (Host.open_conn t.host ~key ~tkey ~active:true cfg
+         ~emit:(fun seg -> emit_frame t ~dst_mac ~dst_ip (Wire.Tcp seg))
+         ~notify:(fun ev ->
+           let f = Lazy.force flow in
+           (match ev with
+           | Tcp.Ev_reset | Tcp.Ev_closed -> Host.forget t.host ~key ~tkey f
+           | _ -> ());
+           notify f ev))
+  in
+  Lazy.force flow
 
-let flow_close t f =
-  match f.fl_tcp with Some tcp -> Tcp.close tcp ~now:(Engine.now t.engine) | None -> ()
+let flow_close t f = Tcp.close f ~now:(Engine.now t.engine)
 
-let flow_abort t f =
-  match f.fl_tcp with
-  | Some tcp ->
-      Tcp.abort tcp;
-      drop_timer t ~tkey:f.fl_tkey;
-      Hashtbl.remove t.conns f.fl_key
-  | None -> ()
+(* The RST's [Ev_closed] unregisters the flow. *)
+let flow_abort f = Tcp.abort f
 
 type client_result = {
   mutable connected : bool;

@@ -1,7 +1,9 @@
 (** The simulated remote host ("the Internet side" of the link).
 
-    It terminates TCP connections with its own instance of the same
-    {!Tcp} engine, serves deterministic files over a trivial
+    It terminates TCP connections in its own {!Host}, the same TCP
+    endpoint INET runs, on one engine event for every connection's
+    timer, and answers a segment no connection owns with the host's
+    reset.  It serves deterministic files over a trivial
     [GET <name>\n] protocol on port 80 (the wget experiment's server),
     echoes UDP on port 7, and can blast a periodic UDP stream at the
     machine under test (receive-side traffic for the fault-injection
@@ -28,15 +30,12 @@ val create :
 val file_md5 : t -> string -> string option
 (** MD5 digest of a registered file. *)
 
-val connections : t -> int
-(** TCP connections accepted so far. *)
-
 (** {1 Client flows}
 
     Outbound TCP connections from the peer into the machine under
-    test.  Every flow shares the peer's single engine timer through a
-    heap-backed {!Timerset} (one pending engine event for any number
-    of connections) and its ephemeral ports are allocated
+    test.  Every flow shares the peer's single engine event for timers
+    (one pending event for any number of connections) and its
+    ephemeral ports are allocated
     sequentially, so thousands of concurrent flows stay deterministic
     and collision-free — the substrate the load generator
     ({!Resilix_load.Loadgen}) drives. *)
@@ -65,7 +64,7 @@ val flow_tcp : flow -> Tcp.t
 val flow_close : t -> flow -> unit
 (** Graceful close (FIN once the send buffer drains). *)
 
-val flow_abort : t -> flow -> unit
+val flow_abort : flow -> unit
 (** Drop the flow immediately, emitting RST. *)
 
 type client_result = {

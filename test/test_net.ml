@@ -1,6 +1,6 @@
-(* Tests for the network stack below the INET server: wire codecs and
+(* Tests for the network stack below the INET server: wire codecs,
    the TCP engine driven over a simulated (lossy, reordering-free)
-   pipe. *)
+   pipe, and the TCP host that INET and the remote peer share. *)
 
 module Engine = Resilix_sim.Engine
 module Rng = Resilix_sim.Rng
@@ -8,6 +8,9 @@ module Wire = Resilix_net.Wire
 module Tcp = Resilix_net.Tcp
 module Filegen = Resilix_net.Filegen
 module Timerset = Resilix_net.Timerset
+module Host = Resilix_net.Host
+module Peer = Resilix_net.Peer
+module Link = Resilix_hw.Link
 module Crc32 = Resilix_checksum.Crc32
 module Xxh64 = Resilix_checksum.Xxh64
 module Md5 = Resilix_checksum.Md5
@@ -543,6 +546,121 @@ let prop_timerset_model =
           agrees && Timerset.armed ts = List.length !model)
         ops)
 
+(* --- the TCP host --- *)
+
+let test_host_reset_for () =
+  let check_rst name ~seq ~ack_no ~ack = function
+    | None -> Alcotest.fail (name ^ ": no reset")
+    | Some (r : Wire.tcp_segment) ->
+        Alcotest.(check (list int))
+          (name ^ ": ports, seq, ack_no") [ 80; 1234; seq; ack_no ]
+          [ r.src_port; r.dst_port; r.seq; r.ack_no ];
+        Alcotest.(check (list bool))
+          (name ^ ": rst, ack, syn, fin") [ true; ack; false; false ] [ r.rst; r.ack; r.syn; r.fin ]
+  in
+  (* With ACK: the reset takes the acknowledged number as its sequence
+     number and acknowledges nothing. *)
+  check_rst "ack" ~seq:0x01020304 ~ack_no:0 ~ack:false (Host.reset_for (seg ~ack:true ()));
+  check_rst "ack+payload" ~seq:0x01020304 ~ack_no:0 ~ack:false
+    (Host.reset_for (seg ~ack:true ~payload:"data" ()));
+  (* Without: sequence 0, acknowledging everything the segment occupies. *)
+  check_rst "bare syn" ~seq:0 ~ack_no:0x89ABCDF0 ~ack:true (Host.reset_for (seg ~syn:true ()));
+  check_rst "fin+payload" ~seq:0 ~ack_no:0x89ABCDF4 ~ack:true
+    (Host.reset_for (seg ~fin:true ~payload:"abcd" ()));
+  Alcotest.(check bool) "a reset is never answered" true
+    (Host.reset_for (seg ~rst:true ~ack:true ()) = None)
+
+(* A host on a settable clock whose connections record what they emit
+   as (tkey, segment), newest first. *)
+let host_rig () =
+  let clock = ref 0 and armed = ref [] and emitted = ref [] in
+  let h = Host.create ~now:(fun () -> !clock) ~arm:(fun d -> armed := d :: !armed) in
+  let open_conn ?(active = false) ~key ~tkey () =
+    let _, rport, lport = key in
+    Host.open_conn h ~key ~tkey ~active
+      (Tcp.default_config ~local_port:lport ~remote_port:rport ~isn:(1000 * tkey))
+      ~emit:(fun s -> emitted := (tkey, s) :: !emitted)
+      ~notify:ignore
+  in
+  (h, clock, armed, emitted, open_conn)
+
+let remote = Wire.ip 10 0 0 1
+
+let syn_to port = { (seg ~syn:true ()) with Wire.dst_port = port }
+
+let test_host_demux_by_local_port () =
+  let h, _, _, emitted, open_conn = host_rig () in
+  let _ = open_conn ~key:(remote, 1234, 80) ~tkey:1 () in
+  let _ = open_conn ~key:(remote, 1234, 81) ~tkey:2 () in
+  let answered port =
+    emitted := [];
+    let owned = Host.input h ~remote_ip:remote (syn_to port) in
+    (owned, List.map (fun (k, (s : Wire.tcp_segment)) -> (k, s.src_port, s.syn && s.ack)) !emitted)
+  in
+  Alcotest.(check (pair bool (list (triple int int bool))))
+    "port 80" (true, [ (1, 80, true) ]) (answered 80);
+  Alcotest.(check (pair bool (list (triple int int bool))))
+    "port 81" (true, [ (2, 81, true) ]) (answered 81);
+  Alcotest.(check (pair bool (list (triple int int bool)))) "port 82" (false, []) (answered 82);
+  Alcotest.(check bool) "other remote ip" false
+    (Host.input h ~remote_ip:(Wire.ip 10 0 0 9) (syn_to 80))
+
+let test_host_timers_fire_in_tkey_order () =
+  let h, clock, armed, emitted, open_conn = host_rig () in
+  List.iter
+    (fun tkey -> ignore (open_conn ~active:true ~key:(remote, 80, 40_000 + tkey) ~tkey ()))
+    [ 5; 2; 9 ];
+  Alcotest.(check (option int)) "armed for the first RTO" (Some 200_000) (List.hd !armed);
+  emitted := [];
+  clock := 200_000;
+  Host.fire h;
+  Alcotest.(check (list int)) "SYNs resent in tkey order" [ 2; 5; 9 ] (List.rev_map fst !emitted);
+  Alcotest.(check (option int)) "re-armed after the backed-off RTO" (Some 600_000) (List.hd !armed)
+
+let test_host_forget_keeps_newer () =
+  let h, clock, _, emitted, open_conn = host_rig () in
+  let key = (remote, 1234, 80) in
+  let old = open_conn ~active:true ~key ~tkey:1 () in
+  let newer = open_conn ~key ~tkey:1 () in
+  Host.forget h ~key ~tkey:1 old;
+  emitted := [];
+  Alcotest.(check bool) "newer still owns the key" true (Host.input h ~remote_ip:remote (syn_to 80));
+  clock := 200_000;
+  Host.fire h;
+  Alcotest.(check int) "newer's SYN-ACK and its retransmission" 2
+    (List.length (List.filter (fun (_, (s : Wire.tcp_segment)) -> s.syn && s.ack) !emitted));
+  Host.forget h ~key ~tkey:1 newer;
+  Alcotest.(check bool) "forgotten" false (Host.input h ~remote_ip:remote (syn_to 80))
+
+(* Segments for no connection reach the peer's stray-RST path: it
+   answers with the host's reset, framed back to the sender. *)
+let test_peer_resets_strays () =
+  let engine = Engine.create () in
+  let rng = Rng.create ~seed:3 in
+  let link = Link.create ~engine ~rng () in
+  let peer_ip = Wire.ip 10 0 0 2 and peer_mac = 0x0000_0000_0002 in
+  let _peer = Peer.create ~engine ~rng ~link ~side:Link.B ~ip:peer_ip ~mac:peer_mac () in
+  let replies = ref [] in
+  Link.attach link Link.A (fun raw ->
+      match Wire.decode raw with
+      | Ok { Wire.dst_mac = 0x0000_0000_0001; packet = { dst_ip; body = Wire.Tcp r; _ }; _ }
+        when dst_ip = remote ->
+          replies := r :: !replies
+      | _ -> Alcotest.fail "reply not framed back to the sender");
+  (* Each reply as ((rst, ack), (seq, ack_no)). *)
+  let replies_to s =
+    let packet = { Wire.src_ip = remote; dst_ip = peer_ip; body = Wire.Tcp s } in
+    Link.send link Link.A
+      (Wire.encode { Wire.dst_mac = peer_mac; src_mac = 0x0000_0000_0001; packet });
+    replies := [];
+    Engine.run engine ~until:(Engine.now engine + 10_000);
+    List.map (fun (r : Wire.tcp_segment) -> ((r.rst, r.ack), (r.seq, r.ack_no))) !replies
+  in
+  let check = Alcotest.(check (list (pair (pair bool bool) (pair int int)))) in
+  check "stray ack to port 80" [ ((true, false), (0x01020304, 0)) ] (replies_to (seg ~ack:true ()));
+  check "syn to a closed port" [ ((true, true), (0, 0x89ABCDF0)) ] (replies_to (syn_to 81));
+  check "stray reset" [] (replies_to (seg ~rst:true ~ack:true ()))
+
 let tests =
   [
     Alcotest.test_case "wire tcp roundtrip" `Quick test_tcp_roundtrip;
@@ -562,4 +680,9 @@ let tests =
     Alcotest.test_case "tcp across 0.5s blackout" `Quick test_transfer_across_blackout;
     Alcotest.test_case "tcp clean close" `Quick test_clean_close;
     QCheck_alcotest.to_alcotest prop_lossy_transfer_delivers_exactly;
+    Alcotest.test_case "host reset_for follows RFC 793" `Quick test_host_reset_for;
+    Alcotest.test_case "host demuxes by local port" `Quick test_host_demux_by_local_port;
+    Alcotest.test_case "host timers fire in tkey order" `Quick test_host_timers_fire_in_tkey_order;
+    Alcotest.test_case "host forget keeps a newer connection" `Quick test_host_forget_keeps_newer;
+    Alcotest.test_case "peer resets strays" `Quick test_peer_resets_strays;
   ]
