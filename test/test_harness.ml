@@ -217,13 +217,13 @@ let collect_obs run =
 let test_fig7_jobs_invariant () =
   (* The acceptance criterion for the progress observer: enabling it
      must leave the stdout/JSONL path byte-identical for every job
-     count — the observer only ever sees the stderr-side sink.  8 MB
+     count — the observer only ever sees the stderr-side sink.  16 MB
      outlasts the 1-s kill interval, so the sweep includes a recovery. *)
   let sweep jobs =
     collect_obs (fun sink ->
         E.Fig7.run ~jobs
           ~on_progress:(fun (_ : Campaign.progress) -> ())
-          ~size:(8 * mb) ~intervals:[ 1 ] ~seed:42 ~obs:sink ())
+          ~size:(16 * mb) ~intervals:[ 1 ] ~seed:42 ~obs:sink ())
   in
   let rows1, obs1 = sweep 1 and rows2, obs2 = sweep 2 and rows4, obs4 = sweep 4 in
   Alcotest.(check int) "baseline + one interval" 2 (List.length rows1);
