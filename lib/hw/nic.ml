@@ -1,6 +1,7 @@
 module Engine = Resilix_sim.Engine
 module Rng = Resilix_sim.Rng
 module Kernel = Resilix_kernel.Kernel
+module Metrics = Resilix_obs.Metrics
 
 let isr_rx_ok = 0x1
 let isr_tx_ok = 0x4
@@ -31,6 +32,7 @@ type t = {
   mutable isr : int;
   mutable tx_busy : bool;
   rx_queue : bytes Queue.t;
+  rx_overflow : Metrics.counter;
 }
 
 and device = {
@@ -92,7 +94,7 @@ let transmit t frame =
 (* MAC filtering: accept broadcast, our MAC, or anything in
    promiscuous mode.  The first six bytes of a frame are the
    destination MAC, big-endian.  A full queue drops the frame, like
-   real hardware. *)
+   real hardware, and counts it. *)
 let dst_mac_of frame =
   if Bytes.length frame < 6 then 0
   else
@@ -102,11 +104,12 @@ let dst_mac_of frame =
 let on_link_rx t frame =
   if rx_open t then begin
     let dst = dst_mac_of frame in
-    if (t.promisc || dst = t.mac || dst = broadcast_mac) && Queue.length t.rx_queue < rx_queue_cap
-    then begin
-      Queue.push frame t.rx_queue;
-      t.dev.queued t
-    end
+    if t.promisc || dst = t.mac || dst = broadcast_mac then
+      if Queue.length t.rx_queue < rx_queue_cap then begin
+        Queue.push frame t.rx_queue;
+        t.dev.queued t
+      end
+      else Metrics.incr t.rx_overflow
   end
 
 let read t reg =
@@ -164,6 +167,7 @@ let create ~kernel ~bus ~base ~ports ~irq ~link ~side ~mac ~rng ?(wedge_prob = 0
       isr = 0;
       tx_busy = false;
       rx_queue = Queue.create ();
+      rx_overflow = Metrics.counter (Kernel.metrics kernel) (Printf.sprintf "hw.nic%x.rx_overflow" dev.id);
     }
   in
   claim t bus ~base ~ports;

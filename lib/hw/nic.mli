@@ -10,7 +10,9 @@
       MACLO / MACHI  RO  low 32 / high 16 bits of the MAC, at a device-chosen offset
     v}
     plus the MAC filter (own MAC, broadcast, or anything when
-    promiscuous), a receive queue bounded at 64 frames, the 150 ms
+    promiscuous), a receive queue bounded at 64 frames (a frame that
+    finds it full is dropped and counted in [hw.nic<id>.rx_overflow],
+    [<id>] the ID register in hex), the 150 ms
     reset window (CMD reads 0x10 and programming is ignored), transmit
     timing at 12 bytes/us (~100 Mbit) and wedging.
 

@@ -72,6 +72,7 @@ type ctrs = {
   c_degraded_rejects : Metrics.counter;
   c_tx_postponed : Metrics.counter;
   c_accept_refused : Metrics.counter;
+  c_rx_dropped : (string * Metrics.counter) list; (* by decode error *)
 }
 
 type t = {
@@ -101,6 +102,9 @@ let create ~local_ip ~gateway_mac ~driver_key ~spans ~metrics () =
         c_degraded_rejects = Metrics.counter metrics "inet.degraded_rejects";
         c_tx_postponed = Metrics.counter metrics "inet.tx.postponed";
         c_accept_refused = Metrics.counter metrics "inet.accept_refused";
+        c_rx_dropped =
+          (let name e = "inet.rx.dropped." ^ String.map (function ' ' -> '_' | c -> c) e in
+           List.map (fun e -> (e, Metrics.counter metrics (name e))) Wire.decode_errors);
       };
     socks = Array.make 64 S_free;
     (* slot 0 stays unused so 0 is never a valid descriptor *)
@@ -517,7 +521,7 @@ let handle_task_reply t ~src (flags : Message.dl_flags) read_len =
           let raw = Memory.read mem ~addr:rx_frame_buf ~len:read_len in
           (match Wire.decode raw with
           | Ok frame -> handle_packet t frame
-          | Error _ -> () (* corrupted: drop; TCP recovers *));
+          | Error e -> Metrics.incr (List.assoc e t.ctrs.c_rx_dropped) (* drop; TCP recovers *));
           post_readv t
         end
       end

@@ -31,7 +31,11 @@ val encode : frame -> bytes
 (** Serialize to link bytes. *)
 
 val decode : bytes -> (frame, string) result
-(** Parse and CRC-check link bytes. *)
+(** Parse and CRC-check link bytes.  The error is one of
+    {!decode_errors}. *)
+
+val decode_errors : string list
+(** Every reason {!decode} gives for rejecting a frame. *)
 
 val max_payload : int
 (** Maximum TCP/UDP payload per frame (the MSS), 1460 bytes. *)

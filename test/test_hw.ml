@@ -24,9 +24,9 @@ module Nic = Resilix_hw.Nic
 module Nic8139 = Resilix_hw.Nic8139
 module Nic8390 = Resilix_hw.Nic8390
 
-let make_kernel () =
+let make_kernel ?metrics () =
   let engine = Engine.create () in
-  let kernel = Kernel.create ~engine ~trace:(Trace.create ()) ~rng:(Rng.create ~seed:2) () in
+  let kernel = Kernel.create ~engine ~trace:(Trace.create ()) ~rng:(Rng.create ~seed:2) ?metrics () in
   (engine, kernel)
 
 (* --- bus --- *)
@@ -313,8 +313,8 @@ let other_mac = 0x0200_0000_0002
 let broadcast = 0xFFFF_FFFF_FFFF
 
 (* A DP8390 on side A of a link; returns what side B receives. *)
-let make_dp ?wedge_prob () =
-  let engine, kernel = make_kernel () in
+let make_dp ?wedge_prob ?metrics () =
+  let engine, kernel = make_kernel ?metrics () in
   let bus = Bus.create () in
   let link = Link.create ~engine ~rng:(Rng.create ~seed:1) () in
   let _nic =
@@ -375,13 +375,16 @@ let test_dp8390_rx_filter () =
   Alcotest.(check (list int)) "promiscuous mode accepts other MACs" [ 30 ] (dp_drain bus)
 
 let test_dp8390_rx_queue_bounded () =
-  let engine, bus, link, _ = make_dp () in
+  let metrics = Resilix_obs.Metrics.create () in
+  let engine, bus, link, _ = make_dp ~metrics () in
   wr bus dp_cmd 0x04;
   for _ = 1 to 70 do
     Link.send link Link.B (frame ~dst:nic_mac 60)
   done;
   Engine.run engine;
-  Alcotest.(check int) "queue holds 64 frames, the rest dropped" 64 (List.length (dp_drain bus))
+  Alcotest.(check int) "queue holds 64 frames, the rest dropped" 64 (List.length (dp_drain bus));
+  Alcotest.(check int) "the dropped frames are counted" 6
+    (Resilix_obs.Metrics.counter_value (Resilix_obs.Metrics.snapshot metrics) "hw.nic8390.rx_overflow")
 
 let test_dp8390_rx_ok_after_rxdone () =
   let engine, bus, link, _ = make_dp () in

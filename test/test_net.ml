@@ -176,6 +176,8 @@ let prop_encode_matches_reference =
 
 let decode_total b =
   match Wire.decode b with
+  | Error e when not (List.mem e Wire.decode_errors) ->
+      QCheck.Test.fail_reportf "decode error %S is not in Wire.decode_errors" e
   | r -> r
   | exception e -> QCheck.Test.fail_reportf "decode raised %s" (Printexc.to_string e)
 
