@@ -1,6 +1,5 @@
 module Api = Resilix_kernel.Sysif.Api
 module Sysif = Resilix_kernel.Sysif
-module Memory = Resilix_kernel.Memory
 module Endpoint = Resilix_proto.Endpoint
 module Errno = Resilix_proto.Errno
 module Message = Resilix_proto.Message
@@ -84,41 +83,35 @@ let max_frame = 1514
 let isr_rx = 0x1
 let isr_tx = 0x4
 let isr_err = 0x8
-let stash_cap = 32
 
 let task_reply dst ~sent ~received ~read_len =
   ignore (Api.asend dst (Message.Dl_task_reply { flags = { sent; received }; read_len }))
 
-let run_nic vm ~tx_r2 ~setup_r1 ~setup_r2 ~on_rx =
+let run_nic vm ~tx_r2 ~setup_r1 ~setup_r2 ~rx =
   let p_reset = Image.program vm "reset"
   and p_cmdstat = Image.program vm "cmdstat"
   and p_setup = Image.program vm "setup"
   and p_tx = Image.program vm "tx"
   and p_isr = Image.program vm "isr"
   and p_txack = Image.program vm "txack" in
-  let mem = Api.memory () in
   (* Mutable driver state; all lost (by design) on a crash. *)
   let inet = ref None in
   let rx_slot = ref None (* (src, grant, maxlen) posted by INET *) in
-  let stash = Queue.create () in
   let tx_busy = ref false in
   let tx_queue = Queue.create () in
-  let deliver_rx () =
-    match (!rx_slot, Queue.is_empty stash) with
-    | Some (src, grant, maxlen), false ->
-        let frame = Queue.pop stash in
-        let len = min (Bytes.length frame) maxlen in
-        Memory.blit_in mem ~addr:nic_rx_buf ~src:frame ~src_off:0 ~len;
+  (* Copy the frame at [nic_rx_buf] to INET's posted receive, if there
+     is one; [frame_len] is asked only then. *)
+  let deliver frame_len =
+    match !rx_slot with
+    | None -> false
+    | Some (src, grant, maxlen) ->
         rx_slot := None;
+        let len = min (frame_len ()) maxlen in
         (* An error means the network server restarted underneath us;
            the frame is dropped. *)
         if Result.is_ok (Api.safecopy_to ~owner:src ~grant ~grant_off:0 ~local_addr:nic_rx_buf ~len)
-        then task_reply src ~sent:false ~received:true ~read_len:len
-    | (Some _ | None), _ -> ()
-  in
-  let push frame =
-    if Queue.length stash < stash_cap then Queue.push frame stash;
-    deliver_rx ()
+        then task_reply src ~sent:false ~received:true ~read_len:len;
+        true
   in
   let start_tx (src, grant, len) =
     match Api.safecopy_from ~owner:src ~grant ~grant_off:0 ~local_addr:nic_tx_buf ~len with
@@ -129,6 +122,7 @@ let run_nic vm ~tx_r2 ~setup_r1 ~setup_r2 ~on_rx =
   in
   let conf (mode : Message.dl_mode) =
     ignore (Image.exec vm p_reset);
+    rx `Reset deliver;
     (* The chip takes real time to come out of reset. *)
     Image.wait_ready vm p_cmdstat ~busy:0x10;
     ignore (Image.exec vm p_setup ~r1:setup_r1 ~r2:setup_r2 ~r3:(if mode.promisc then 1 else 0));
@@ -137,7 +131,7 @@ let run_nic vm ~tx_r2 ~setup_r1 ~setup_r2 ~on_rx =
   let on_irq ~line:_ =
     let bits = Image.exec vm p_isr in
     if bits land isr_err <> 0 then Image.fail vm "device reported an error";
-    if bits land isr_rx <> 0 then on_rx push;
+    if bits land isr_rx <> 0 then rx `Irq deliver;
     if bits land isr_tx <> 0 then begin
       ignore (Image.exec vm p_txack);
       tx_busy := false;
@@ -157,5 +151,5 @@ let run_nic vm ~tx_r2 ~setup_r1 ~setup_r2 ~on_rx =
         else start_tx (src, grant, len)
     | Message.Dl_readv { grant; len } ->
         rx_slot := Some (src, grant, len);
-        deliver_rx ()
+        rx `Posted deliver
     | _ -> ignore (Api.send src (Message.Err_reply Errno.E_inval)))
