@@ -43,9 +43,7 @@ let code ~base =
 
 let image ~base = Image.assemble ~origin:image_origin (code ~base)
 
-let image_info ~base =
-  let img = image ~base in
-  (Image.origin img, Image.insn_count img)
+let image_info ~base = Image.info (image ~base)
 
 type inflight = { src : Resilix_proto.Endpoint.t; grant : int; len : int; write : bool }
 

@@ -19,8 +19,7 @@ let assemble ~origin named =
   in
   { origin; blob = Buffer.to_bytes buf; programs }
 
-let origin t = t.origin
-let insn_count t = Bytes.length t.blob / Isa.instr_size
+let info t = (t.origin, Bytes.length t.blob / Isa.instr_size)
 
 type program = { name : string; code : Interp.program }
 type vm = { driver : string; loaded : program list; regs : int array }

@@ -18,11 +18,9 @@ type t
 val assemble : origin:int -> (string * Resilix_vm.Isa.instr list) list -> t
 (** Assemble the named programs back to back starting at [origin]. *)
 
-val origin : t -> int
-(** Address of the first instruction. *)
-
-val insn_count : t -> int
-(** Total encoded instructions across all programs. *)
+val info : t -> int * int
+(** [(origin, insn_count)]: the address of the first instruction and
+    the encoded instructions across all programs. *)
 
 (** {1 Driver-VM runtime} *)
 
