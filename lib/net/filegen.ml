@@ -38,9 +38,11 @@ let read ~seed ~off ~len =
   read_into ~seed ~off ~len out;
   out
 
-(* The whole file, 64 KB at a time through one reused buffer. *)
+(* The whole file, 64 KB at a time through one reused buffer; a
+   smaller file gets a buffer of its own size (most load-generator
+   files are 2 KB, and a 64-KB buffer would be a major-heap block). *)
 let iter_chunks ~seed ~size f =
-  let buf = Bytes.create 65536 in
+  let buf = Bytes.create (max 0 (min 65536 size)) in
   let off = ref 0 in
   while !off < size do
     let len = min (Bytes.length buf) (size - !off) in
