@@ -28,13 +28,15 @@ type vm
 (** One driver incarnation's loaded image and register file. *)
 
 type program
-(** A loaded program, with its own decode cache. *)
+(** A loaded program, with its own decode cache, bound to the
+    incarnation that booted it (its memory and I/O-port handle). *)
 
 val boot : driver:string -> (base:int -> t) -> vm
 (** Parse the [base; irq] arguments, copy [image ~base] into the
-    calling process's memory and register the IRQ, in that order.
-    [driver] prefixes every panic.  Must run inside a fiber; a driver
-    calls it once per incarnation. *)
+    calling process's memory, attach its programs there and register
+    the IRQ, in that order.  [driver] prefixes every panic.  Must run
+    inside a fiber; a driver calls it once per incarnation, and its
+    programs run only in that incarnation. *)
 
 val program : vm -> string -> program
 (** Resolve a program by name (once, not per call).

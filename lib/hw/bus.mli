@@ -1,8 +1,9 @@
 (** The I/O port bus.
 
-    Device models claim port ranges; the kernel's mediated [Devio_*]
-    kernel calls are routed here after the per-driver privilege check
-    (Sec. 4: drivers may only touch the ports they were granted). *)
+    Device models claim port ranges; a driver's port accesses
+    ({!Resilix_kernel.Sysif.ports}) are routed here after the kernel's
+    per-driver privilege check (Sec. 4: drivers may only touch the
+    ports they were granted). *)
 
 type t
 (** A bus instance. *)
@@ -17,11 +18,14 @@ val register : t -> base:int -> len:int -> read:(int -> int) -> write:(int -> in
     @raise Invalid_argument on overlapping claims. *)
 
 val attach : t -> Resilix_kernel.Kernel.t -> unit
-(** Install this bus as the kernel's I/O handler. *)
+(** Install this bus as the kernel's ({!Resilix_kernel.Kernel.set_bus}). *)
 
-val io : t -> [ `In of int | `Out of int * int ] -> (int, Resilix_proto.Errno.t) result
-(** Raw access (what the kernel calls); never [Error].  Unclaimed
-    ports float: reads return [0xFFFFFFFF], writes are dropped — like
-    real ISA buses, and deliberately forgiving to corrupted drivers
-    whose port arithmetic went wrong inside their own range.  A write
-    answers [Ok 0]. *)
+val read : t -> int -> int
+(** [read t port]: the claiming device's register.  Unclaimed ports
+    float: they read [0xFFFFFFFF] — like real ISA buses, and
+    deliberately forgiving to corrupted drivers whose port arithmetic
+    went wrong inside their own range.  Never refuses. *)
+
+val write : t -> int -> int -> unit
+(** [write t port value]: to the claiming device; dropped on an
+    unclaimed port.  Never refuses. *)

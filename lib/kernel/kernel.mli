@@ -108,9 +108,14 @@ val deliver_signal : t -> Endpoint.t -> Signal.t -> (unit, Errno.t) result
 
 (** {1 Hardware-facing interface (wired by the system builder)} *)
 
-val set_io_handler : t -> ([ `In of int | `Out of int * int ] -> (int, Errno.t) result) -> unit
-(** Install the I/O-port bus backend; the kernel routes privileged
-    [Devio_*] kernel calls through it. *)
+val set_bus : t -> read:(int -> int) -> write:(int -> int -> unit) -> unit
+(** Install the I/O-port bus: [read port] and [write port value] serve
+    every access that passes a process's {!Sysif.ports} checks.  Either
+    may raise {!Sysif.Port_refused} to refuse an access, which is
+    charged and counted like a completed one; until a bus is installed
+    every access is refused so.  Any other exception from them leaves
+    the kernel: it ends the accessing fiber without an exit and
+    propagates out of the engine loop that ran the access. *)
 
 val raise_irq : t -> int -> unit
 (** Called by device models: delivers an [N_irq] notification to the

@@ -45,10 +45,11 @@ let view t ~addr ~len f =
   check t ~addr ~len;
   if allocated t then f t.data addr else f (Bytes.make len '\000') 0
 
-let equal_u64 t ~addr key ~off =
-  check t ~addr ~len:8;
-  let w : int64 = if allocated t then Bytes.get_int64_ne t.data addr else 0L in
-  w = Bytes.get_int64_ne key off
+external unsafe_get_int64 : bytes -> int -> int64 = "%caml_bytes_get64u"
+
+let equal_u64_unchecked t ~addr key ~off =
+  let w : int64 = if allocated t then unsafe_get_int64 t.data addr else 0L in
+  w = unsafe_get_int64 key off
 
 let copy ~src ~src_addr ~dst ~dst_addr ~len =
   check src ~addr:src_addr ~len;

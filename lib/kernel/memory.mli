@@ -50,10 +50,16 @@ val view : t -> addr:int -> len:int -> (bytes -> int -> 'a) -> 'a
     space has never been written): [f] must not write to it nor keep
     it.  @raise Fault on out-of-bounds access, before [f] runs. *)
 
-val equal_u64 : t -> addr:int -> bytes -> off:int -> bool
-(** [equal_u64 t ~addr key ~off] is whether the 8 bytes at [addr]
-    equal bytes [off .. off+7] of [key].  Does not allocate.
-    @raise Fault if the 8 bytes at [addr] are out of bounds. *)
+val check : t -> addr:int -> len:int -> unit
+(** [check t ~addr ~len] is [()] when the [len] bytes at [addr] lie in
+    the space.  @raise Fault otherwise. *)
+
+val equal_u64_unchecked : t -> addr:int -> bytes -> off:int -> bool
+(** [equal_u64_unchecked t ~addr key ~off] is whether the 8 bytes at
+    [addr] equal bytes [off .. off+7] of [key].  Does not allocate and
+    checks no bounds: the caller must have checked the 8 bytes at
+    [addr] with {!check} (a space never shrinks) and that [key] has
+    [off + 8] bytes. *)
 
 val copy : src:t -> src_addr:int -> dst:t -> dst_addr:int -> len:int -> unit
 (** Inter-space copy (the kernel's virtual-copy primitive). *)

@@ -39,17 +39,14 @@ let test_bus_routing () =
       log := ("read", reg) :: !log;
       0x40 + reg)
     ~write:(fun _ v -> log := ("write", v) :: !log);
-  Alcotest.(check (result int Alcotest.reject)) "read routes with relative reg" (Ok 0x42)
-    (Bus.io bus (`In 0x102));
-  ignore (Bus.io bus (`Out (0x103, 99)));
+  Alcotest.(check int) "read routes with relative reg" 0x42 (Bus.read bus 0x102);
+  Bus.write bus 0x103 99;
   Alcotest.(check (list (pair string int))) "accesses seen" [ ("write", 99); ("read", 2) ] !log
 
 let test_bus_unclaimed_floats () =
   let bus = Bus.create () in
-  Alcotest.(check (result int Alcotest.reject)) "unclaimed port reads all-ones" (Ok 0xFFFF_FFFF)
-    (Bus.io bus (`In 0x999));
-  Alcotest.(check (result int Alcotest.reject)) "unclaimed write swallowed" (Ok 0)
-    (Bus.io bus (`Out (0x999, 1)))
+  Alcotest.(check int) "unclaimed port reads all-ones" 0xFFFF_FFFF (Bus.read bus 0x999);
+  Alcotest.(check unit) "unclaimed write swallowed" () (Bus.write bus 0x999 1)
 
 let test_bus_overlap_rejected () =
   let bus = Bus.create () in
@@ -244,9 +241,9 @@ let test_audio_underruns () =
   (* Feed 4 KB of samples and start playback: at 100 KB/s the FIFO
      drains in ~40 ms and the device underruns afterwards. *)
   for _ = 1 to 1024 do
-    ignore (Bus.io bus (`Out (0x382, 0xABCD)))
+    Bus.write bus 0x382 0xABCD
   done;
-  ignore (Bus.io bus (`Out (0x381, 1)));
+  Bus.write bus 0x381 1;
   Engine.run engine ~until:500_000;
   Alcotest.(check int) "all samples played" 4096 (Audio_dev.bytes_played audio);
   Alcotest.(check bool) "underruns counted after starvation" true (Audio_dev.underruns audio > 0)
@@ -255,8 +252,8 @@ let test_printer_prints_in_order () =
   let engine, kernel = make_kernel () in
   let bus = Bus.create () in
   let printer = Printer_dev.create ~kernel ~bus ~base:0x390 ~irq:6 () in
-  ignore (Bus.io bus (`Out (0x391, 1)));
-  String.iter (fun c -> ignore (Bus.io bus (`Out (0x392, Char.code c)))) "hello paper";
+  Bus.write bus 0x391 1;
+  String.iter (fun c -> Bus.write bus 0x392 (Char.code c)) "hello paper";
   Engine.run engine ~until:2_000_000;
   Alcotest.(check string) "bytes printed in order" "hello paper" (Printer_dev.printed printer)
 
@@ -264,7 +261,7 @@ let test_cd_gap_ruins_disc () =
   let engine, kernel = make_kernel () in
   let bus = Bus.create () in
   let cd = Cd_dev.create ~kernel ~bus ~base:0x3A0 ~irq:7 ~gap_timeout:100_000 () in
-  ignore (Bus.io bus (`Out (0x3A1, 0x01))) (* start session *);
+  Bus.write bus 0x3A1 0x01 (* start session *);
   (match Cd_dev.disc cd with
   | Cd_dev.In_session -> ()
   | _ -> Alcotest.fail "session should be open");
@@ -283,21 +280,20 @@ let test_nic_wedges_on_garbage_and_master_reset () =
       ~rng:(Rng.create ~seed:1) ~wedge_prob:1.0 ()
   in
   (* Garbage CMD bits wedge the chip (wedge_prob = 1). *)
-  ignore (Bus.io bus (`Out (0x301, 0xE0)));
+  Bus.write bus 0x301 0xE0;
   Alcotest.(check bool) "nic wedged" true (Nic.wedged nic);
   (* A wedged card ignores the software reset... *)
-  ignore (Bus.io bus (`Out (0x301, 0x10)));
+  Bus.write bus 0x301 0x10;
   Alcotest.(check bool) "still wedged after reset" true (Nic.wedged nic);
-  Alcotest.(check (result int Alcotest.reject)) "registers read all-ones" (Ok 0xFFFF_FFFF)
-    (Bus.io bus (`In 0x300));
+  Alcotest.(check int) "registers read all-ones" 0xFFFF_FFFF (Bus.read bus 0x300);
   (* ... only the out-of-band BIOS reset clears it (Sec. 7.2). *)
   Nic.bios_reset nic;
   Alcotest.(check bool) "bios reset clears the wedge" false (Nic.wedged nic)
 
 (* --- NICs, driven only through raw bus I/O --- *)
 
-let rd bus port = match Bus.io bus (`In port) with Ok v -> v | Error _ -> Alcotest.fail "bus read"
-let wr bus port v = ignore (Bus.io bus (`Out (port, v)))
+let rd = Bus.read
+let wr = Bus.write
 
 (* DP8390 registers at base 0x300. *)
 let dp_id = 0x300
